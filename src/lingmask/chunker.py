@@ -153,7 +153,7 @@ def parse_annotations(
     ``chunk_id`` is ``-`` for tokens outside any chunk and a per-sentence
     integer shared by all tokens of one chunk; a chunk's tokens must be
     contiguous. Unknown POS tags are mapped to X and counted in
-    ``warn_counter`` when given.
+    ``warn_counter`` when given; without a counter, each is logged.
     """
     surfaces: list[str] = []
     tags: list[str] = []
@@ -207,7 +207,8 @@ def parse_annotations(
             if pos not in UPOS_TAGS:
                 if warn_counter is not None:
                     warn_counter[pos] += 1
-                log.warning("unknown POS tag %r at line %d mapped to X", pos, lineno)
+                else:
+                    log.warning("unknown POS tag %r at line %d mapped to X", pos, lineno)
                 pos = "X"
             if chunk_field == "-":
                 cid: int | None = None

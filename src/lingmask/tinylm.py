@@ -7,6 +7,11 @@ cross-entropy loss over prediction slots, and the padding-weight mechanism are
 implemented exactly, so masking strategies can be compared end to end without
 a transformer. Training is plain gradient descent to keep optimizer effects
 out of the comparison.
+
+A slot x vocabulary matrix of context-piece counts turns the encoder and its
+backward pass into dense matrix products over a whole batch. A training step
+runs one such pass; its step row reports the batch's losses from before the
+update, and eval rows report the held-out set.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import count, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,18 +76,37 @@ class TinyLmParams:
         return self.embeddings.shape[1]
 
 
-def _context_ids(example: MaskedExample, radius: int) -> list[list[int]]:
-    """Context piece ids per masked position (unmasked positions only)."""
-    masked = set(example.masked_positions)
-    unmasked = [k for k in range(len(example.input_ids)) if k not in masked]
-    contexts = []
-    for position in example.masked_positions:
-        if radius == 0:
-            window = unmasked
-        else:
-            window = [k for k in unmasked if abs(k - position) <= radius]
-        contexts.append([example.input_ids[k] for k in window])
-    return contexts
+EVAL_BLOCK = 32  # held-out examples per forward pass; bounds the slot x V matrices
+Pair = tuple[MaskedExample, Sequence[bool]]  # an example and its sequence's chunk flags
+
+
+def _encode(
+    examples: Sequence[MaskedExample], params: TinyLmParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched context encoder over the prediction slots of ``examples``.
+
+    Returns ``(counts, sizes, hidden)``: the slot x V matrix ``C`` of
+    unmasked context-piece counts within ``context_radius`` (0: the whole
+    sequence), the context size ``n`` of each slot (at least 1), and
+    ``H = C @ E / n``. A slot with an empty context gets a zero hidden row.
+    """
+    lengths = np.array([len(ex.input_ids) for ex in examples], dtype=int)
+    ids = np.zeros((len(examples), int(lengths.max(initial=0))), dtype=int)
+    for row, example in zip(ids, examples):
+        row[: len(example.input_ids)] = example.input_ids
+    slot_ex = np.repeat(np.arange(len(examples)), [len(ex.masked_positions) for ex in examples])
+    slot_pos = np.array([p for ex in examples for p in ex.masked_positions], dtype=int)
+    visible = np.arange(ids.shape[1]) < lengths[:, None]
+    visible[slot_ex, slot_pos] = False  # masked pieces are not context
+    window = visible[slot_ex]
+    if params.context_radius:
+        window &= np.abs(np.arange(ids.shape[1]) - slot_pos[:, None]) <= params.context_radius
+    slot, column = np.nonzero(window)
+    v = params.vocab_size
+    counts = np.bincount(slot * v + ids[slot_ex[slot], column], minlength=len(slot_ex) * v)
+    counts = counts.reshape(len(slot_ex), v).astype(float)
+    sizes = np.maximum(counts.sum(axis=1), 1.0)
+    return counts, sizes, counts @ params.embeddings / sizes[:, None]
 
 
 def context_encode(
@@ -93,15 +118,8 @@ def context_encode(
     ``empty`` flags positions whose context window contained no unmasked
     piece (their hidden vector is zero).
     """
-    n = len(example.masked_positions)
-    hidden = np.zeros((n, params.hidden_dim))
-    empty = np.zeros(n, dtype=bool)
-    for i, context in enumerate(_context_ids(example, params.context_radius)):
-        if context:
-            hidden[i] = params.embeddings[context].mean(axis=0)
-        else:
-            empty[i] = True
-    return hidden, empty
+    counts, _, hidden = _encode([example], params)
+    return hidden, ~counts.any(axis=1)
 
 
 def predict(hidden: np.ndarray, params: TinyLmParams) -> np.ndarray:
@@ -147,90 +165,81 @@ def mlm_loss(
     return float(np.sum(-np.log(picked) * weight_arr) / total_weight)
 
 
+def _slot_targets(examples: Sequence[MaskedExample]) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and weights of the prediction slots of ``examples``, in order."""
+    labels = [label for ex in examples for label in ex.labels]
+    weights = [w for ex in examples for w in ex.weights[: len(ex.labels)]]
+    return np.array(labels, dtype=int), np.array(weights, dtype=float)
+
+
+def _slot_losses(probs: np.ndarray, pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray]:
+    """``mlm_loss`` (nan without weight) and weight sum of all, chunk and
+    non-chunk slots, given the slot probabilities of the pairs' examples."""
+    labels, weights = _slot_targets([example for example, _ in pairs])
+    chunk = np.array([bool(f[p]) for ex, f in pairs for p in ex.masked_positions], dtype=bool)
+    classes = (weights, weights * chunk, weights * ~chunk)
+    totals = np.array([w.sum() for w in classes])
+    losses = [mlm_loss(probs, labels, w) if t > 0 else math.nan for w, t in zip(classes, totals)]
+    return np.array(losses), totals
+
+
 def loss_and_grads(
     batch: Sequence[MaskedExample], params: TinyLmParams
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Forward and analytic backward pass over a batch.
+    """Forward and analytic backward pass over a batch, as dense matmuls.
 
-    Gradients cover the output layer and every embedding that entered a
-    context mean. Accumulation order is fixed (batch order, then slot order)
-    so results are reproducible.
+    The loss is ``mlm_loss`` with the examples' weights. With ``dZ`` its
+    gradient at the logits: ``db = dZ.sum(0)``, ``dW = dZ.T @ H`` and
+    ``dE = C.T @ ((dZ @ W) / n)``. ``grads["probs"]`` also holds the slot
+    probabilities, so callers can split the loss by slot class.
     """
+    counts, sizes, hidden = _encode(batch, params)
+    probs = predict(hidden, params)
+    labels, weights = _slot_targets(batch)
+    loss = mlm_loss(probs, labels, weights)
+    scale = weights / weights.sum()
+    dlogits = probs * scale[:, None]
+    dlogits[np.arange(len(labels)), labels] -= scale
     grads = {
-        "embeddings": np.zeros_like(params.embeddings),
-        "w_mlm": np.zeros_like(params.w_mlm),
-        "b_mlm": np.zeros_like(params.b_mlm),
+        "embeddings": counts.T @ ((dlogits @ params.w_mlm) / sizes[:, None]),
+        "w_mlm": dlogits.T @ hidden,
+        "b_mlm": dlogits.sum(axis=0),
+        "probs": probs,
     }
-    slots = []
-    for example in batch:
-        contexts = _context_ids(example, params.context_radius)
-        hidden = np.zeros((len(contexts), params.hidden_dim))
-        for i, context in enumerate(contexts):
-            if context:
-                hidden[i] = params.embeddings[context].mean(axis=0)
-        probs = predict(hidden, params)
-        for i, label in enumerate(example.labels):
-            slots.append((probs[i], label, hidden[i], contexts[i]))
-    if not slots:
-        raise ValueError("batch has no prediction slots")
-    total_weight = float(len(slots))
-    loss = 0.0
-    for probs_row, label, hidden_row, context in slots:
-        p_label = max(float(probs_row[label]), PROB_CLAMP)
-        loss += -math.log(p_label) / total_weight
-        # d loss / d logits = (p - onehot(label)) / total_weight
-        dlogits = probs_row / total_weight
-        dlogits[label] -= 1.0 / total_weight
-        grads["b_mlm"] += dlogits
-        grads["w_mlm"] += np.outer(dlogits, hidden_row)
-        if context:
-            dhidden = params.w_mlm.T @ dlogits
-            np.add.at(grads["embeddings"], context, dhidden / len(context))
     return loss, grads
 
 
 def grad_and_step(
     batch: Sequence[MaskedExample], params: TinyLmParams, lr: float
-) -> tuple[TinyLmParams, float]:
-    """One plain gradient-descent update; returns the pre-step loss."""
+) -> tuple[TinyLmParams, float, np.ndarray]:
+    """One plain gradient-descent update; returns the pre-step loss and slot probabilities."""
     if lr < 0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
     loss, grads = loss_and_grads(batch, params)
-    for arr in grads.values():
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite gradient")
-    params.embeddings -= lr * grads["embeddings"]
-    params.w_mlm -= lr * grads["w_mlm"]
-    params.b_mlm -= lr * grads["b_mlm"]
-    return params, loss
+    probs = grads.pop("probs")
+    if not all(np.all(np.isfinite(grad)) for grad in grads.values()):
+        raise ValueError("non-finite gradient")
+    for name, grad in grads.items():
+        getattr(params, name)[...] -= lr * grad
+    return params, loss, probs
 
 
-def evaluate(
-    pairs: Sequence[tuple[MaskedExample, Sequence[bool]]], params: TinyLmParams
-) -> tuple[float, float, float]:
-    """(total, chunk-slot, non-chunk-slot) mean NLL over fixed examples.
+def evaluate(pairs: Sequence[Pair], params: TinyLmParams) -> tuple[float, float, float]:
+    """(total, chunk-slot, non-chunk-slot) weighted mean NLL over fixed examples.
 
-    ``pairs`` joins each example with the chunk flags of its source sequence;
-    a class with no slots reports nan.
+    A class with no slots reports nan. ``EVAL_BLOCK`` examples go through
+    each forward pass.
     """
-    losses: list[float] = []
-    flags: list[bool] = []
-    for example, seq_flags in pairs:
-        hidden, _ = context_encode(example, params)
-        probs = predict(hidden, params)
-        for i, (position, label) in enumerate(
-            zip(example.masked_positions, example.labels)
-        ):
-            p_label = max(float(probs[i][label]), PROB_CLAMP)
-            losses.append(-math.log(p_label))
-            flags.append(bool(seq_flags[position]))
-    if not losses:
+    sums, totals = np.zeros(3), np.zeros(3)
+    for start in range(0, len(pairs), EVAL_BLOCK):
+        block = pairs[start : start + EVAL_BLOCK]
+        probs = predict(_encode([example for example, _ in block], params)[2], params)
+        losses, weights = _slot_losses(probs, block)
+        sums += np.where(weights > 0, losses, 0.0) * weights
+        totals += weights
+    if not totals[0] > 0:
         raise ValueError("no prediction slots to evaluate")
-    nc = [l for l, f in zip(losses, flags) if f]
-    non = [l for l, f in zip(losses, flags) if not f]
-    total = sum(losses) / len(losses)
-    nc_loss = sum(nc) / len(nc) if nc else float("nan")
-    non_loss = sum(non) / len(non) if non else float("nan")
+    total, nc_loss, non_loss = (float(s / t) if t > 0 else math.nan for s, t in zip(sums, totals))
     return total, nc_loss, non_loss
 
 
@@ -275,8 +284,10 @@ def train(
     The corpus is split into train and held-out parts with the training seed,
     examples are generated once per sequence with the masking seed, and the
     held-out set is re-evaluated at step 0, every ``eval_every`` steps, and at
-    the end. Per-step rows report the training batch; eval rows carry
-    ``is_eval``. Raises if the loss stops being finite.
+    the end. A step row reports the training batch's total, chunk and
+    non-chunk losses from the one forward pass before that step's update;
+    eval rows carry ``is_eval`` and report the held-out set. Raises if the
+    loss stops being finite.
     """
     sequences = [s for s in corpus if s.pieces]
     if not sequences:
@@ -306,28 +317,22 @@ def train(
         total, nc, non = evaluate(eval_pairs, params)
         metrics.append(MetricsRow(step, total, nc, non, True))
 
+    def shuffled_epochs() -> Iterator[Pair]:
+        for epoch in count():
+            epoch_order = list(range(len(train_pairs)))
+            random.Random(f"{train_config.seed}:epoch:{epoch}").shuffle(epoch_order)
+            yield from (train_pairs[i] for i in epoch_order)
+
     eval_row(0)
-    epoch = 0
-    cursor = 0
-    epoch_order: list[int] = []
+    stream = shuffled_epochs()
     for step in range(1, train_config.steps + 1):
-        batch: list[MaskedExample] = []
-        batch_flags: list[Sequence[bool]] = []
-        while len(batch) < train_config.batch_size:
-            if cursor >= len(epoch_order):
-                epoch_order = list(range(len(train_pairs)))
-                random.Random(f"{train_config.seed}:epoch:{epoch}").shuffle(epoch_order)
-                epoch += 1
-                cursor = 0
-            example, flags = train_pairs[epoch_order[cursor]]
-            batch.append(example)
-            batch_flags.append(flags)
-            cursor += 1
-        params, loss = grad_and_step(batch, params, train_config.lr)
+        batch_pairs = list(islice(stream, train_config.batch_size))
+        batch = [example for example, _ in batch_pairs]
+        params, loss, probs = grad_and_step(batch, params, train_config.lr)
         if not math.isfinite(loss):
             raise RuntimeError(f"training diverged at step {step}: loss={loss}")
-        _, batch_nc, batch_non = evaluate(list(zip(batch, batch_flags)), params)
-        metrics.append(MetricsRow(step, loss, batch_nc, batch_non, False))
+        (_, batch_nc, batch_non), _ = _slot_losses(probs, batch_pairs)
+        metrics.append(MetricsRow(step, loss, float(batch_nc), float(batch_non), False))
         if step % train_config.eval_every == 0 or step == train_config.steps:
             eval_row(step)
     return metrics, params
@@ -339,12 +344,5 @@ def write_metrics_csv(rows: Iterable[MetricsRow], path: str) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["step", "total_loss", "nc_token_loss", "non_nc_token_loss", "eval"])
         for row in rows:
-            writer.writerow(
-                [
-                    row.step,
-                    repr(row.total_loss),
-                    repr(row.nc_token_loss),
-                    repr(row.non_nc_token_loss),
-                    int(row.is_eval),
-                ]
-            )
+            losses = (row.total_loss, row.nc_token_loss, row.non_nc_token_loss)
+            writer.writerow([row.step, *map(repr, losses), int(row.is_eval)])

@@ -1,3 +1,4 @@
+import logging
 import math
 from collections import Counter
 
@@ -140,6 +141,18 @@ class TestParseAnnotations:
         sentences = list(parse_annotations(path, warn_counter=counter))
         assert sentences[0].tokens[0].pos == "X"
         assert counter == Counter({"NOUNX": 1})
+
+    def test_unknown_pos_logged_per_line_only_without_counter(self, tmp_path, caplog):
+        path = self._write(tmp_path / "ann.tsv", "w\tNOUNX\t-\nv\tVERBX\t-\n")
+        with caplog.at_level(logging.WARNING, logger="lingmask.chunker"):
+            list(parse_annotations(path, warn_counter=Counter()))
+        assert caplog.records == []
+        with caplog.at_level(logging.WARNING, logger="lingmask.chunker"):
+            list(parse_annotations(path))
+        assert [r.getMessage() for r in caplog.records] == [
+            "unknown POS tag 'NOUNX' at line 1 mapped to X",
+            "unknown POS tag 'VERBX' at line 2 mapped to X",
+        ]
 
     def test_non_contiguous_chunk(self, tmp_path):
         path = self._write(tmp_path / "ann.tsv", "a\tNOUN\t0\nb\tVERB\t-\nc\tNOUN\t0\n")

@@ -171,11 +171,35 @@ class TestGradients:
         params = TinyLmParams.init(5, 3, seed=3)
         before = params.embeddings.copy(), params.w_mlm.copy(), params.b_mlm.copy()
         ex = example([0, 1, 2, 3, 4], [2], [1])
-        _, loss = grad_and_step([ex], params, lr=0.0)
+        _, loss, _ = grad_and_step([ex], params, lr=0.0)
         assert loss > 0
         assert np.array_equal(params.embeddings, before[0])
         assert np.array_equal(params.w_mlm, before[1])
         assert np.array_equal(params.b_mlm, before[2])
+
+    def test_batch_matches_per_slot_loop(self):
+        rng = random.Random(1)
+        worst = 0.0
+        for trial in range(20):
+            params = TinyLmParams.init(7, 3, context_radius=rng.choice([0, 1, 2]), seed=trial)
+            batch = []
+            for _ in range(rng.randrange(1, 5)):
+                length = rng.randrange(1, 9)
+                positions = sorted(rng.sample(range(length), rng.randrange(1, min(length, 6) + 1)))
+                batch.append(
+                    example(
+                        [rng.randrange(7) for _ in range(length)],
+                        positions,
+                        [rng.randrange(7) for _ in positions],
+                    )
+                )
+            loss, grads = loss_and_grads(batch, params)
+            ref_loss, ref_grads = _loop_loss_and_grads(batch, params)
+            worst = max(worst, abs(loss - ref_loss))
+            for name, ref in ref_grads.items():
+                worst = max(worst, float(np.abs(grads[name] - ref).max()))
+        # Summation order differs; float64 keeps the gap near machine epsilon.
+        assert worst < 1e-12
 
     def test_negative_learning_rate_rejected(self):
         params = TinyLmParams.init(3, 2, seed=0)
@@ -184,6 +208,7 @@ class TestGradients:
 
     def test_finite_differences_small(self):
         rng = random.Random(0)
+        cases = []
         for trial in range(5):
             params = TinyLmParams.init(6, 3, context_radius=rng.choice([0, 1]), seed=trial)
             batch = [
@@ -194,6 +219,17 @@ class TestGradients:
                 )
                 for _ in range(2)
             ]
+            cases.append((params, batch))
+        # The second example masks every position, so its context is empty.
+        params = TinyLmParams.init(6, 3, context_radius=0, seed=5)
+        batch = [example([0, 1, 2, 3, 4], [1, 3], [2, 0]), example([4, 5], [0, 1], [4, 5])]
+        loss, grads = loss_and_grads(batch, params)
+        _, alone = loss_and_grads(batch[:1], params)
+        assert math.isfinite(loss)
+        # Its slots only reweight the first example's: 2 of the batch's 4 slots.
+        assert np.allclose(grads["embeddings"], alone["embeddings"] * 2 / 4, atol=1e-15)
+        cases.append((params, batch))
+        for params, batch in cases:
             _, grads = loss_and_grads(batch, params)
             eps = 1e-5
             for name in ("embeddings", "w_mlm", "b_mlm"):
@@ -211,6 +247,34 @@ class TestGradients:
                     assert abs(grads[name][idx] - fd) / max(
                         abs(grads[name][idx]), abs(fd), 1e-6
                     ) < 1e-4
+
+
+def _loop_loss_and_grads(batch, params):
+    """Per-slot reference for ``loss_and_grads``: one context mean per slot."""
+    names = ("embeddings", "w_mlm", "b_mlm")
+    grads = {name: np.zeros_like(getattr(params, name)) for name in names}
+    slots = []
+    for ex in batch:
+        visible = [k for k in range(len(ex.input_ids)) if k not in ex.masked_positions]
+        for position, label in zip(ex.masked_positions, ex.labels):
+            radius = params.context_radius
+            context = [
+                ex.input_ids[k] for k in visible if radius == 0 or abs(k - position) <= radius
+            ]
+            hidden = np.zeros(params.hidden_dim)
+            if context:
+                hidden = params.embeddings[context].mean(axis=0)
+            slots.append((predict(hidden[None, :], params)[0], label, hidden, context))
+    loss = 0.0
+    for probs, label, hidden, context in slots:
+        loss -= math.log(probs[label]) / len(slots)
+        dlogits = probs / len(slots)
+        dlogits[label] -= 1.0 / len(slots)
+        grads["b_mlm"] += dlogits
+        grads["w_mlm"] += np.outer(dlogits, hidden)
+        for piece in context:
+            grads["embeddings"][piece] += params.w_mlm.T @ dlogits / len(context)
+    return loss, grads
 
 
 def _topic_sequences(n, seed):
@@ -250,6 +314,20 @@ class TestTrain:
         metrics, _ = train(_topic_sequences(60, 1), masking, training)
         evals = [m for m in metrics if m.is_eval]
         assert evals[-1].total_loss < evals[0].total_loss
+
+    def test_step_rows_come_from_the_pre_update_pass(self):
+        # lim with p_nc=1 masks chunk slots only, so a step row's chunk loss is
+        # its total loss, and it has no non-chunk slots.
+        masking = MaskingConfig(
+            strategy="lim", p_nc=1.0, max_seq_len=8, seed=0, mask_piece_id=0, vocab_size=10
+        )
+        _, training = self._configs(6)
+        metrics, _ = train(_topic_sequences(30, 0), masking, training)
+        steps = [m for m in metrics if not m.is_eval]
+        assert len(steps) == 6
+        for row in steps:
+            assert row.nc_token_loss == row.total_loss
+            assert math.isnan(row.non_nc_token_loss)
 
     def test_divergence_aborts(self):
         masking, _ = self._configs(40)
