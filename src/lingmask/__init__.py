@@ -15,11 +15,9 @@ from .corpus import CleanDocument, RawDocument, clean_document, normalize_text, 
 from .masking import (
     MaskedExample,
     MaskingConfig,
-    SentencePair,
     TokenizedSequence,
     build_lim_example,
     build_mlm_example,
-    build_sentence_pairs,
 )
 from .stats import KsResult, MaskProbReport, empirical_mask_report, expected_conditional_mask_prob, ks_two_sample
 from .subword import Encoding, Vocabulary, encode_sentence, encode_word, load_vocab
@@ -36,12 +34,10 @@ __all__ = [
     "MaskedExample",
     "MaskingConfig",
     "RawDocument",
-    "SentencePair",
     "TokenizedSequence",
     "Vocabulary",
     "build_lim_example",
     "build_mlm_example",
-    "build_sentence_pairs",
     "chunk_stats",
     "clean_document",
     "empirical_mask_report",

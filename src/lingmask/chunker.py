@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 log = logging.getLogger(__name__)
@@ -33,7 +33,7 @@ _CHUNK_BODY = frozenset({"ADJ", "NUM", "NOUN", "PROPN"})
 DEFAULT_MAX_CHUNK_LEN = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnnotatedToken:
     surface: str
     pos: str
@@ -145,6 +145,11 @@ def sentence_from_tokens(tokens: list[AnnotatedToken]) -> AnnotatedSentence:
     return AnnotatedSentence(tokens=tokens, chunk_spans=extract_noun_chunks(tokens))
 
 
+# One validated annotation line: token, chunk id, and the unknown POS tag it
+# carried (None when the tag is a known one).
+_LineEntry = tuple[AnnotatedToken, int | None, str | None]
+
+
 def parse_annotations(
     path: str, warn_counter: Counter | None = None
 ) -> Iterator[AnnotatedSentence]:
@@ -154,79 +159,82 @@ def parse_annotations(
     integer shared by all tokens of one chunk; a chunk's tokens must be
     contiguous. Unknown POS tags are mapped to X and counted in
     ``warn_counter`` when given; without a counter, each is logged.
+
+    Each distinct raw line is split, validated and converted once per call;
+    later occurrences reuse its (frozen) token and chunk id, so sentences share
+    token objects and a repeated line costs one dictionary lookup. Errors
+    still name the first offending line, and unknown tags are counted or
+    logged on every occurrence.
     """
-    surfaces: list[str] = []
-    tags: list[str] = []
-    chunk_ids: list[int | None] = []
-    first_line = 0
-
-    def flush(lineno: int) -> AnnotatedSentence | None:
-        if not surfaces:
-            return None
-        spans: list[tuple[int, int]] = []
-        open_id: int | None = None
-        start = 0
-        seen: set[int] = set()
-        for k, cid in enumerate(chunk_ids):
-            if cid != open_id:
-                if open_id is not None:
-                    spans.append((start, k))
-                if cid is not None:
-                    if cid in seen:
-                        raise ValueError(
-                            f"chunk id {cid} not contiguous in sentence ending at line {lineno}"
-                        )
-                    seen.add(cid)
-                    start = k
-                open_id = cid
-        if open_id is not None:
-            spans.append((start, len(chunk_ids)))
-        tokens = [AnnotatedToken(s, p) for s, p in zip(surfaces, tags)]
-        sentence = AnnotatedSentence(tokens=tokens, chunk_spans=spans)
-        surfaces.clear()
-        tags.clear()
-        chunk_ids.clear()
-        return sentence
-
+    memo: dict[str, _LineEntry] = {}  # raw line -> its entry
+    entries: list[_LineEntry] = []
+    lineno = 0
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                sentence = flush(lineno)
-                if sentence is not None:
-                    yield sentence
-                continue
-            columns = line.split("\t")
-            if len(columns) != 3:
-                raise ValueError(
-                    f"expected 3 tab-separated columns at line {lineno}, got {len(columns)}"
-                )
-            surface, pos, chunk_field = columns
-            if not surface:
-                raise ValueError(f"empty token surface at line {lineno}")
-            if pos not in UPOS_TAGS:
+            entry = memo.get(line)
+            if entry is None:
+                if not line.strip():
+                    if entries:
+                        yield _sentence(entries, lineno)
+                        entries = []
+                    continue
+                entry = memo[line] = _parse_line(line, lineno)
+            if entry[2] is not None:
                 if warn_counter is not None:
-                    warn_counter[pos] += 1
+                    warn_counter[entry[2]] += 1
                 else:
-                    log.warning("unknown POS tag %r at line %d mapped to X", pos, lineno)
-                pos = "X"
-            if chunk_field == "-":
-                cid: int | None = None
-            else:
-                try:
-                    cid = int(chunk_field)
-                except ValueError as exc:
+                    log.warning("unknown POS tag %r at line %d mapped to X", entry[2], lineno)
+            entries.append(entry)
+    if entries:
+        yield _sentence(entries, lineno + 1)
+
+
+def _sentence(entries: list[_LineEntry], lineno: int) -> AnnotatedSentence:
+    """Build one sentence from its line entries; ``lineno`` is the line after it."""
+    spans: list[tuple[int, int]] = []
+    open_id: int | None = None
+    start = 0
+    seen: set[int] = set()
+    for k, (_, cid, _) in enumerate(entries):
+        if cid != open_id:
+            if open_id is not None:
+                spans.append((start, k))
+            if cid is not None:
+                if cid in seen:
                     raise ValueError(
-                        f"invalid chunk id {chunk_field!r} at line {lineno}"
-                    ) from exc
-            if not surfaces:
-                first_line = lineno
-            surfaces.append(surface)
-            tags.append(pos)
-            chunk_ids.append(cid)
-    sentence = flush(first_line + len(surfaces))
-    if sentence is not None:
-        yield sentence
+                        f"chunk id {cid} not contiguous in sentence ending at line {lineno}"
+                    )
+                seen.add(cid)
+                start = k
+            open_id = cid
+    if open_id is not None:
+        spans.append((start, len(entries)))
+    return AnnotatedSentence(tokens=[entry[0] for entry in entries], chunk_spans=spans)
+
+
+def _parse_line(line: str, lineno: int) -> _LineEntry:
+    """Validate one non-blank annotation line into (token, chunk id, unknown tag)."""
+    columns = line.rstrip("\n").split("\t")
+    if len(columns) != 3:
+        raise ValueError(
+            f"expected 3 tab-separated columns at line {lineno}, got {len(columns)}"
+        )
+    surface, pos, chunk_field = columns
+    if not surface:
+        raise ValueError(f"empty token surface at line {lineno}")
+    unknown = None
+    if pos not in UPOS_TAGS:
+        unknown, pos = pos, "X"
+    if chunk_field == "-":
+        cid: int | None = None
+    else:
+        try:
+            cid = int(chunk_field)
+        except ValueError as exc:
+            raise ValueError(
+                f"invalid chunk id {chunk_field!r} at line {lineno}"
+            ) from exc
+    return AnnotatedToken(surface, pos), cid, unknown
 
 
 @dataclass

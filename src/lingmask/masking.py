@@ -1,5 +1,4 @@
-"""Masked pre-training example generation (plain and chunk-aware) and
-sentence-pair construction.
+"""Masked pre-training example generation, plain and chunk-aware.
 
 Two position-selection strategies are supported:
 
@@ -32,7 +31,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .chunker import AnnotatedSentence
-from .corpus import CleanDocument
 from .subword import Vocabulary, encode_word
 
 STRATEGIES = ("mlm", "lim")
@@ -128,15 +126,6 @@ class MaskedExample:
             raise ValueError(f"unknown branch tag: {self.branch!r}")
         if self.weights != [1.0] * n + [0.0] * (len(self.weights) - n):
             raise ValueError("weights must be 1.0 per real slot then 0.0 padding")
-
-
-@dataclass
-class SentencePair:
-    """Two tokenized sentences plus the adjacency label."""
-
-    first: TokenizedSequence
-    second: TokenizedSequence
-    is_next: bool
 
 
 def sequence_rng(seed: int, ordinal: int) -> random.Random:
@@ -257,53 +246,6 @@ def sequence_from_annotated(
     return TokenizedSequence(
         pieces=piece_ids[:max_seq_len], y=flags[:max_seq_len], doc_id=doc_id
     )
-
-
-def _tokenize_plain(sentence: str, vocab: Vocabulary, max_seq_len: int, doc_id: str) -> TokenizedSequence:
-    ids: list[int] = []
-    for word in sentence.split():
-        ids.extend(vocab.id_of(p) for p in encode_word(word, vocab))
-    ids = ids[:max_seq_len]
-    return TokenizedSequence(pieces=ids, y=[False] * len(ids), doc_id=doc_id)
-
-
-def build_sentence_pairs(
-    docs: Iterable[CleanDocument],
-    config: MaskingConfig,
-    rng: random.Random,
-    vocab: Vocabulary,
-) -> Iterator[SentencePair]:
-    """Yield 50/50 adjacent and cross-document sentence pairs.
-
-    For every adjacent sentence slot a coin decides: heads keeps the true next
-    sentence (label true), tails replaces the second element with a uniformly
-    sampled sentence from a different document (label false). Chunk flags are
-    not tracked here; pair sequences carry all-false flags.
-    """
-    materialized = [doc for doc in docs if doc.sentences]
-    index = [
-        (d, s) for d, doc in enumerate(materialized) for s in range(len(doc.sentences))
-    ]
-
-    def tokenized(d: int, s: int) -> TokenizedSequence:
-        return _tokenize_plain(
-            materialized[d].sentences[s], vocab, config.max_seq_len, materialized[d].id
-        )
-
-    for d, doc in enumerate(materialized):
-        for s in range(len(doc.sentences) - 1):
-            if rng.random() < 0.5:
-                yield SentencePair(tokenized(d, s), tokenized(d, s + 1), True)
-            else:
-                if len(materialized) < 2:
-                    raise ValueError(
-                        "negative pair requested but corpus has fewer than 2 documents"
-                    )
-                while True:
-                    other_doc, other_sent = index[rng.randrange(len(index))]
-                    if other_doc != d:
-                        break
-                yield SentencePair(tokenized(d, s), tokenized(other_doc, other_sent), False)
 
 
 def example_to_json_line(example: MaskedExample) -> str:

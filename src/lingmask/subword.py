@@ -24,6 +24,9 @@ class Vocabulary:
     unk_piece: str = "[UNK]"
     _piece_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
     _max_body_chars: int = field(init=False, repr=False, compare=False)
+    _word_pieces: dict[str, tuple[str, ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         if not self.pieces:
@@ -78,7 +81,19 @@ def encode_word(word: str, vocab: Vocabulary) -> list[str]:
 
     Returns ``[unk_piece]`` when no complete decomposition exists; otherwise
     stripping continuation prefixes and concatenating reproduces the word.
+
+    The pieces of each distinct word are memoized on ``vocab`` (the memo
+    grows with the number of distinct words encoded), so the lookup and the
+    whitespace check run once per distinct word; every call returns a fresh
+    list. A rejected word is not memoized and raises on every call.
     """
+    pieces = vocab._word_pieces.get(word)
+    if pieces is None:
+        pieces = vocab._word_pieces[word] = tuple(_greedy_pieces(word, vocab))
+    return list(pieces)
+
+
+def _greedy_pieces(word: str, vocab: Vocabulary) -> list[str]:
     if not word or any(ch.isspace() for ch in word):
         raise ValueError(f"word must be non-empty and whitespace-free: {word!r}")
     pieces: list[str] = []

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 from collections import Counter
@@ -167,6 +168,34 @@ class TestParseAnnotations:
     def test_empty_file(self, tmp_path):
         path = self._write(tmp_path / "ann.tsv", "")
         assert list(parse_annotations(path)) == []
+
+    def test_repeated_unknown_pos_line_counted_each_time(self, tmp_path):
+        path = self._write(tmp_path / "ann.tsv", "w\tNOUNX\t-\nw\tNOUNX\t-\n")
+        counter = Counter()
+        sentences = list(parse_annotations(path, warn_counter=counter))
+        assert counter == Counter({"NOUNX": 2})
+        assert [t.pos for t in sentences[0].tokens] == ["X", "X"]
+
+    def test_repeated_unknown_pos_line_logged_at_each_line(self, tmp_path, caplog):
+        path = self._write(tmp_path / "ann.tsv", "w\tNOUNX\t-\n\nw\tNOUNX\t-\n")
+        with caplog.at_level(logging.WARNING, logger="lingmask.chunker"):
+            list(parse_annotations(path))
+        assert [r.getMessage() for r in caplog.records] == [
+            "unknown POS tag 'NOUNX' at line 1 mapped to X",
+            "unknown POS tag 'NOUNX' at line 3 mapped to X",
+        ]
+
+    def test_malformed_line_after_repeats_names_its_own_line(self, tmp_path):
+        path = self._write(tmp_path / "ann.tsv", "valve\tNOUN\t0\n\n" * 50 + "valve\tNOUN\n")
+        with pytest.raises(ValueError, match="columns at line 101, got 2"):
+            list(parse_annotations(path))
+
+    def test_repeated_lines_share_one_frozen_token(self, tmp_path):
+        path = self._write(tmp_path / "ann.tsv", "valve\tNOUN\t0\n\nvalve\tNOUN\t0\n")
+        first, second = parse_annotations(path)
+        assert first.tokens[0] is second.tokens[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.tokens[0].surface = "pump"
 
 
 class TestChunkStats:

@@ -1,8 +1,11 @@
 import json
+import shutil
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from lingmask.cli import EX_IOERR, EX_OK, EX_TOLERANCE, EX_USAGE, main
+from lingmask.cli import EX_FAIL, EX_IOERR, EX_OK, EX_TOLERANCE, EX_USAGE, main
 
 
 class TestExitCodes:
@@ -141,6 +144,54 @@ class TestMakePretrainingData:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["make-pretraining-data", "--config", str(cfg)]) == EX_USAGE
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_late_bad_line_leaves_no_output_or_sidecar(self, tmp_path, annotated_corpus, workers):
+        tsv, vocab = annotated_corpus
+        bad = tmp_path / "bad.tsv"
+        shutil.copyfile(tsv, bad)
+        with open(bad, "a", encoding="utf-8") as handle:
+            handle.write("the\tDET\t0\nvalve\tNOUN\n\n")
+        out = tmp_path / "out.jsonl"
+        argv = [
+            "make-pretraining-data", "--annotations", str(bad), "--vocab", vocab,
+            "--workers", workers, "--output", str(out),
+        ]
+        assert main(argv) == EX_FAIL
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.tsv"]
+
+    def test_missing_annotations_leave_no_sidecar(self, tmp_path, annotated_corpus):
+        _, vocab = annotated_corpus
+        out = tmp_path / "out.jsonl"
+        argv = [
+            "make-pretraining-data", "--annotations", str(tmp_path / "missing.tsv"),
+            "--vocab", vocab, "--output", str(out),
+        ]
+        assert main(argv) == EX_IOERR
+        assert list(tmp_path.iterdir()) == []
+
+    def test_peak_memory_flat_in_repeated_sentences(self, tmp_path, annotated_corpus):
+        # Repeating the corpus adds sentences but no distinct lines or words,
+        # so a streaming run needs no more memory for it.
+        tsv, vocab = annotated_corpus
+        text = Path(tsv).read_text(encoding="utf-8")
+        repeated = tmp_path / "repeated.tsv"
+        repeated.write_text(text * 4, encoding="utf-8")
+
+        def peak(annotations):
+            argv = [
+                "make-pretraining-data", "--annotations", annotations, "--vocab", vocab,
+                "--strategy", "lim", "--p-nc", "0.75", "--output", str(tmp_path / "out.jsonl"),
+            ]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EX_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(tsv)  # warm-up: one-time allocations of the first run
+        assert peak(str(repeated)) <= 1.25 * peak(tsv)
 
 
 class TestVerifyMasking:

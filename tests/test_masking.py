@@ -4,7 +4,6 @@ import random
 import pytest
 
 from lingmask.chunker import AnnotatedSentence, AnnotatedToken
-from lingmask.corpus import CleanDocument
 from lingmask.masking import (
     MaskedExample,
     MaskingConfig,
@@ -12,7 +11,6 @@ from lingmask.masking import (
     build_example,
     build_lim_example,
     build_mlm_example,
-    build_sentence_pairs,
     read_examples,
     select_mask_count,
     sequence_from_annotated,
@@ -177,66 +175,6 @@ class TestSequenceFromAnnotated:
         )
         seq = sequence_from_annotated(sent, self._vocab(), max_seq_len=2)
         assert len(seq.pieces) == 2 and len(seq.y) == 2
-
-
-class _StubRng:
-    """Scripted coin/pick source for forcing pair outcomes."""
-
-    def __init__(self, coins, picks=()):
-        self.coins = list(coins)
-        self.picks = list(picks)
-
-    def random(self):
-        return self.coins.pop(0)
-
-    def randrange(self, n):
-        return self.picks.pop(0) % n
-
-
-class TestSentencePairs:
-    def _vocab(self):
-        return Vocabulary(["[UNK]", "femto", "access", "point", "the"])
-
-    def _docs(self):
-        return [
-            CleanDocument("A", ["femto access", "the point"]),
-            CleanDocument("B", ["access access"]),
-        ]
-
-    def test_forced_positive(self):
-        pairs = list(
-            build_sentence_pairs(self._docs(), config(), _StubRng([0.4, 0.4]), self._vocab())
-        )
-        assert pairs[0].is_next is True
-        assert pairs[0].first.doc_id == pairs[0].second.doc_id == "A"
-
-    def test_forced_negative_crosses_documents(self):
-        pairs = list(
-            build_sentence_pairs(self._docs(), config(), _StubRng([0.9], [2]), self._vocab())
-        )
-        assert pairs[0].is_next is False
-        assert pairs[0].first.doc_id == "A"
-        assert pairs[0].second.doc_id == "B"
-
-    def test_negative_without_second_document_fails(self):
-        docs = [CleanDocument("A", ["femto access", "the point"])]
-        with pytest.raises(ValueError, match="fewer than 2 documents"):
-            list(build_sentence_pairs(docs, config(), _StubRng([0.9]), self._vocab()))
-
-    def test_positive_fraction_concentrates(self):
-        docs = [
-            CleanDocument(f"d{i}", ["femto access", "the point", "access point"])
-            for i in range(5000)
-        ]
-        pairs = list(build_sentence_pairs(docs, config(), random.Random(99), self._vocab()))
-        assert len(pairs) == 10000
-        fraction = sum(p.is_next for p in pairs) / len(pairs)
-        assert abs(fraction - 0.5) <= 0.02
-        for pair in pairs:
-            if pair.is_next:
-                assert pair.first.doc_id == pair.second.doc_id
-            else:
-                assert pair.first.doc_id != pair.second.doc_id
 
 
 class TestExampleIO:

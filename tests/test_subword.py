@@ -59,6 +59,26 @@ class TestEncodeWord:
         with pytest.raises(ValueError):
             encode_word("two words", patent_vocab)
 
+    def test_returned_list_is_a_fresh_copy(self, general_vocab):
+        first = encode_word("femto", general_vocab)
+        first.append("##zz")
+        first[0] = "[UNK]"
+        assert encode_word("femto", general_vocab) == ["f", "##em", "##to"]
+
+    def test_spaced_word_rejected_on_every_call(self, patent_vocab):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="whitespace-free"):
+                encode_word("two words", patent_vocab)
+
+    @given(st.lists(st.text(alphabet="abcdz", min_size=1, max_size=8), max_size=20))
+    def test_warmed_vocab_encodes_like_a_fresh_one(self, words):
+        pieces = ["[UNK]", "ab", "abc", "##cd", "a", "b", "c", "##a", "##b", "##c", "##d"]
+        warmed = Vocabulary(pieces)
+        for word in words:
+            encode_word(word, warmed)
+        for word in reversed(words):
+            assert encode_word(word, warmed) == encode_word(word, Vocabulary(pieces))
+
     @given(st.text(alphabet="abcd", min_size=1, max_size=12))
     def test_round_trip_with_char_closed_vocab(self, word):
         vocab = Vocabulary(
