@@ -12,13 +12,7 @@ __version__ = "0.1.0"
 
 from .chunker import AnnotatedSentence, AnnotatedToken, ChunkStats, chunk_stats, extract_noun_chunks
 from .corpus import CleanDocument, RawDocument, clean_document, normalize_text, split_sentences
-from .masking import (
-    MaskedExample,
-    MaskingConfig,
-    TokenizedSequence,
-    build_lim_example,
-    build_mlm_example,
-)
+from .masking import MaskedExample, MaskingConfig, TokenizedSequence, build_example
 from .stats import KsResult, MaskProbReport, empirical_mask_report, expected_conditional_mask_prob, ks_two_sample
 from .subword import Encoding, Vocabulary, encode_sentence, encode_word, load_vocab
 
@@ -36,8 +30,7 @@ __all__ = [
     "RawDocument",
     "TokenizedSequence",
     "Vocabulary",
-    "build_lim_example",
-    "build_mlm_example",
+    "build_example",
     "chunk_stats",
     "clean_document",
     "empirical_mask_report",

@@ -7,7 +7,7 @@ built-in rule grammar. A noun chunk is the maximal token sequence matching
     DET? (ADJ | NUM | NOUN | PROPN | PUNCT-between-two-nominals)* (NOUN | PROPN)
 
 so every chunk ends in a noun or proper noun and never contains a verb.
-Per-token membership flags and spans are mutually derivable.
+Per-token membership flags are derived from the spans.
 """
 
 from __future__ import annotations
@@ -52,21 +52,6 @@ def spans_to_flags(spans: list[tuple[int, int]], n_tokens: int) -> list[bool]:
         for k in range(start, end):
             flags[k] = True
     return flags
-
-
-def flags_to_spans(flags: list[bool]) -> list[tuple[int, int]]:
-    """Collapse per-token membership flags into maximal half-open spans."""
-    spans: list[tuple[int, int]] = []
-    start = None
-    for k, flag in enumerate(flags):
-        if flag and start is None:
-            start = k
-        elif not flag and start is not None:
-            spans.append((start, k))
-            start = None
-    if start is not None:
-        spans.append((start, len(flags)))
-    return spans
 
 
 @dataclass
@@ -247,51 +232,6 @@ class ChunkStats:
     token_nc_prob: float
 
 
-class ChunkStatsAccumulator:
-    """Mergeable accumulator so shards aggregate to the sequential result."""
-
-    def __init__(self, max_chunk_len: int = DEFAULT_MAX_CHUNK_LEN) -> None:
-        if max_chunk_len < 1:
-            raise ValueError(f"max_chunk_len must be >= 1, got {max_chunk_len}")
-        self.max_chunk_len = max_chunk_len
-        self.length_counts: Counter[int] = Counter()
-        self.n_tokens = 0
-        self.n_chunk_tokens = 0
-        self.n_sentences = 0
-
-    def add(self, sentence: AnnotatedSentence) -> None:
-        self.n_sentences += 1
-        self.n_tokens += len(sentence.tokens)
-        self.n_chunk_tokens += sum(sentence.y)
-        for start, end in filter_chunks(sentence.chunk_spans, self.max_chunk_len):
-            self.length_counts[end - start] += 1
-
-    def merge(self, other: "ChunkStatsAccumulator") -> None:
-        if other.max_chunk_len != self.max_chunk_len:
-            raise ValueError("cannot merge accumulators with different max_chunk_len")
-        self.length_counts.update(other.length_counts)
-        self.n_tokens += other.n_tokens
-        self.n_chunk_tokens += other.n_chunk_tokens
-        self.n_sentences += other.n_sentences
-
-    def finalize(self) -> ChunkStats:
-        if self.n_tokens == 0:
-            raise ValueError("empty corpus: no tokens seen")
-        total = sum(self.length_counts.values())
-        if total:
-            mean = sum(l * c for l, c in self.length_counts.items()) / total
-            var = sum(c * (l - mean) ** 2 for l, c in self.length_counts.items()) / total
-        else:
-            mean = 0.0
-            var = 0.0
-        return ChunkStats(
-            histogram=dict(sorted(self.length_counts.items())),
-            mean=mean,
-            sd=math.sqrt(var),
-            token_nc_prob=self.n_chunk_tokens / self.n_tokens,
-        )
-
-
 def chunk_stats(
     corpus: Iterable[AnnotatedSentence], max_chunk_len: int = DEFAULT_MAX_CHUNK_LEN
 ) -> ChunkStats:
@@ -301,7 +241,28 @@ def chunk_stats(
     ``max_chunk_len`` tokens; ``token_nc_prob`` is the fraction of all tokens
     carrying a chunk flag.
     """
-    acc = ChunkStatsAccumulator(max_chunk_len)
+    if max_chunk_len < 1:
+        raise ValueError(f"max_chunk_len must be >= 1, got {max_chunk_len}")
+    length_counts: Counter[int] = Counter()
+    n_tokens = 0
+    n_chunk_tokens = 0
     for sentence in corpus:
-        acc.add(sentence)
-    return acc.finalize()
+        n_tokens += len(sentence.tokens)
+        n_chunk_tokens += sum(sentence.y)
+        for start, end in filter_chunks(sentence.chunk_spans, max_chunk_len):
+            length_counts[end - start] += 1
+    if n_tokens == 0:
+        raise ValueError("empty corpus: no tokens seen")
+    total = sum(length_counts.values())
+    if total:
+        mean = sum(l * c for l, c in length_counts.items()) / total
+        var = sum(c * (l - mean) ** 2 for l, c in length_counts.items()) / total
+    else:
+        mean = 0.0
+        var = 0.0
+    return ChunkStats(
+        histogram=dict(sorted(length_counts.items())),
+        mean=mean,
+        sd=math.sqrt(var),
+        token_nc_prob=n_chunk_tokens / n_tokens,
+    )

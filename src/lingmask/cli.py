@@ -3,7 +3,8 @@
 Every subcommand accepts ``--config FILE`` (a JSON object of option values;
 explicit flags win) and, after a successful run, echoes its fully resolved
 configuration to ``<output>.config.json`` so the run can be reproduced from its
-sidecar. Every output file is written to ``<path>.tmp`` and renamed into place
+sidecar. A config-file value gets its flag's type and choice checks, so a bad
+value, like a config file that is not JSON, is a usage error. Every output file is written to ``<path>.tmp`` and renamed into place
 only when complete, so a failed run leaves neither a partial output nor a
 sidecar. Diagnostics go to stderr; data goes to the output file or stdout.
 
@@ -31,6 +32,7 @@ from .corpus import clean_document, ingest_documents
 from .datasets import build_ipc_examples, build_similarity_pairs, read_patent_records, split_dataset
 from .masking import (
     FORMAT_VERSION,
+    STRATEGIES,
     MaskingConfig,
     TokenizedSequence,
     build_example,
@@ -50,9 +52,6 @@ EX_TOLERANCE = 2
 EX_USAGE = 64
 EX_IOERR = 74
 
-_REQUIRED = object()
-
-
 class _UsageError(Exception):
     pass
 
@@ -60,203 +59,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
-
-
-# Per-subcommand option table: dest -> (default, converter for config-file values).
-_OPTIONS: dict[str, dict[str, tuple[Any, Any]]] = {
-    "normalize": {
-        "input": (_REQUIRED, str),
-        "format": ("jsonl", str),
-        "output": (_REQUIRED, str),
-    },
-    "chunk-stats": {
-        "annotations": (_REQUIRED, str),
-        "max_chunk_len": (10, int),
-        "output": (None, str),
-    },
-    "tokenize-stats": {
-        "input": (_REQUIRED, str),
-        "vocab": (_REQUIRED, str),
-        "output": (None, str),
-    },
-    "make-pretraining-data": {
-        "annotations": (_REQUIRED, str),
-        "vocab": (_REQUIRED, str),
-        "output": (_REQUIRED, str),
-        "strategy": ("mlm", str),
-        "p_nc": (None, float),
-        "mask_prob": (0.15, float),
-        "max_pred": (20, int),
-        "max_seq_len": (128, int),
-        "seed": (0, int),
-        "mask_piece": ("[MASK]", str),
-        "workers": (1, int),
-    },
-    "verify-masking": {
-        "strategy": ("lim", str),
-        "p_nc": (None, float),
-        "n": (100000, int),
-        "seq_len": (128, int),
-        "p_y1": (0.507, float),
-        "mask_prob": (0.15, float),
-        "max_pred": (20, int),
-        "seed": (0, int),
-        "tolerance": (0.005, float),
-        "output": (None, str),
-    },
-    "make-ipc": {
-        "input": (_REQUIRED, str),
-        "output": (_REQUIRED, str),
-    },
-    "make-pairs": {
-        "input": (_REQUIRED, str),
-        "output": (_REQUIRED, str),
-        "seed": (0, int),
-        "train_frac": (None, float),
-    },
-    "train-tiny": {
-        "annotations": (_REQUIRED, str),
-        "vocab": (_REQUIRED, str),
-        "output": (_REQUIRED, str),
-        "strategy": ("mlm", str),
-        "p_nc": (None, float),
-        "mask_prob": (0.15, float),
-        "max_pred": (20, int),
-        "max_seq_len": (128, int),
-        "mask_piece": ("[MASK]", str),
-        "lr": (0.5, float),
-        "steps": (1000, int),
-        "batch_size": (32, int),
-        "eval_every": (100, int),
-        "seed": (0, int),
-        "context_radius": (0, int),
-        "hidden_dim": (8, int),
-        "eval_fraction": (0.1, float),
-    },
-    "ks-compare": {
-        "a": (_REQUIRED, str),
-        "b": (_REQUIRED, str),
-        "output": (None, str),
-    },
-}
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="lingmask", description=__doc__)
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"lingmask {__version__} (example-format {FORMAT_VERSION})",
-    )
-    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON file of option values (flags override)")
-        p.add_argument("--sidecar", help="where to write the resolved config")
-        return p
-
-    p = add("normalize", "clean documents and split them into sentences")
-    p.add_argument("--input")
-    p.add_argument("--format", choices=["jsonl", "tsv"])
-    p.add_argument("--output")
-
-    p = add("chunk-stats", "chunk-length and token-membership statistics")
-    p.add_argument("--annotations")
-    p.add_argument("--max-chunk-len", type=int)
-    p.add_argument("--output")
-
-    p = add("tokenize-stats", "split-ratio statistics for a vocabulary")
-    p.add_argument("--input", help="text file, one sentence per line")
-    p.add_argument("--vocab")
-    p.add_argument("--output")
-
-    p = add("make-pretraining-data", "generate masked pre-training examples")
-    p.add_argument("--annotations")
-    p.add_argument("--vocab")
-    p.add_argument("--output")
-    p.add_argument("--strategy", choices=["mlm", "lim"])
-    p.add_argument("--p-nc", type=float)
-    p.add_argument("--mask-prob", type=float)
-    p.add_argument("--max-pred", type=int)
-    p.add_argument("--max-seq-len", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mask-piece")
-    p.add_argument("--workers", type=int)
-
-    p = add("verify-masking", "check conditional masking probabilities on synthetic data")
-    p.add_argument("--strategy", choices=["mlm", "lim"])
-    p.add_argument("--p-nc", type=float)
-    p.add_argument("--n", type=int, help="number of synthetic sequences")
-    p.add_argument("--seq-len", type=int)
-    p.add_argument("--p-y1", type=float, help="token-level chunk probability")
-    p.add_argument("--mask-prob", type=float)
-    p.add_argument("--max-pred", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--output")
-
-    p = add("make-ipc", "build subclass classification examples")
-    p.add_argument("--input")
-    p.add_argument("--output")
-
-    p = add("make-pairs", "build citation similarity pairs")
-    p.add_argument("--input")
-    p.add_argument("--output")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--train-frac", type=float, help="also write a train/test split")
-
-    p = add("train-tiny", "train the tiny reference masked LM")
-    p.add_argument("--annotations")
-    p.add_argument("--vocab")
-    p.add_argument("--output", help="metrics CSV path")
-    p.add_argument("--strategy", choices=["mlm", "lim"])
-    p.add_argument("--p-nc", type=float)
-    p.add_argument("--mask-prob", type=float)
-    p.add_argument("--max-pred", type=int)
-    p.add_argument("--max-seq-len", type=int)
-    p.add_argument("--mask-piece")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--eval-every", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--context-radius", type=int)
-    p.add_argument("--hidden-dim", type=int)
-    p.add_argument("--eval-fraction", type=float)
-
-    p = add("ks-compare", "two-sample KS test over two histogram files")
-    p.add_argument("--a", help="first histogram JSON file (length -> count)")
-    p.add_argument("--b", help="second histogram JSON file")
-    p.add_argument("--output")
-
-    return parser
-
-
-def _resolve(args: argparse.Namespace, subcommand: str) -> dict[str, Any]:
-    """Merge CLI flags over config-file values over defaults."""
-    table = _OPTIONS[subcommand]
-    file_cfg: dict[str, Any] = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as handle:
-            file_cfg = json.load(handle)
-        if not isinstance(file_cfg, dict):
-            raise _UsageError(f"config file must hold a JSON object: {args.config}")
-        file_cfg.pop("subcommand", None)
-        unknown = sorted(set(file_cfg) - set(table))
-        if unknown:
-            raise _UsageError(f"unknown config keys: {', '.join(unknown)}")
-    resolved: dict[str, Any] = {}
-    for key, (default, converter) in table.items():
-        value = getattr(args, key)
-        if value is None and file_cfg.get(key) is not None:
-            value = converter(file_cfg[key])
-        if value is None:
-            if default is _REQUIRED:
-                raise _UsageError(f"missing required option --{key.replace('_', '-')}")
-            value = default
-        resolved[key] = value
-    return resolved
 
 
 @contextmanager
@@ -412,6 +214,8 @@ def _annotated_sequences(cfg: dict[str, Any], vocab: Vocabulary) -> Iterator[Tok
 
 
 def _cmd_make_pretraining_data(cfg: dict[str, Any]) -> int:
+    if cfg["workers"] < 1:
+        raise ValueError(f"workers must be >= 1, got {cfg['workers']}")
     vocab, config = _load_masking_vocab(cfg)
     tasks = enumerate(_annotated_sequences(cfg, vocab))
     count = 0
@@ -550,17 +354,151 @@ def _cmd_ks_compare(cfg: dict[str, Any]) -> int:
     return EX_OK
 
 
-_COMMANDS = {
-    "normalize": _cmd_normalize,
-    "chunk-stats": _cmd_chunk_stats,
-    "tokenize-stats": _cmd_tokenize_stats,
-    "make-pretraining-data": _cmd_make_pretraining_data,
-    "verify-masking": _cmd_verify_masking,
-    "make-ipc": _cmd_make_ipc,
-    "make-pairs": _cmd_make_pairs,
-    "train-tiny": _cmd_train_tiny,
-    "ks-compare": _cmd_ks_compare,
+_REQUIRED = object()
+
+# An option is (flag, type or tuple of choices, default or _REQUIRED, help);
+# the flag's dest is its config-file and sidecar key.
+_ANNOTATIONS = ("--annotations", str, _REQUIRED, "annotation TSV: surface, POS tag, chunk id")
+_VOCAB = ("--vocab", str, _REQUIRED, "vocabulary file, one piece per line")
+_REPORT = ("--output", str, None, "report path (default: stdout)")
+_MASKING_OPTIONS = [
+    ("--strategy", STRATEGIES, "mlm", "mask uniformly (mlm) or within one chunk pool (lim)"),
+    ("--p-nc", float, None, "lim: chance that a sequence masks only chunk tokens"),
+    ("--mask-prob", float, 0.15, None),
+    ("--max-pred", int, 20, "most masked positions per sequence"),
+    ("--max-seq-len", int, 128, "pieces kept per sentence"),
+    ("--seed", int, 0, None),
+    ("--mask-piece", str, "[MASK]", None),
+]
+
+# Each subcommand: (handler, help, options).
+_SUBCOMMANDS = {
+    "normalize": (_cmd_normalize, "clean documents and split them into sentences", [
+        ("--input", str, _REQUIRED, "documents, JSONL or TSV"),
+        ("--format", ("jsonl", "tsv"), "jsonl", None),
+        ("--output", str, _REQUIRED, None),
+    ]),
+    "chunk-stats": (_cmd_chunk_stats, "chunk-length and token-membership statistics", [
+        _ANNOTATIONS,
+        ("--max-chunk-len", int, 10, "longest chunk counted in the histogram"),
+        _REPORT,
+    ]),
+    "tokenize-stats": (_cmd_tokenize_stats, "split-ratio statistics for a vocabulary", [
+        ("--input", str, _REQUIRED, "text file, one sentence per line"),
+        _VOCAB,
+        _REPORT,
+    ]),
+    "make-pretraining-data": (_cmd_make_pretraining_data, "generate masked pre-training examples", [
+        _ANNOTATIONS,
+        _VOCAB,
+        ("--output", str, _REQUIRED, "examples JSONL path"),
+        *_MASKING_OPTIONS,
+        ("--workers", int, 1, "masking processes"),
+    ]),
+    "verify-masking": (_cmd_verify_masking, "check conditional masking probabilities on synthetic data", [
+        ("--strategy", STRATEGIES, "lim", "mask uniformly (mlm) or within one chunk pool (lim)"),
+        ("--p-nc", float, None, "lim: chance that a sequence masks only chunk tokens"),
+        ("--n", int, 100000, "number of synthetic sequences"),
+        ("--seq-len", int, 128, None),
+        ("--p-y1", float, 0.507, "token-level chunk probability"),
+        ("--mask-prob", float, 0.15, None),
+        ("--max-pred", int, 20, "most masked positions per sequence"),
+        ("--seed", int, 0, None),
+        ("--tolerance", float, 0.005, "largest accepted abs_error"),
+        _REPORT,
+    ]),
+    "make-ipc": (_cmd_make_ipc, "build subclass classification examples", [
+        ("--input", str, _REQUIRED, "patent records JSONL"),
+        ("--output", str, _REQUIRED, None),
+    ]),
+    "make-pairs": (_cmd_make_pairs, "build citation similarity pairs", [
+        ("--input", str, _REQUIRED, "patent records JSONL"),
+        ("--output", str, _REQUIRED, None),
+        ("--seed", int, 0, None),
+        ("--train-frac", float, None, "also write a train/test split"),
+    ]),
+    "train-tiny": (_cmd_train_tiny, "train the tiny reference masked LM", [
+        _ANNOTATIONS,
+        _VOCAB,
+        ("--output", str, _REQUIRED, "metrics CSV path"),
+        *_MASKING_OPTIONS,
+        ("--lr", float, 0.5, None),
+        ("--steps", int, 1000, None),
+        ("--batch-size", int, 32, None),
+        ("--eval-every", int, 100, None),
+        ("--context-radius", int, 0, "context pieces on each side; 0 means the whole sequence"),
+        ("--hidden-dim", int, 8, None),
+        ("--eval-fraction", float, 0.1, "held-out share of the sequences"),
+    ]),
+    "ks-compare": (_cmd_ks_compare, "two-sample KS test over two histogram files", [
+        ("--a", str, _REQUIRED, "first histogram JSON file (length -> count)"),
+        ("--b", str, _REQUIRED, "second histogram JSON file"),
+        _REPORT,
+    ]),
 }
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="lingmask", description=__doc__)
+    parser.add_argument(
+        "--version",
+        action="version",
+        version=f"lingmask {__version__} (example-format {FORMAT_VERSION})",
+    )
+    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
+    for name, (_, help_text, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON file of option values (flags override)")
+        p.add_argument("--sidecar", help="where to write the resolved config")
+        for flag, kind, _, option_help in options:
+            if isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, help=option_help)
+            else:
+                p.add_argument(flag, type=kind, help=option_help)
+    return parser
+
+
+def _resolve(parser: _Parser, argv: list[str], args: argparse.Namespace) -> dict[str, Any]:
+    """Merge CLI flags over config-file values over defaults.
+
+    Config-file values are parsed by the same parser as the flags, as if they
+    came before them, so they get the same checks and the flags win. A JSON
+    null leaves an option unset.
+    """
+    options = _SUBCOMMANDS[args.subcommand][2]
+    if args.config:
+        with open(args.config, encoding="utf-8") as handle:
+            try:
+                file_cfg = json.load(handle)
+            except ValueError as exc:
+                raise _UsageError(f"config file is not JSON: {args.config}: {exc}") from None
+        if not isinstance(file_cfg, dict):
+            raise _UsageError(f"config file must hold a JSON object: {args.config}")
+        file_cfg.pop("subcommand", None)
+        flags = {_dest(flag): flag for flag, *_ in options}
+        unknown = sorted(set(file_cfg) - set(flags))
+        if unknown:
+            raise _UsageError(f"unknown config keys: {', '.join(unknown)}")
+        from_file = [f"{flags[k]}={v}" for k, v in file_cfg.items() if v is not None]
+        flag_args = argv[argv.index(args.subcommand) + 1 :]
+        try:
+            args = parser.parse_args([args.subcommand, *from_file, *flag_args])
+        except _UsageError as exc:
+            raise _UsageError(f"config file {args.config}: {exc}") from None
+    resolved: dict[str, Any] = {}
+    for flag, _, default, _ in options:
+        key = _dest(flag)
+        value = getattr(args, key)
+        if value is None:
+            if default is _REQUIRED:
+                raise _UsageError(f"missing required option {flag}")
+            value = default
+        resolved[key] = value
+    return resolved
 
 
 def run(argv: list[str]) -> int:
@@ -571,8 +509,8 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if args.subcommand is None:
             raise _UsageError("a subcommand is required")
-        cfg = _resolve(args, args.subcommand)
-        code = _COMMANDS[args.subcommand](cfg)
+        cfg = _resolve(parser, argv, args)
+        code = _SUBCOMMANDS[args.subcommand][0](cfg)
         if code == EX_OK:
             _write_sidecar(args.subcommand, cfg, args.sidecar)
         return code

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .chunker import AnnotatedSentence
 from .subword import Vocabulary, encode_word
@@ -163,47 +162,26 @@ def _apply_replacements(
         # else: keep the original piece
 
 
-def build_mlm_example(
+def build_example(
     seq: TokenizedSequence, config: MaskingConfig, rng: random.Random
 ) -> MaskedExample:
-    """Mask uniformly selected positions of ``seq``."""
+    """Mask positions of ``seq`` drawn from the pool the strategy picks: every
+    position (``mlm``) or a single chunk-membership pool (``lim``)."""
     n_pieces = len(seq.pieces)
     if n_pieces == 0:
         raise ValueError("cannot mask an empty sequence")
-    count = select_mask_count(n_pieces, config)
-    positions = sorted(rng.sample(range(n_pieces), count))
-    input_ids = list(seq.pieces)
-    labels = [seq.pieces[p] for p in positions]
-    _apply_replacements(input_ids, positions, config, rng)
-    return MaskedExample(
-        input_ids=input_ids,
-        masked_positions=positions,
-        labels=labels,
-        weights=_pad_weights(len(positions), config.max_pred),
-        strategy_tag="mlm",
-        branch="n/a",
-        doc_id=seq.doc_id,
-    )
-
-
-def build_lim_example(
-    seq: TokenizedSequence, config: MaskingConfig, rng: random.Random
-) -> MaskedExample:
-    """Mask positions drawn from a single chunk-membership pool of ``seq``."""
-    n_pieces = len(seq.pieces)
-    if n_pieces == 0:
-        raise ValueError("cannot mask an empty sequence")
-    if config.p_nc is None:
-        raise ValueError("build_lim_example requires a config with p_nc")
-    pool_nc = [k for k, flag in enumerate(seq.y) if flag]
-    pool_non = [k for k, flag in enumerate(seq.y) if not flag]
-    if rng.random() < config.p_nc:
-        pool, branch = pool_nc, "nc"
+    if config.strategy == "lim":
+        pool_nc = [k for k, flag in enumerate(seq.y) if flag]
+        pool_non = [k for k, flag in enumerate(seq.y) if not flag]
+        if rng.random() < config.p_nc:
+            pool, branch = pool_nc, "nc"
+        else:
+            pool, branch = pool_non, "non_nc"
+        if not pool:
+            # Fallback keeps corpus coverage: use the other pool and tag honestly.
+            pool, branch = (pool_non, "non_nc") if branch == "nc" else (pool_nc, "nc")
     else:
-        pool, branch = pool_non, "non_nc"
-    if not pool:
-        # Fallback keeps corpus coverage: use the other pool and tag honestly.
-        pool, branch = (pool_non, "non_nc") if branch == "nc" else (pool_nc, "nc")
+        pool, branch = range(n_pieces), "n/a"
     count = min(select_mask_count(n_pieces, config), len(pool))
     positions = sorted(rng.sample(pool, count))
     input_ids = list(seq.pieces)
@@ -214,19 +192,10 @@ def build_lim_example(
         masked_positions=positions,
         labels=labels,
         weights=_pad_weights(len(positions), config.max_pred),
-        strategy_tag="lim",
+        strategy_tag=config.strategy,
         branch=branch,
         doc_id=seq.doc_id,
     )
-
-
-def build_example(
-    seq: TokenizedSequence, config: MaskingConfig, rng: random.Random
-) -> MaskedExample:
-    """Dispatch on the configured strategy."""
-    if config.strategy == "lim":
-        return build_lim_example(seq, config, rng)
-    return build_mlm_example(seq, config, rng)
 
 
 def sequence_from_annotated(
@@ -262,32 +231,3 @@ def example_to_json_line(example: MaskedExample) -> str:
         },
         ensure_ascii=False,
     )
-
-
-def write_examples(examples: Iterable[MaskedExample], path: str) -> int:
-    """Write examples as JSONL; returns the number of records written."""
-    count = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for example in examples:
-            handle.write(example_to_json_line(example) + "\n")
-            count += 1
-    return count
-
-
-def read_examples(path: str) -> Iterator[MaskedExample]:
-    """Stream examples back from JSONL; errors carry the offending line number."""
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            try:
-                record = json.loads(line)
-                yield MaskedExample(
-                    input_ids=record["input_ids"],
-                    masked_positions=record["masked_positions"],
-                    labels=record["labels"],
-                    weights=record["weights"],
-                    strategy_tag=record["strategy"],
-                    branch=record["branch"],
-                    doc_id=record["doc_id"],
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"invalid example at line {lineno}: {exc}") from exc

@@ -1,5 +1,5 @@
 """Verification machinery: masking-probability algebra and estimators, the
-two-sample Kolmogorov-Smirnov test, and distribution summaries.
+two-sample Kolmogorov-Smirnov test, and synthetic flagged corpora.
 
 The conditional masking law says that when masking is restricted to
 chunk-flagged positions with branch probability p_nc, the chance that a given
@@ -12,7 +12,6 @@ end to end.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -201,26 +200,6 @@ def ks_two_sample(sample_a: Sequence[float], sample_b: Sequence[float]) -> KsRes
         )
         p_value = min(1.0, max(0.0, 2.0 * series))
     return KsResult(d_statistic=d, p_value=p_value, n1=n1, n2=n2)
-
-
-@dataclass
-class DistributionSummary:
-    mean: float
-    sd: float
-    histogram: dict[int, int]
-
-
-def summarize_distribution(sample: Sequence[float]) -> DistributionSummary:
-    """Population mean/sd and an integer-bucketed histogram."""
-    if len(sample) == 0:
-        raise ValueError("empty sample")
-    n = len(sample)
-    mean = sum(sample) / n
-    var = sum((x - mean) ** 2 for x in sample) / n
-    histogram: Counter[int] = Counter(int(math.floor(x)) for x in sample)
-    return DistributionSummary(
-        mean=mean, sd=math.sqrt(var), histogram=dict(sorted(histogram.items()))
-    )
 
 
 def flagged_sequences(

@@ -9,14 +9,11 @@ from hypothesis import given, strategies as st
 from lingmask.chunker import (
     AnnotatedSentence,
     AnnotatedToken,
-    ChunkStatsAccumulator,
     chunk_stats,
     extract_noun_chunks,
     filter_chunks,
-    flags_to_spans,
     parse_annotations,
     sentence_from_tokens,
-    spans_to_flags,
 )
 
 
@@ -113,10 +110,6 @@ class TestFlagsSpansRoundTrip:
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ValueError, match="span out of bounds"):
             AnnotatedSentence(tokens=toks(("a", "NOUN")), chunk_spans=[(0, 2)])
-
-    @given(st.lists(st.booleans(), min_size=1, max_size=30))
-    def test_round_trip(self, flags):
-        assert spans_to_flags(flags_to_spans(flags), len(flags)) == flags
 
 
 class TestParseAnnotations:
@@ -240,21 +233,6 @@ class TestChunkStats:
         # 1000 tokens with 169 three-token chunks puts exactly 507 tokens in chunks.
         stats = chunk_stats([self._sentence(1000, [3] * 169)])
         assert stats.token_nc_prob == pytest.approx(0.507, abs=1e-12)
-
-    def test_shard_merge_equals_sequential(self):
-        corpus = [self._sentence(10, [2, 4]), self._sentence(7, [3]), self._sentence(5, [])]
-        sequential = chunk_stats(corpus)
-        left = ChunkStatsAccumulator()
-        right = ChunkStatsAccumulator()
-        left.add(corpus[0])
-        right.add(corpus[1])
-        right.add(corpus[2])
-        left.merge(right)
-        merged = left.finalize()
-        assert merged.histogram == sequential.histogram
-        assert abs(merged.mean - sequential.mean) < 1e-9
-        assert abs(merged.sd - sequential.sd) < 1e-9
-        assert merged.token_nc_prob == sequential.token_nc_prob
 
 
 class TestBuiltInAnnotator:

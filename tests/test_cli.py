@@ -35,6 +35,53 @@ class TestExitCodes:
         assert "lingmask" in capsys.readouterr().out
 
 
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "content,named",
+        [
+            (json.dumps({"strategy": "bogus"}), "--strategy"),
+            (json.dumps({"seed": "x"}), "--seed"),
+            (json.dumps({"n": 2.7}), "--n"),
+            ("n = 2\n", "run.json"),
+        ],
+        ids=["strategy", "seed", "n", "not-json"],
+    )
+    def test_values_checked_like_flags(self, tmp_path, capsys, content, named):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(content, encoding="utf-8")
+        argv = [
+            "verify-masking", "--config", str(cfg),
+            "--p-nc", "0.75", "--seq-len", "8", "--tolerance", "1",
+        ]
+        assert main(argv) == EX_USAGE
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["normalize", "chunk-stats", "tokenize-stats", "ks-compare"])
+    def test_sidecar_replays_to_same_output(self, tmp_path, annotated_corpus, data_dir, subcommand):
+        docs = tmp_path / "docs.tsv"
+        docs.write_text("d1\tA cat. A dog.\nd2\tThe valve turns.\n", encoding="utf-8")
+        sentences = tmp_path / "sentences.txt"
+        sentences.write_text("femto access point\naccess point\n", encoding="utf-8")
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps({"1": 2, "2": 5}))
+        b.write_text(json.dumps({"2": 1, "4": 3}))
+        options = {
+            "normalize": ["--input", str(docs), "--format", "tsv"],
+            "chunk-stats": ["--annotations", annotated_corpus[0], "--max-chunk-len", "3"],
+            "tokenize-stats": [
+                "--input", str(sentences), "--vocab", str(data_dir / "vocab_general.txt"),
+            ],
+            "ks-compare": ["--a", str(a), "--b", str(b)],
+        }[subcommand]
+        first = tmp_path / "first.out"
+        replay = tmp_path / "replay.out"
+        assert main([subcommand, *options, "--output", str(first)]) == EX_OK
+        sidecar = f"{first}.config.json"
+        assert main([subcommand, "--config", sidecar, "--output", str(replay)]) == EX_OK
+        assert replay.read_bytes() == first.read_bytes()
+
+
 class TestNormalize:
     def test_end_to_end(self, tmp_path):
         src = tmp_path / "docs.jsonl"
@@ -139,6 +186,17 @@ class TestMakePretrainingData:
         )
         sidecar = json.loads((tmp_path / "out.jsonl.config.json").read_text())
         assert sidecar["seed"] == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_leave_no_output(self, tmp_path, annotated_corpus, capsys, workers):
+        tsv, vocab = annotated_corpus
+        argv = [
+            "make-pretraining-data", "--annotations", tsv, "--vocab", vocab,
+            "--workers", workers, "--output", str(tmp_path / "out.jsonl"),
+        ]
+        assert main(argv) == EX_FAIL
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -2,7 +2,8 @@
 
 A digest changes only in a deliberate commit that says why in CHANGES.md; a
 change to example records also bumps ``FORMAT_VERSION``. The sidecars are not
-hashed, because they record the paths of the run.
+hashed, because they record the paths of the run; instead each run is replayed
+from its sidecar and must reproduce the same digest.
 """
 
 import hashlib
@@ -50,5 +51,9 @@ def _argv(name, annotations, vocab, patents, out):
 def test_output_digest(name, tmp_path, annotated_corpus, patents_path):
     annotations, vocab = annotated_corpus
     out = tmp_path / "out"
-    assert main(_argv(name, annotations, vocab, patents_path, str(out))) == EX_OK
+    replay = tmp_path / "replay"
+    argv = _argv(name, annotations, vocab, patents_path, str(out))
+    assert main(argv) == EX_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name]
+    assert main([argv[0], "--config", f"{out}.config.json", "--output", str(replay)]) == EX_OK
+    assert hashlib.sha256(replay.read_bytes()).hexdigest() == GOLDEN[name]

@@ -9,13 +9,9 @@ from lingmask.masking import (
     MaskingConfig,
     TokenizedSequence,
     build_example,
-    build_lim_example,
-    build_mlm_example,
-    read_examples,
     select_mask_count,
     sequence_from_annotated,
     sequence_rng,
-    write_examples,
 )
 from lingmask.subword import Vocabulary
 
@@ -64,7 +60,7 @@ class TestSelectMaskCount:
 
 class TestBuildMlm:
     def test_counts_and_padding(self):
-        example = build_mlm_example(make_seq(10), config(), random.Random(0))
+        example = build_example(make_seq(10), config(), random.Random(0))
         assert len(example.masked_positions) == 2
         assert example.weights == [1.0, 1.0] + [0.0] * 18
         assert example.strategy_tag == "mlm" and example.branch == "n/a"
@@ -72,48 +68,48 @@ class TestBuildMlm:
 
     def test_pure_mask_policy(self):
         cfg = config(mask_frac=1.0, random_frac=0.0, keep_frac=0.0)
-        example = build_mlm_example(make_seq(10), cfg, random.Random(1))
+        example = build_example(make_seq(10), cfg, random.Random(1))
         for position in example.masked_positions:
             assert example.input_ids[position] == cfg.mask_piece_id
 
     def test_keep_policy_preserves_ids(self):
         cfg = config(mask_frac=0.0, random_frac=0.0, keep_frac=1.0)
         seq = make_seq(10)
-        example = build_mlm_example(seq, cfg, random.Random(1))
+        example = build_example(seq, cfg, random.Random(1))
         assert example.input_ids == seq.pieces
 
     def test_deterministic(self):
-        a = build_mlm_example(make_seq(12), config(), random.Random(42))
-        b = build_mlm_example(make_seq(12), config(), random.Random(42))
+        a = build_example(make_seq(12), config(), random.Random(42))
+        b = build_example(make_seq(12), config(), random.Random(42))
         assert a == b
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            build_mlm_example(make_seq(0), config(), random.Random(0))
+            build_example(make_seq(0), config(), random.Random(0))
 
 
 class TestBuildLim:
     def test_forced_nc_branch(self):
         seq = make_seq(10, flagged=range(10))
-        example = build_lim_example(seq, config(strategy="lim", p_nc=1.0), random.Random(0))
+        example = build_example(seq, config(strategy="lim", p_nc=1.0), random.Random(0))
         assert example.branch == "nc"
         assert all(seq.y[p] for p in example.masked_positions)
 
     def test_forced_non_nc_branch(self):
         seq = make_seq(10, flagged=(0, 1))
-        example = build_lim_example(seq, config(strategy="lim", p_nc=0.0), random.Random(0))
+        example = build_example(seq, config(strategy="lim", p_nc=0.0), random.Random(0))
         assert example.branch == "non_nc"
         assert not any(seq.y[p] for p in example.masked_positions)
 
     def test_empty_pool_falls_back(self):
         seq = make_seq(8)  # no flagged positions at all
-        example = build_lim_example(seq, config(strategy="lim", p_nc=1.0), random.Random(0))
+        example = build_example(seq, config(strategy="lim", p_nc=1.0), random.Random(0))
         assert example.branch == "non_nc"
         assert example.masked_positions
 
     def test_small_pool_fully_masked(self):
         seq = make_seq(40, flagged=(3, 17))  # budget is 6, pool only 2
-        example = build_lim_example(seq, config(strategy="lim", p_nc=1.0), random.Random(5))
+        example = build_example(seq, config(strategy="lim", p_nc=1.0), random.Random(5))
         assert example.masked_positions == [3, 17]
         assert example.branch == "nc"
 
@@ -126,7 +122,7 @@ class TestBuildLim:
         )
         if not any(seq.y):
             seq.y[0] = True
-        example = build_lim_example(
+        example = build_example(
             seq, config(strategy="lim", p_nc=0.6), random.Random(trial + 1000)
         )
         values = {seq.y[p] for p in example.masked_positions}
@@ -175,34 +171,6 @@ class TestSequenceFromAnnotated:
         )
         seq = sequence_from_annotated(sent, self._vocab(), max_seq_len=2)
         assert len(seq.pieces) == 2 and len(seq.y) == 2
-
-
-class TestExampleIO:
-    def _examples(self, n):
-        out = []
-        for i in range(n):
-            seq = make_seq(12, flagged=(0, 3, 4), doc_id=f"doc-{i}")
-            out.append(build_example(seq, config(), random.Random(i)))
-        return out
-
-    def test_round_trip(self, tmp_path):
-        examples = self._examples(1000)
-        path = tmp_path / "examples.jsonl"
-        assert write_examples(examples, str(path)) == 1000
-        assert list(read_examples(str(path))) == examples
-
-    def test_truncated_file_names_line(self, tmp_path):
-        path = tmp_path / "examples.jsonl"
-        write_examples(self._examples(3), str(path))
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"input_ids": [1,')
-        with pytest.raises(ValueError, match="line 4"):
-            list(read_examples(str(path)))
-
-    def test_empty_list(self, tmp_path):
-        path = tmp_path / "examples.jsonl"
-        assert write_examples([], str(path)) == 0
-        assert list(read_examples(str(path))) == []
 
 
 class TestDeterminism:

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +7,6 @@ from lingmask.stats import (
     expected_conditional_mask_prob,
     flagged_sequences,
     ks_two_sample,
-    summarize_distribution,
 )
 
 
@@ -146,24 +143,6 @@ class TestKs:
         assert result.d_statistic == ks_two_sample(b, a).d_statistic
         assert 0.0 <= result.d_statistic <= 1.0
         assert 0.0 <= result.p_value <= 1.0
-
-
-class TestSummarize:
-    def test_hand_arithmetic(self):
-        summary = summarize_distribution([2, 2, 4])
-        assert summary.mean == pytest.approx(8 / 3, abs=1e-12)
-        assert summary.sd == pytest.approx(math.sqrt(8 / 9), abs=1e-12)
-        assert summary.histogram == {2: 2, 4: 1}
-
-    def test_constant_sample(self):
-        assert summarize_distribution([5, 5, 5]).sd == 0.0
-
-    def test_two_point_masses(self):
-        assert summarize_distribution([1, 1, 9, 9]).mean == pytest.approx(5.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize_distribution([])
 
 
 class TestFlaggedSequences:
