@@ -24,7 +24,7 @@ from collections import Counter
 from contextlib import contextmanager
 from itertools import islice
 from multiprocessing import Pool
-from typing import Any, Iterator
+from typing import Any, Iterator, NoReturn
 
 from . import __version__
 from .chunker import chunk_stats, parse_annotations
@@ -53,12 +53,16 @@ EX_USAGE = 64
 EX_IOERR = 74
 
 class _UsageError(Exception):
-    pass
+    """A usage error, raised by the (sub)command parser whose usage fits it."""
+
+    def __init__(self, message: str, parser: argparse.ArgumentParser) -> None:
+        super().__init__(message)
+        self.parser = parser
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(message, self)
 
 
 @contextmanager
@@ -235,6 +239,9 @@ def _cmd_make_pretraining_data(cfg: dict[str, Any]) -> int:
 
 
 def _cmd_verify_masking(cfg: dict[str, Any]) -> int:
+    for flag in ("--n", "--seq-len"):
+        if cfg[_dest(flag)] < 1:
+            raise ValueError(f"{flag} must be >= 1, got {cfg[_dest(flag)]}")
     config = _masking_config(cfg, vocab_size=1, mask_piece_id=0, seq_len_key="seq_len")
     sequences = flagged_sequences(
         cfg["n"], seq_len=cfg["seq_len"], p_y1=cfg["p_y1"], seed=cfg["seed"]
@@ -442,7 +449,8 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """Return the top-level parser and each subcommand's parser by name."""
     parser = _Parser(prog="lingmask", description=__doc__)
     parser.add_argument(
         "--version",
@@ -450,8 +458,9 @@ def _build_parser() -> _Parser:
         version=f"lingmask {__version__} (example-format {FORMAT_VERSION})",
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
+    subparsers = {}
     for name, (_, help_text, options) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = subparsers[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file of option values (flags override)")
         p.add_argument("--sidecar", help="where to write the resolved config")
         for flag, kind, _, option_help in options:
@@ -459,15 +468,15 @@ def _build_parser() -> _Parser:
                 p.add_argument(flag, choices=kind, help=option_help)
             else:
                 p.add_argument(flag, type=kind, help=option_help)
-    return parser
+    return parser, subparsers
 
 
 def _resolve(parser: _Parser, argv: list[str], args: argparse.Namespace) -> dict[str, Any]:
     """Merge CLI flags over config-file values over defaults.
 
-    Config-file values are parsed by the same parser as the flags, as if they
-    came before them, so they get the same checks and the flags win. A JSON
-    null leaves an option unset.
+    Config-file values are parsed by the subcommand's parser like the flags,
+    as if they came before them, so they get the same checks and the flags
+    win. A JSON null leaves an option unset.
     """
     options = _SUBCOMMANDS[args.subcommand][2]
     if args.config:
@@ -475,27 +484,27 @@ def _resolve(parser: _Parser, argv: list[str], args: argparse.Namespace) -> dict
             try:
                 file_cfg = json.load(handle)
             except ValueError as exc:
-                raise _UsageError(f"config file is not JSON: {args.config}: {exc}") from None
+                parser.error(f"config file is not JSON: {args.config}: {exc}")
         if not isinstance(file_cfg, dict):
-            raise _UsageError(f"config file must hold a JSON object: {args.config}")
+            parser.error(f"config file must hold a JSON object: {args.config}")
         file_cfg.pop("subcommand", None)
         flags = {_dest(flag): flag for flag, *_ in options}
         unknown = sorted(set(file_cfg) - set(flags))
         if unknown:
-            raise _UsageError(f"unknown config keys: {', '.join(unknown)}")
+            parser.error(f"unknown config keys: {', '.join(unknown)}")
         from_file = [f"{flags[k]}={v}" for k, v in file_cfg.items() if v is not None]
         flag_args = argv[argv.index(args.subcommand) + 1 :]
         try:
-            args = parser.parse_args([args.subcommand, *from_file, *flag_args])
+            args = parser.parse_args([*from_file, *flag_args])
         except _UsageError as exc:
-            raise _UsageError(f"config file {args.config}: {exc}") from None
+            parser.error(f"config file {args.config}: {exc}")
     resolved: dict[str, Any] = {}
     for flag, _, default, _ in options:
         key = _dest(flag)
         value = getattr(args, key)
         if value is None:
             if default is _REQUIRED:
-                raise _UsageError(f"missing required option {flag}")
+                parser.error(f"missing required option {flag}")
             value = default
         resolved[key] = value
     return resolved
@@ -504,18 +513,24 @@ def _resolve(parser: _Parser, argv: list[str], args: argparse.Namespace) -> dict
 def run(argv: list[str]) -> int:
     """Parse and execute one invocation; returns the exit code."""
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse reports a subcommand's unknown flags from the top-level
+        # parser; report them from the subcommand's own parser instead.
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            subparsers.get(args.subcommand, parser).error(
+                f"unrecognized arguments: {' '.join(unknown)}"
+            )
         if args.subcommand is None:
-            raise _UsageError("a subcommand is required")
-        cfg = _resolve(parser, argv, args)
+            parser.error("a subcommand is required")
+        cfg = _resolve(subparsers[args.subcommand], argv, args)
         code = _SUBCOMMANDS[args.subcommand][0](cfg)
         if code == EX_OK:
             _write_sidecar(args.subcommand, cfg, args.sidecar)
         return code
     except _UsageError as exc:
-        parser.print_usage(sys.stderr)
+        exc.parser.print_usage(sys.stderr)
         print(f"lingmask: error: {exc}", file=sys.stderr)
         return EX_USAGE
     except OSError as exc:

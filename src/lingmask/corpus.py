@@ -56,8 +56,15 @@ def _is_formula_token(token: str) -> bool:
     A whitespace-delimited token is treated as a formula fragment when it
     contains one of ``= sum-sign integral-sign ^`` directly adjacent to a digit
     or a non-alphanumeric character, or when more than half of its characters
-    are non-alphanumeric.
+    are non-alphanumeric. String methods decide the second rule first, so only
+    tokens that hold an operator reach the per-character loop.
     """
+    if token.isalnum():
+        return False
+    if (len(token) - sum(map(str.isalnum, token))) * 2 > len(token):
+        return True
+    if _FORMULA_OPERATORS.isdisjoint(token):
+        return False
     for i, ch in enumerate(token):
         if ch not in _FORMULA_OPERATORS:
             continue
@@ -66,8 +73,7 @@ def _is_formula_token(token: str) -> bool:
                 neighbor = token[j]
                 if neighbor.isdigit() or not neighbor.isalnum():
                     return True
-    non_alnum = sum(1 for ch in token if not ch.isalnum())
-    return non_alnum * 2 > len(token)
+    return False
 
 
 def normalize_text(raw: str) -> str:
@@ -88,7 +94,8 @@ def normalize_text(raw: str) -> str:
 # these abbreviations.
 _ABBREVIATIONS = ("Fig.", "No.", "e.g.", "i.e.", "et al.", "U.S.")
 
-_TERMINATORS = frozenset(".!?")
+# A terminator followed by a space: the only places a boundary can be.
+_CANDIDATE = re.compile(r"[.!?] ")
 
 
 def split_sentences(clean: str) -> list[str]:
@@ -100,13 +107,12 @@ def split_sentences(clean: str) -> list[str]:
     """
     sentences: list[str] = []
     start = 0
-    for i, ch in enumerate(clean):
-        if ch not in _TERMINATORS:
-            continue
-        if i + 2 >= len(clean) or clean[i + 1] != " " or not clean[i + 2].isupper():
+    for match in _CANDIDATE.finditer(clean):
+        i = match.start()
+        if i + 2 >= len(clean) or not clean[i + 2].isupper():
             continue
         prefix = clean[start : i + 1]
-        if any(prefix.endswith(abbr) for abbr in _ABBREVIATIONS):
+        if prefix.endswith(_ABBREVIATIONS):
             continue
         sentences.append(prefix)
         start = i + 2

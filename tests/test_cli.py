@@ -28,6 +28,26 @@ class TestExitCodes:
         )
         assert code == EX_IOERR
 
+    def test_no_subcommand_prints_top_level_usage(self, capsys):
+        assert main(["--bogus"]) == EX_USAGE
+        assert capsys.readouterr().err.startswith("usage: lingmask [-h] [--version]")
+
+    @pytest.mark.parametrize(
+        "argv,subcommand",
+        [
+            (["verify-masking", "--config", "{config}"], "verify-masking"),
+            (["make-ipc", "--input", "patents.jsonl"], "make-ipc"),
+            (["normalize", "--bogus", "x"], "normalize"),
+        ],
+        ids=["config-value", "missing-required", "unknown-flag"],
+    )
+    def test_subcommand_error_prints_its_usage(self, tmp_path, capsys, argv, subcommand):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"n": "x"}), encoding="utf-8")
+        argv = [a.format(config=config) for a in argv]
+        assert main(argv) == EX_USAGE
+        assert capsys.readouterr().err.startswith(f"usage: lingmask {subcommand} [-h]")
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -282,6 +302,11 @@ class TestVerifyMasking:
             ]
         )
         assert code == EX_TOLERANCE
+
+    @pytest.mark.parametrize("flag", ["--n", "--seq-len"])
+    def test_nonpositive_sizes_name_the_flag(self, capsys, flag):
+        assert main(["verify-masking", flag, "0"]) == EX_FAIL
+        assert f"error: {flag} must be >= 1, got 0" in capsys.readouterr().err
 
     def test_mlm_strategy(self, capsys):
         code = main(

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lingmask.corpus import (
+    _ABBREVIATIONS,
+    _DOLLAR_SPAN,
+    _FORMULA_OPERATORS,
     CleanDocument,
     RawDocument,
     clean_document,
@@ -11,6 +14,63 @@ from lingmask.corpus import (
     normalize_text,
     split_sentences,
 )
+
+
+# Reference versions: the plain per-character loops that state each rule
+# directly. The library checks the same rules with string scans.
+def _oracle_is_formula_token(token):
+    for i, ch in enumerate(token):
+        if ch not in _FORMULA_OPERATORS:
+            continue
+        for j in (i - 1, i + 1):
+            if 0 <= j < len(token):
+                neighbor = token[j]
+                if neighbor.isdigit() or not neighbor.isalnum():
+                    return True
+    non_alnum = sum(1 for ch in token if not ch.isalnum())
+    return non_alnum * 2 > len(token)
+
+
+def _oracle_normalize_text(raw):
+    text = _DOLLAR_SPAN.sub(" ", raw)
+    return " ".join(tok for tok in text.split() if not _oracle_is_formula_token(tok))
+
+
+def _oracle_split_sentences(clean):
+    sentences = []
+    start = 0
+    for i, ch in enumerate(clean):
+        if ch not in ".!?":
+            continue
+        if i + 2 >= len(clean) or clean[i + 1] != " " or not clean[i + 2].isupper():
+            continue
+        prefix = clean[start : i + 1]
+        if any(prefix.endswith(abbr) for abbr in _ABBREVIATIONS):
+            continue
+        sentences.append(prefix)
+        start = i + 2
+    tail = clean[start:]
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+# Text weighted toward the characters the rules look at: operators, dollar
+# signs, terminators, whitespace, ASCII and non-ASCII digits, uppercase
+# letters and common punctuation.
+_RULE_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(list("=∑∫^$")),
+        st.sampled_from([".", "!", "?", ". ", "! ", "? "]),
+        st.sampled_from([" ", " ", " ", "\t", "  "]),
+        st.sampled_from(list("0123456789²٣")),
+        st.sampled_from(list("ABCXYZÄΩ")),
+        st.sampled_from(list("abcxyzé")),
+        st.sampled_from(list("_-,()")),
+        st.sampled_from(list(_ABBREVIATIONS)),
+    ),
+    max_size=60,
+).map("".join)
 
 
 class TestNormalize:
@@ -45,6 +105,27 @@ class TestNormalize:
         once = normalize_text(raw)
         assert normalize_text(once) == once
         assert len(once) <= len(raw)
+
+
+class TestAgainstReference:
+    @given(_RULE_TEXT)
+    def test_normalize_text(self, raw):
+        assert normalize_text(raw) == _oracle_normalize_text(raw)
+
+    @given(_RULE_TEXT)
+    def test_split_sentences(self, text):
+        assert split_sentences(text) == _oracle_split_sentences(text)
+        clean = normalize_text(text)
+        assert split_sentences(clean) == _oracle_split_sentences(clean)
+
+    @pytest.mark.parametrize("text", [
+        "Fig. A", "U.S. Patent", "et al. B", "A cat.", "Stop!", "Why?",
+        "Why? Yes", "Stop! Go", "a.  B", "a. B", "=3", "^", "∑∑", "x²=y",
+        "(a),", "x ^2 y", "",
+    ])
+    def test_edges(self, text):
+        assert normalize_text(text) == _oracle_normalize_text(text)
+        assert split_sentences(text) == _oracle_split_sentences(text)
 
 
 class TestSplitSentences:
