@@ -12,12 +12,13 @@ __version__ = "0.1.0"
 
 from .chunker import AnnotatedSentence, AnnotatedToken, ChunkStats, chunk_stats, extract_noun_chunks
 from .corpus import CleanDocument, RawDocument, clean_document, normalize_text, split_sentences
-from .masking import MaskedExample, MaskingConfig, TokenizedSequence, build_example
-from .stats import KsResult, MaskProbReport, empirical_mask_report, expected_conditional_mask_prob, ks_two_sample
+from .masking import BLOCK, MaskedExample, MaskingConfig, TokenizedSequence, build_example, mask_sequences, sequence_rng
+from .stats import KsResult, MaskProbReport, empirical_mask_report, expected_conditional_mask_prob, ks_two_sample, tally_block
 from .subword import Encoding, Vocabulary, encode_sentence, encode_word, load_vocab
 
 __all__ = [
     "__version__",
+    "BLOCK",
     "AnnotatedSentence",
     "AnnotatedToken",
     "ChunkStats",
@@ -40,6 +41,9 @@ __all__ = [
     "extract_noun_chunks",
     "ks_two_sample",
     "load_vocab",
+    "mask_sequences",
     "normalize_text",
+    "sequence_rng",
     "split_sentences",
+    "tally_block",
 ]

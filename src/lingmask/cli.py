@@ -23,7 +23,6 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from itertools import islice
-from multiprocessing import Pool
 from typing import Any, Iterator, NoReturn
 
 from . import __version__
@@ -31,16 +30,18 @@ from .chunker import chunk_stats, parse_annotations
 from .corpus import clean_document, ingest_documents
 from .datasets import build_ipc_examples, build_similarity_pairs, read_patent_records, split_dataset
 from .masking import (
+    BLOCK,
     FORMAT_VERSION,
     STRATEGIES,
     MaskingConfig,
     TokenizedSequence,
     build_example,
     example_to_json_line,
+    mask_sequences,
     sequence_from_annotated,
     sequence_rng,
 )
-from .stats import empirical_mask_report, flagged_sequences, ks_two_sample
+from .stats import empirical_mask_report, flagged_sequences, ks_two_sample, tally_block
 from .subword import Vocabulary, corpus_split_stats, load_vocab
 from .tinylm import TrainingConfig, train, write_metrics_csv
 
@@ -158,6 +159,8 @@ def _cmd_tokenize_stats(cfg: dict[str, Any]) -> int:
 
 
 def _masking_config(cfg: dict[str, Any], vocab_size: int, mask_piece_id: int, seq_len_key: str = "max_seq_len") -> MaskingConfig:
+    if cfg["strategy"] == "lim" and cfg["p_nc"] is None:
+        raise ValueError("--p-nc is required with --strategy lim")
     return MaskingConfig(
         mask_prob=cfg["mask_prob"],
         max_pred=cfg["max_pred"],
@@ -168,31 +171,6 @@ def _masking_config(cfg: dict[str, Any], vocab_size: int, mask_piece_id: int, se
         mask_piece_id=mask_piece_id,
         vocab_size=vocab_size,
     )
-
-
-# make-pretraining-data parses and encodes sentences in blocks of this many
-# before masking them, as a --workers pool task does. Alternating the stages
-# one sentence at a time evicts each stage's working set between calls (about
-# 7 % fewer examples/s on the pretrain-lim benchmark workload); a fixed block
-# still keeps memory flat.
-_BLOCK = 64
-
-_WORKER_CONFIG: MaskingConfig | None = None
-
-
-def _init_worker(config: MaskingConfig) -> None:
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = config
-
-
-def _mask_line(ordinal: int, seq, config: MaskingConfig) -> str:
-    return example_to_json_line(build_example(seq, config, sequence_rng(config.seed, ordinal)))
-
-
-def _mask_task(task) -> str:
-    ordinal, seq = task
-    assert _WORKER_CONFIG is not None
-    return _mask_line(ordinal, seq, _WORKER_CONFIG)
 
 
 def _load_masking_vocab(cfg: dict[str, Any]) -> tuple[Vocabulary, MaskingConfig]:
@@ -217,41 +195,39 @@ def _annotated_sequences(cfg: dict[str, Any], vocab: Vocabulary) -> Iterator[Tok
         log.warning("unknown POS tags mapped to X: %s", dict(warnings))
 
 
+# make-pretraining-data parses, encodes, masks and writes this many sequences
+# at a time (a divisor of BLOCK, so a batch is rows of one block). Small
+# batches keep each stage's working set warm and memory low and flat.
+_BATCH = 64
+
+
 def _cmd_make_pretraining_data(cfg: dict[str, Any]) -> int:
-    if cfg["workers"] < 1:
-        raise ValueError(f"workers must be >= 1, got {cfg['workers']}")
     vocab, config = _load_masking_vocab(cfg)
-    tasks = enumerate(_annotated_sequences(cfg, vocab))
+    sequences = _annotated_sequences(cfg, vocab)
     count = 0
     with _atomic_output(cfg["output"]) as tmp, _open_text(tmp) as handle:
-        if cfg["workers"] > 1:
-            with Pool(cfg["workers"], initializer=_init_worker, initargs=(config,)) as pool:
-                for line in pool.imap(_mask_task, tasks, chunksize=_BLOCK):
-                    handle.write(line + "\n")
-                    count += 1
-        else:
-            for block in iter(lambda: list(islice(tasks, _BLOCK)), []):
-                for ordinal, seq in block:
-                    handle.write(_mask_line(ordinal, seq, config) + "\n")
-                count += len(block)
+        for batch in iter(lambda: list(islice(sequences, _BATCH)), []):
+            index, first = divmod(count, BLOCK)
+            if first == 0:
+                rng = sequence_rng(config.seed, index)
+            for seq, row in zip(batch, mask_sequences(batch, config, rng, first)):
+                handle.write(example_to_json_line(build_example(seq, config, row)) + "\n")
+            count += len(batch)
     log.info("wrote %d examples", count)
     return EX_OK
 
 
 def _cmd_verify_masking(cfg: dict[str, Any]) -> int:
-    for flag in ("--n", "--seq-len"):
-        if cfg[_dest(flag)] < 1:
-            raise ValueError(f"{flag} must be >= 1, got {cfg[_dest(flag)]}")
     config = _masking_config(cfg, vocab_size=1, mask_piece_id=0, seq_len_key="seq_len")
-    sequences = flagged_sequences(
+    blocks = flagged_sequences(
         cfg["n"], seq_len=cfg["seq_len"], p_y1=cfg["p_y1"], seed=cfg["seed"]
     )
-    pairs = (
-        (build_example(seq, config, sequence_rng(cfg["seed"], i)), seq.y)
-        for i, seq in enumerate(sequences)
+    tallies = (
+        tally_block(flags, config, sequence_rng(cfg["seed"], index))
+        for index, flags in enumerate(blocks)
     )
     report = empirical_mask_report(
-        pairs, cfg["mask_prob"], cfg["p_nc"] if cfg["strategy"] == "lim" else None
+        tallies, cfg["mask_prob"], cfg["p_nc"] if cfg["strategy"] == "lim" else None
     )
     _emit_json(report.to_dict(), cfg["output"])
     if report.abs_error is None:
@@ -400,11 +376,10 @@ _SUBCOMMANDS = {
         _VOCAB,
         ("--output", str, _REQUIRED, "examples JSONL path"),
         *_MASKING_OPTIONS,
-        ("--workers", int, 1, "masking processes"),
     ]),
     "verify-masking": (_cmd_verify_masking, "check conditional masking probabilities on synthetic data", [
         ("--strategy", STRATEGIES, "lim", "mask uniformly (mlm) or within one chunk pool (lim)"),
-        ("--p-nc", float, None, "lim: chance that a sequence masks only chunk tokens"),
+        ("--p-nc", float, 0.75, "lim: chance that a sequence masks only chunk tokens"),
         ("--n", int, 100000, "number of synthetic sequences"),
         ("--seq-len", int, 128, None),
         ("--p-y1", float, 0.507, "token-level chunk probability"),
@@ -443,6 +418,30 @@ _SUBCOMMANDS = {
         _REPORT,
     ]),
 }
+
+
+# Value checks by flag, made once the options are resolved, so that a bad
+# value is a validation failure that names its flag.
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_PROBABILITY = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
+_RANGES = {
+    "--mask-prob": (lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
+    "--max-pred": _AT_LEAST_ONE,
+    "--max-seq-len": _AT_LEAST_ONE,
+    "--seq-len": _AT_LEAST_ONE,
+    "--n": _AT_LEAST_ONE,
+    "--p-nc": _PROBABILITY,
+    "--p-y1": _PROBABILITY,
+}
+
+
+def _check_ranges(subcommand: str, cfg: dict[str, Any]) -> None:
+    for flag, *_ in _SUBCOMMANDS[subcommand][2]:
+        value = cfg[_dest(flag)]
+        if flag in _RANGES and value is not None:
+            accepts, rule = _RANGES[flag]
+            if not accepts(value):
+                raise ValueError(f"{flag} {rule}, got {value}")
 
 
 def _dest(flag: str) -> str:
@@ -525,6 +524,7 @@ def run(argv: list[str]) -> int:
         if args.subcommand is None:
             parser.error("a subcommand is required")
         cfg = _resolve(subparsers[args.subcommand], argv, args)
+        _check_ranges(args.subcommand, cfg)
         code = _SUBCOMMANDS[args.subcommand][0](cfg)
         if code == EX_OK:
             _write_sidecar(args.subcommand, cfg, args.sidecar)

@@ -18,16 +18,35 @@ verifies empirically.
 
 Replacement at the selected positions follows the standard 80/10/10 policy
 (mask piece / random piece / keep), applied identically under both strategies.
-Per sequence, the draw order is fixed: branch coin (lim only), position
-sample, then one replacement draw per position in ascending position order,
-so a (seed, ordinal) pair fully determines the output.
+
+Randomness comes in blocks of ``BLOCK`` consecutive sequences (by ordinal).
+Each block has one stream of the Philox4x32-10 counter-based generator,
+keyed by ``(seed, block index)`` (``sequence_rng``). The stream is laid out
+in the same four regions for every block, however many rows it holds, in
+this order:
+
+1. ``BLOCK`` branch coins, one per row (reserved under ``mlm`` too);
+2. ``max_seq_len x BLOCK`` position keys, position-major;
+3. ``max_pred x BLOCK`` replacement words, then as many random-id words,
+   slot-major.
+
+Each value is one 32-bit word. A sequence masks the positions of its pool
+with the smallest keys, which is a uniform sample without replacement; its
+``j``-th masked position, in ascending order, takes slot ``j``'s replacement
+words. Because Philox is counter-based, only the words a batch of rows needs
+are computed, and an example depends only on the seed, its ordinal and its
+own sequence: the output for a corpus prefix is a prefix of the output for
+the whole corpus, and how the work is batched does not matter.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .chunker import AnnotatedSentence
 from .subword import Vocabulary, encode_word
@@ -36,7 +55,10 @@ STRATEGIES = ("mlm", "lim")
 BRANCHES = ("nc", "non_nc", "n/a")
 
 # Version of the JSONL example record layout, reported by the CLI.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+# Sequences per random block; part of the example format.
+BLOCK = 256
 
 
 @dataclass
@@ -127,73 +149,210 @@ class MaskedExample:
             raise ValueError("weights must be 1.0 per real slot then 0.0 padding")
 
 
-def sequence_rng(seed: int, ordinal: int) -> random.Random:
-    """Per-sequence generator derived from the root seed and sequence ordinal.
+_U64 = np.uint64
+_LOW = _U64(0xFFFFFFFF)
+_PHILOX_M = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=_U64)
+_PHILOX_W = np.array([0x9E3779B9, 0xBB67AE85], dtype=_U64)
 
-    String seeding hashes with SHA-512 internally, so the derivation is stable
-    across runs, platforms, and worker processes.
+
+def philox4x32(counter, key) -> np.ndarray:
+    """The Philox4x32-10 block cipher (Salmon et al., SC'11, "Parallel random
+    numbers: as easy as 1, 2, 3") on counters ``(c0, c1, c2, c3)`` under the
+    key ``(k0, k1)``: 32-bit words, held as uint64 scalars or 1-d arrays
+    that broadcast together. Returns the (4, n) output words."""
+    c0, c1, c2, c3 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(c, dtype=_U64)) for c in counter))
+    key = np.asarray(key, dtype=_U64)
+    for _ in range(10):
+        product = np.stack([c0, c2]) * _PHILOX_M
+        hi, lo = product >> _U64(32), product & _LOW
+        c0, c1, c2, c3 = hi[1] ^ c1 ^ key[0], lo[1], hi[0] ^ c3 ^ key[1], lo[0]
+        key = (key + _PHILOX_W) & _LOW
+    return np.stack([c0, c1, c2, c3])
+
+
+class Philox:
+    """One stream of Philox4x32-10, computed with numpy.
+
+    Word ``i`` of stream ``stream`` under the 64-bit ``key`` is word
+    ``i % 4`` of the cipher applied to the counter
+    ``(i // 4, stream mod 2**32, stream >> 32, 0)``, so any words of the
+    stream can be computed without the ones before them. (``numpy.random``
+    has Philox too, but importing it loads OpenSSL through ``secrets``, which
+    costs about 5 MB of resident memory.)
     """
-    return random.Random(f"{seed}:{ordinal}")
+
+    def __init__(self, key: int, stream: int) -> None:
+        self._key = (key & 0xFFFFFFFF, (key >> 32) & 0xFFFFFFFF)
+        self._stream = (stream & 0xFFFFFFFF, (stream >> 32) & 0xFFFFFFFF)
+
+    def words(self, groups: np.ndarray) -> np.ndarray:
+        """Words ``4 g`` to ``4 g + 3`` of each group ``g``, in order."""
+        counter = (groups.ravel(), *self._stream, 0)
+        return philox4x32(counter, self._key).T.reshape(*groups.shape[:-1], -1)
 
 
-def select_mask_count(seq_len: int, config: MaskingConfig) -> int:
-    """Number of positions to mask: round(mask_prob * length), at least one,
-    capped at max_pred."""
-    if seq_len < 1:
-        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
-    return min(config.max_pred, max(1, int(round(config.mask_prob * seq_len))))
+def sequence_rng(seed: int, block: int) -> Philox:
+    """The stream of block ``block`` (sequences ``block * BLOCK`` onwards):
+    Philox keyed by the root seed, stream number ``block``.
+
+    A block's words depend only on (seed, block), never on which blocks were
+    drawn before, so any block can be drawn on its own.
+    """
+    return Philox(seed % 2**64, block)
+
+
+class Draws(NamedTuple):
+    """Words of some rows of a block, each a (rows, columns) array; the
+    leading columns of a region, or None where not drawn."""
+
+    coins: np.ndarray | None
+    keys: np.ndarray
+    replace: np.ndarray | None
+    ids: np.ndarray | None
+
+
+def draw_rows(
+    rng: Philox, config: MaskingConfig, first: int, rows: int, span: int, replacements: bool = True
+) -> Draws:
+    """The words of rows ``first`` to ``first + rows - 1`` of a block.
+
+    A block's stream holds four regions, one after the other: branch coins
+    (1 column), position keys (max_seq_len columns), replacement words and
+    random-id words (max_pred columns each). Column ``j`` of a region is
+    ``BLOCK`` consecutive words, one per row. Only what is asked for is
+    computed: the coins under ``lim``, the first ``span`` key columns and,
+    with ``replacements``, the first ``min(max_pred, span)`` columns of the
+    last two regions.
+    """
+    if first < 0 or rows < 1 or first + rows > BLOCK or span > config.max_seq_len:
+        raise ValueError(f"a block holds at most {BLOCK} rows of at most max_seq_len positions")
+    width = min(config.max_pred, span)
+    starts = (0, 1, 1 + config.max_seq_len, 1 + config.max_seq_len + config.max_pred)
+    wanted = (int(config.strategy == "lim"), span, width * replacements, width * replacements)
+    columns = np.concatenate([start + np.arange(n) for start, n in zip(starts, wanted)])
+    skip = first % 4
+    groups = (columns * BLOCK + first - skip)[:, None] // 4 + np.arange((skip + rows + 3) // 4)
+    words = rng.words(groups)[:, skip : skip + rows].T
+    parts = np.split(words, np.cumsum(wanted)[:-1], axis=1)
+    return Draws(*(part if n else None for part, n in zip(parts, wanted)))
+
+
+def mask_budget(lengths: np.ndarray, config: MaskingConfig) -> np.ndarray:
+    """Positions to mask per sequence length: round(mask_prob * length)
+    (half to even, as Python's ``round``), at least one, at most max_pred."""
+    if lengths.size and lengths.min() < 1:
+        raise ValueError("cannot mask an empty sequence")
+    return np.clip(np.rint(config.mask_prob * lengths), 1, config.max_pred).astype(np.int64)
+
+
+class MaskedRows(NamedTuple):
+    """Masked positions chosen for some rows of a block.
+
+    Row ``i`` masks ``positions[i, :counts[i]]`` (ascending; the rest of the
+    row is padding, max_seq_len). ``nc`` says whether the row's pool is its
+    chunk-flagged positions; it is None under ``mlm``.
+    """
+
+    positions: np.ndarray
+    counts: np.ndarray
+    nc: np.ndarray | None
+
+
+def mask_rows(flags: np.ndarray, lengths: np.ndarray, config: MaskingConfig, draws: Draws) -> MaskedRows:
+    """Choose the masked positions of some rows of a block.
+
+    ``flags`` is a (rows, span) boolean array of chunk flags, False past
+    each row's length, where ``span`` is the longest length; ``draws`` are
+    the rows' words from ``draw_rows``.
+    """
+    span = flags.shape[1]
+    pool = np.arange(span) < lengths[:, None]
+    nc = None
+    if config.strategy == "lim":
+        n_chunk = np.count_nonzero(flags, axis=1)
+        # An empty chosen pool falls back to the other one.
+        nc = np.where(draws.coins[:, 0] < config.p_nc * 2**32, n_chunk > 0, n_chunk == lengths)
+        pool &= flags == nc[:, None]
+    counts = np.minimum(mask_budget(lengths, config), np.count_nonzero(pool, axis=1))
+
+    # The count smallest keys within the pool are a uniform sample of it. A
+    # key is a 32-bit word above its position, so keys never tie.
+    keys = (draws.keys << _U64(32)) | np.arange(span, dtype=_U64)
+    keys[~pool] = np.iinfo(_U64).max
+    width = min(config.max_pred, span)
+    smallest = np.sort(np.partition(keys, width - 1, axis=1)[:, :width], axis=1)
+    chosen = (smallest & _LOW).astype(np.int64)
+    positions = np.sort(np.where(np.arange(width) < counts[:, None], chosen, config.max_seq_len), axis=1)
+    return MaskedRows(positions, counts, nc)
+
+
+def _replacement_ids(draws: Draws, config: MaskingConfig) -> np.ndarray:
+    """Piece id written at the ``j``-th masked position of each row: the
+    mask piece, a random piece, or -1 to keep the piece (80/10/10)."""
+    random_ids = ((draws.ids * _U64(config.vocab_size)) >> _U64(32)).astype(np.int64)
+    return np.where(
+        draws.replace < config.mask_frac * 2**32,
+        config.mask_piece_id,
+        np.where(draws.replace < (config.mask_frac + config.random_frac) * 2**32, random_ids, -1),
+    )
+
+
+class MaskRow(NamedTuple):
+    """One sequence's masks, as ``build_example`` applies them."""
+
+    branch: str
+    positions: list[int]
+    replacements: list[int]
+
+
+def mask_sequences(
+    seqs: Sequence[TokenizedSequence], config: MaskingConfig, rng: Philox, first: int = 0
+) -> Iterator[MaskRow]:
+    """Masks of the sequences that are rows ``first``, ``first + 1``, ... of
+    the block whose stream is ``rng``; yields one row per sequence."""
+    lengths = np.fromiter((len(seq.y) for seq in seqs), np.int64, len(seqs))
+    span = int(lengths.max())
+    if span > config.max_seq_len:
+        raise ValueError(f"sequence longer than max_seq_len {config.max_seq_len}")
+    flags = np.zeros((len(seqs), span), dtype=bool)
+    flags[np.arange(span) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(seq.y for seq in seqs), bool, int(lengths.sum())
+    )
+    draws = draw_rows(rng, config, first, len(seqs), span)
+    masked = mask_rows(flags, lengths, config, draws)
+    branches = (
+        ["n/a"] * len(seqs)
+        if masked.nc is None
+        else ["nc" if nc else "non_nc" for nc in masked.nc.tolist()]
+    )
+    # One flat list per field, sliced row by row as the rows are consumed.
+    filled = np.arange(masked.positions.shape[1]) < masked.counts[:, None]
+    positions = masked.positions[filled].tolist()
+    replacements = _replacement_ids(draws, config)[filled].tolist()
+    ends = masked.counts.cumsum().tolist()
+    return (
+        MaskRow(branch, positions[start:end], replacements[start:end])
+        for branch, start, end in zip(branches, [0, *ends], ends)
+    )
 
 
 def _pad_weights(n_masked: int, max_pred: int) -> list[float]:
     return [1.0] * n_masked + [0.0] * (max_pred - n_masked)
 
 
-def _apply_replacements(
-    input_ids: list[int], positions: list[int], config: MaskingConfig, rng: random.Random
-) -> None:
-    mask_cut = config.mask_frac
-    random_cut = config.mask_frac + config.random_frac
-    for position in positions:
-        draw = rng.random()
-        if draw < mask_cut:
-            input_ids[position] = config.mask_piece_id
-        elif draw < random_cut:
-            input_ids[position] = rng.randrange(config.vocab_size)
-        # else: keep the original piece
-
-
-def build_example(
-    seq: TokenizedSequence, config: MaskingConfig, rng: random.Random
-) -> MaskedExample:
-    """Mask positions of ``seq`` drawn from the pool the strategy picks: every
-    position (``mlm``) or a single chunk-membership pool (``lim``)."""
-    n_pieces = len(seq.pieces)
-    if n_pieces == 0:
-        raise ValueError("cannot mask an empty sequence")
-    if config.strategy == "lim":
-        pool_nc = [k for k, flag in enumerate(seq.y) if flag]
-        pool_non = [k for k, flag in enumerate(seq.y) if not flag]
-        if rng.random() < config.p_nc:
-            pool, branch = pool_nc, "nc"
-        else:
-            pool, branch = pool_non, "non_nc"
-        if not pool:
-            # Fallback keeps corpus coverage: use the other pool and tag honestly.
-            pool, branch = (pool_non, "non_nc") if branch == "nc" else (pool_nc, "nc")
-    else:
-        pool, branch = range(n_pieces), "n/a"
-    count = min(select_mask_count(n_pieces, config), len(pool))
-    positions = sorted(rng.sample(pool, count))
+def build_example(seq: TokenizedSequence, config: MaskingConfig, row: MaskRow) -> MaskedExample:
+    """Apply one sequence's row of ``mask_sequences`` to it."""
     input_ids = list(seq.pieces)
-    labels = [seq.pieces[p] for p in positions]
-    _apply_replacements(input_ids, positions, config, rng)
+    for position, piece in zip(row.positions, row.replacements):
+        if piece >= 0:
+            input_ids[position] = piece
     return MaskedExample(
         input_ids=input_ids,
-        masked_positions=positions,
-        labels=labels,
-        weights=_pad_weights(len(positions), config.max_pred),
+        masked_positions=row.positions,
+        labels=[seq.pieces[p] for p in row.positions],
+        weights=_pad_weights(len(row.positions), config.max_pred),
         strategy_tag=config.strategy,
-        branch=branch,
+        branch=row.branch,
         doc_id=seq.doc_id,
     )
 

@@ -5,19 +5,20 @@ The conditional masking law says that when masking is restricted to
 chunk-flagged positions with branch probability p_nc, the chance that a given
 flagged token gets masked is mask_prob * p_nc / p(y=1); choosing
 p_nc = p(y=1) recovers the plain strategy's mask_prob. The empirical report
-estimates both conditionals from generated examples so the law can be checked
-end to end.
+estimates both conditionals from per-sequence mask counts (``tally_block``
+counts them for a block of synthetic sequences, masked by the sampler that
+writes pre-training data), so the law can be checked end to end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .masking import MaskedExample, TokenizedSequence
+from .masking import BLOCK, MaskingConfig, Philox, draw_rows, mask_rows
 
 
 def expected_conditional_mask_prob(mask_prob: float, p_nc: float, p_y1: float) -> float:
@@ -84,43 +85,59 @@ def _ratio_and_se(
     return ratio, math.sqrt(spread) / den
 
 
+class MaskTally(NamedTuple):
+    """Per-sequence counts of one block: length, chunk-flagged tokens, masked
+    tokens and masked chunk-flagged tokens (one array entry per sequence)."""
+
+    lengths: np.ndarray
+    chunk: np.ndarray
+    masked: np.ndarray
+    masked_chunk: np.ndarray
+
+
+def tally_block(flags: np.ndarray, config: MaskingConfig, rng: Philox) -> MaskTally:
+    """Mask a block of full-length flag rows and count it."""
+    rows, seq_len = flags.shape
+    lengths = np.full(rows, seq_len)
+    draws = draw_rows(rng, config, 0, rows, seq_len, replacements=False)
+    masked = mask_rows(flags, lengths, config, draws)
+    filled = np.arange(masked.positions.shape[1]) < masked.counts[:, None]
+    hits = np.take_along_axis(flags, np.minimum(masked.positions, seq_len - 1), axis=1)
+    return MaskTally(
+        lengths, np.count_nonzero(flags, axis=1), masked.counts, np.count_nonzero(hits & filled, axis=1)
+    )
+
+
 def empirical_mask_report(
-    pairs: Iterable[tuple[MaskedExample, Sequence[bool]]],
+    tallies: Iterable[MaskTally],
     mask_prob: float,
     p_nc: float | None = None,
 ) -> MaskProbReport:
-    """Estimate p(masked | flag) from (example, per-position flags) pairs.
+    """Estimate p(masked | flag) from per-sequence counts.
 
     ``p_nc`` of None means plain masking, whose expected conditional equals
     ``mask_prob``. A corpus with no flagged tokens reports the conditional as
     undefined (None), never as 0.
     """
-    n_sequences = 0
-    n_tokens = 0
-    y1_slots = 0
-    masked_y1 = 0
-    masked_y0 = 0
-    s_a1_sq = s_k1_sq = s_a1_k1 = 0.0
-    s_a0_sq = s_k0_sq = s_a0_k0 = 0.0
+    n_sequences = n_tokens = y1_slots = masked_y1 = masked_y0 = 0
+    s_a1_sq = s_k1_sq = s_a1_k1 = s_a0_sq = s_k0_sq = s_a0_k0 = 0
 
-    for example, flags in pairs:
-        if len(flags) != len(example.input_ids):
-            raise ValueError("flags must align with example input ids")
-        k1 = sum(flags)
-        k0 = len(flags) - k1
-        a1 = sum(1 for p in example.masked_positions if flags[p])
-        a0 = len(example.masked_positions) - a1
-        n_sequences += 1
-        n_tokens += len(flags)
-        y1_slots += k1
-        masked_y1 += a1
-        masked_y0 += a0
-        s_a1_sq += a1 * a1
-        s_k1_sq += k1 * k1
-        s_a1_k1 += a1 * k1
-        s_a0_sq += a0 * a0
-        s_k0_sq += k0 * k0
-        s_a0_k0 += a0 * k0
+    for tally in tallies:
+        k1, a1 = tally.chunk.astype(np.int64), tally.masked_chunk.astype(np.int64)
+        k0, a0 = tally.lengths - k1, tally.masked - a1
+        if (a1 < 0).any() or (a1 > k1).any() or (a0 < 0).any() or (a0 > k0).any():
+            raise ValueError("masked counts exceed their flag counts")
+        n_sequences += len(k1)
+        n_tokens += int(tally.lengths.sum())
+        y1_slots += int(k1.sum())
+        masked_y1 += int(a1.sum())
+        masked_y0 += int(a0.sum())
+        s_a1_sq += int(a1 @ a1)
+        s_k1_sq += int(k1 @ k1)
+        s_a1_k1 += int(a1 @ k1)
+        s_a0_sq += int(a0 @ a0)
+        s_k0_sq += int(k0 @ k0)
+        s_a0_k0 += int(a0 @ k0)
 
     if n_sequences == 0:
         raise ValueError("empty example stream")
@@ -207,24 +224,14 @@ def flagged_sequences(
     seq_len: int = 128,
     p_y1: float = 0.507,
     seed: int = 0,
-    block: int = 4096,
-) -> Iterator[TokenizedSequence]:
-    """Synthetic corpus stream with iid Bernoulli chunk flags.
-
-    Piece ids are all 0; masking-probability statistics depend only on the
-    flags. Generation is blocked so memory stays flat at any corpus size.
-    """
+) -> Iterator[np.ndarray]:
+    """Synthetic corpus of iid Bernoulli chunk flags, in blocks of ``BLOCK``
+    sequences: (rows, seq_len) boolean arrays, so memory stays flat at any
+    corpus size. Masking-probability statistics depend only on the flags."""
     if n_sequences < 1:
         raise ValueError(f"n_sequences must be >= 1, got {n_sequences}")
     if not 0.0 <= p_y1 <= 1.0:
         raise ValueError(f"p_y1 must be in [0, 1], got {p_y1}")
     rng = np.random.default_rng(seed)
-    emitted = 0
-    while emitted < n_sequences:
-        rows = min(block, n_sequences - emitted)
-        flags_block = (rng.random((rows, seq_len)) < p_y1).tolist()
-        for flags in flags_block:
-            yield TokenizedSequence(
-                pieces=[0] * seq_len, y=flags, doc_id=f"syn-{emitted}"
-            )
-            emitted += 1
+    for emitted in range(0, n_sequences, BLOCK):
+        yield rng.random((min(BLOCK, n_sequences - emitted), seq_len)) < p_y1

@@ -27,7 +27,15 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .masking import MaskedExample, MaskingConfig, TokenizedSequence, build_example, sequence_rng
+from .masking import (
+    BLOCK,
+    MaskedExample,
+    MaskingConfig,
+    TokenizedSequence,
+    build_example,
+    mask_sequences,
+    sequence_rng,
+)
 
 log = logging.getLogger(__name__)
 
@@ -292,10 +300,12 @@ def train(
     sequences = [s for s in corpus if s.pieces]
     if not sequences:
         raise ValueError("empty corpus")
-    pairs = [
-        (build_example(seq, masking_config, sequence_rng(masking_config.seed, i)), seq.y)
-        for i, seq in enumerate(sequences)
-    ]
+    pairs = []
+    for index in range(0, len(sequences), BLOCK):
+        block = sequences[index : index + BLOCK]
+        rng = sequence_rng(masking_config.seed, index // BLOCK)
+        for seq, row in zip(block, mask_sequences(block, masking_config, rng)):
+            pairs.append((build_example(seq, masking_config, row), seq.y))
     order = list(range(len(pairs)))
     random.Random(f"{train_config.seed}:split").shuffle(order)
     eval_n = max(1, int(round(train_config.eval_fraction * len(pairs))))

@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from lingmask.cli import EX_FAIL, EX_IOERR, EX_OK, EX_TOLERANCE, EX_USAGE, main
+from lingmask.masking import BLOCK
+
+from conftest import make_annotated_corpus
 
 
 class TestExitCodes:
@@ -52,7 +55,7 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
-        assert "lingmask" in capsys.readouterr().out
+        assert "(example-format 2)" in capsys.readouterr().out
 
 
 class TestConfigFile:
@@ -174,20 +177,6 @@ class TestMakePretrainingData:
         )
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_workers_match_serial(self, tmp_path, annotated_corpus):
-        tsv, vocab = annotated_corpus
-        serial = tmp_path / "serial.jsonl"
-        parallel = tmp_path / "parallel.jsonl"
-        base = [
-            "make-pretraining-data",
-            "--annotations", tsv,
-            "--vocab", vocab,
-            "--seed", "5",
-        ]
-        assert main(base + ["--output", str(serial)]) == EX_OK
-        assert main(base + ["--output", str(parallel), "--workers", "2"]) == EX_OK
-        assert serial.read_bytes() == parallel.read_bytes()
-
     def test_flags_override_config_file(self, tmp_path, annotated_corpus):
         tsv, vocab = annotated_corpus
         cfg = tmp_path / "run.json"
@@ -207,24 +196,55 @@ class TestMakePretrainingData:
         sidecar = json.loads((tmp_path / "out.jsonl.config.json").read_text())
         assert sidecar["seed"] == 2
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_leave_no_output(self, tmp_path, annotated_corpus, capsys, workers):
-        tsv, vocab = annotated_corpus
-        argv = [
-            "make-pretraining-data", "--annotations", tsv, "--vocab", vocab,
-            "--workers", workers, "--output", str(tmp_path / "out.jsonl"),
-        ]
-        assert main(argv) == EX_FAIL
-        assert "workers must be >= 1" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["make-pretraining-data", "--config", str(cfg)]) == EX_USAGE
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_late_bad_line_leaves_no_output_or_sidecar(self, tmp_path, annotated_corpus, workers):
+    def test_workers_is_no_longer_an_option(self, tmp_path, annotated_corpus):
+        tsv, vocab = annotated_corpus
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"annotations": tsv, "vocab": vocab, "workers": 1}))
+        out = str(tmp_path / "out.jsonl")
+        assert main(["make-pretraining-data", "--config", str(cfg), "--output", out]) == EX_USAGE
+        base = ["make-pretraining-data", "--annotations", tsv, "--vocab", vocab, "--output", out]
+        assert main(base + ["--workers", "2"]) == EX_USAGE
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_output_of_a_prefix_is_a_prefix(self, tmp_path, n):
+        # Masking draws are keyed by (seed, block of BLOCK ordinals), so the
+        # first n sentences get the same records alone as in the whole corpus,
+        # also when n ends inside a block.
+        full_tsv, vocab = tmp_path / "full.tsv", tmp_path / "vocab.txt"
+        make_annotated_corpus(full_tsv, vocab, n_sentences=600, seed=21)
+        sentences = full_tsv.read_text(encoding="utf-8").split("\n\n")
+        prefix_tsv = tmp_path / "prefix.tsv"
+        prefix_tsv.write_text("\n\n".join(sentences[:n]) + "\n\n", encoding="utf-8")
+        outputs = []
+        for name, tsv in (("full", full_tsv), ("prefix", prefix_tsv)):
+            out = tmp_path / f"{name}.jsonl"
+            argv = [
+                "make-pretraining-data", "--annotations", str(tsv), "--vocab", str(vocab),
+                "--strategy", "lim", "--p-nc", "0.75", "--seed", "4", "--output", str(out),
+            ]
+            assert main(argv) == EX_OK
+            outputs.append(out.read_text(encoding="utf-8").splitlines())
+        full, prefix = outputs
+        assert len(full) == 600 and n % BLOCK and len(prefix) == n
+        assert prefix == full[:n]
+
+    @pytest.mark.parametrize("subcommand", ["make-pretraining-data", "train-tiny"])
+    def test_lim_without_p_nc_names_the_flag(self, tmp_path, annotated_corpus, capsys, subcommand):
+        tsv, vocab = annotated_corpus
+        argv = [
+            subcommand, "--annotations", tsv, "--vocab", vocab, "--strategy", "lim",
+            "--output", str(tmp_path / "out"),
+        ]
+        assert main(argv) == EX_FAIL
+        assert "error: --p-nc is required with --strategy lim" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_late_bad_line_leaves_no_output_or_sidecar(self, tmp_path, annotated_corpus):
         tsv, vocab = annotated_corpus
         bad = tmp_path / "bad.tsv"
         shutil.copyfile(tsv, bad)
@@ -233,7 +253,7 @@ class TestMakePretrainingData:
         out = tmp_path / "out.jsonl"
         argv = [
             "make-pretraining-data", "--annotations", str(bad), "--vocab", vocab,
-            "--workers", workers, "--output", str(out),
+            "--output", str(out),
         ]
         assert main(argv) == EX_FAIL
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.tsv"]
@@ -307,6 +327,21 @@ class TestVerifyMasking:
     def test_nonpositive_sizes_name_the_flag(self, capsys, flag):
         assert main(["verify-masking", flag, "0"]) == EX_FAIL
         assert f"error: {flag} must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value,rule",
+        [("--mask-prob", "0", "must be in (0, 1), got 0.0"), ("--max-pred", "0", "must be >= 1, got 0"),
+         ("--p-y1", "2", "must be in [0, 1], got 2.0"), ("--p-nc", "-0.5", "must be in [0, 1], got -0.5")],
+    )
+    def test_bad_values_name_the_flag(self, capsys, flag, value, rule):
+        assert main(["verify-masking", "--n", "10", flag, value]) == EX_FAIL
+        assert f"error: {flag} {rule}" in capsys.readouterr().err
+
+    def test_runs_with_its_defaults(self, capsys):
+        assert main(["verify-masking"]) == EX_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["n_sequences"] == 100000
+        assert report["expected_p_mask_given_y1"] == pytest.approx(0.15 * 0.75 / report["p_y1"])
 
     def test_mlm_strategy(self, capsys):
         code = main(

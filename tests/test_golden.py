@@ -13,17 +13,18 @@ import pytest
 from lingmask.cli import EX_OK, main
 
 GOLDEN = {
-    "make-pretraining-data-mlm": "31f7ca8cfcc094e279537325445e3fdf83eef5cd959bc8c9fb80f2b236b4c3de",
-    "make-pretraining-data-lim": "4b944fec9cdf4c7574b94aaf187772f330758d011c3049e2818389b90f9a2610",
-    "verify-masking": "f3ac737f101353122b1ad41c724697fca348c88c3eb735c09cfb6fadc7a23831",
+    # Example format 2: masks come from one Philox stream per block of BLOCK
+    # sequences (make-pretraining-data, verify-masking and train-tiny).
+    "make-pretraining-data-mlm": "fac45905c378431d8aaee9f0fcac216924c2e775f1f47277cefe7d4ec162d2b6",
+    "make-pretraining-data-lim": "f261557c896ac1ec55993ca519f66b4452eb228f8543c7a26e3796bb2d332746",
+    "verify-masking": "33d233f725578563bbe18030fe55832a55a9fa832974e1eb559fbb4b9acbe62c",
     "make-ipc": "cf3cee2be23442165060a2d5ed16f9317c47caf1d557fe4c189260e3bd24feb9",
     "make-pairs": "c740f45d92d7ad65e29a12ac960e1129477c10eca324c9f0079ea4067dd9cabb",
     # documents.jsonl holds formula spans, operator tokens, abbreviations and
     # non-ASCII digits, so this pins the formula rules and the sentence splitter.
     "normalize": "3066951d731990dc413a8f0a853b76f1b3421f390a2b103cbf7f4cc71a535582",
-    # Step rows take all three losses from the pre-update pass, and the batched
-    # encoder sums in a different order than the per-slot loops it replaced.
-    "train-tiny": "b9a0938169a5f38c3d2681e2f4c3d6e954af41d02350a81a0a22abc47649723b",
+    # Step rows take all three losses from the pre-update pass.
+    "train-tiny": "9cc221e6386ee5a835d73df85f65471be528d6c1c81bc2ecc7e4c9e2fdbae3cb",
 }
 
 

@@ -1,13 +1,18 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lingmask.masking import MaskingConfig, build_example, sequence_rng
+from lingmask.masking import MaskingConfig, TokenizedSequence, build_example, mask_sequences, sequence_rng
 from lingmask.stats import (
+    MaskTally,
     empirical_mask_report,
     expected_conditional_mask_prob,
     flagged_sequences,
     ks_two_sample,
+    tally_block,
 )
+
+from scalar_masking import tally_pairs
 
 
 class TestExpectedConditional:
@@ -39,11 +44,9 @@ class TestExpectedConditional:
 
 def _report(strategy, p_nc, n, seed=3, seq_len=64, p_y1=0.5):
     cfg = MaskingConfig(strategy=strategy, p_nc=p_nc, seed=seed, max_seq_len=seq_len)
-    seqs = flagged_sequences(n, seq_len=seq_len, p_y1=p_y1, seed=seed)
-    pairs = (
-        (build_example(s, cfg, sequence_rng(seed, i)), s.y) for i, s in enumerate(seqs)
-    )
-    return empirical_mask_report(pairs, cfg.mask_prob, p_nc if strategy == "lim" else None)
+    blocks = flagged_sequences(n, seq_len=seq_len, p_y1=p_y1, seed=seed)
+    tallies = (tally_block(flags, cfg, sequence_rng(seed, i)) for i, flags in enumerate(blocks))
+    return empirical_mask_report(tallies, cfg.mask_prob, p_nc if strategy == "lim" else None)
 
 
 class TestEmpiricalReport:
@@ -71,10 +74,29 @@ class TestEmpiricalReport:
 
     def test_misaligned_flags_rejected(self):
         cfg = MaskingConfig(seed=0, max_seq_len=8)
-        seq = next(iter(flagged_sequences(1, seq_len=8, p_y1=0.5, seed=0)))
-        example = build_example(seq, cfg, sequence_rng(0, 0))
+        seq = TokenizedSequence([0] * 8, [True] * 8)
+        [row] = mask_sequences([seq], cfg, sequence_rng(0, 0))
         with pytest.raises(ValueError):
-            empirical_mask_report([(example, [True])], 0.15, None)
+            empirical_mask_report(tally_pairs([(build_example(seq, cfg, row), [True])]), 0.15, None)
+
+    @pytest.mark.parametrize("masked,masked_chunk", [(3, 4), (3, -1), (8, 0)])
+    def test_inconsistent_tally_rejected(self, masked, masked_chunk):
+        # 8 tokens, 4 of them flagged.
+        tally = MaskTally(*(np.array([v]) for v in (8, 4, masked, masked_chunk)))
+        with pytest.raises(ValueError, match="exceed"):
+            empirical_mask_report([tally], 0.15, None)
+
+    @pytest.mark.parametrize("strategy,p_nc", [("mlm", None), ("lim", 0.75)])
+    def test_block_tallies_equal_example_tallies(self, strategy, p_nc):
+        # tally_block counts exactly what the examples of the same draws hold.
+        cfg = MaskingConfig(strategy=strategy, p_nc=p_nc, seed=5, max_seq_len=32)
+        tallies, pairs = [], []
+        for i, flags in enumerate(flagged_sequences(600, seq_len=32, p_y1=0.4, seed=5)):
+            tallies.append(tally_block(flags, cfg, sequence_rng(5, i)))
+            seqs = [TokenizedSequence([0] * 32, row) for row in flags.tolist()]
+            rows = mask_sequences(seqs, cfg, sequence_rng(5, i))
+            pairs += [(build_example(seq, cfg, row), seq.y) for seq, row in zip(seqs, rows)]
+        assert empirical_mask_report(tallies, 0.15, p_nc) == empirical_mask_report(tally_pairs(pairs), 0.15, p_nc)
 
     def test_counts(self):
         report = _report("mlm", None, 100, seq_len=32)
@@ -147,15 +169,14 @@ class TestKs:
 
 class TestFlaggedSequences:
     def test_deterministic(self):
-        a = [s.y for s in flagged_sequences(20, seq_len=16, p_y1=0.5, seed=4)]
-        b = [s.y for s in flagged_sequences(20, seq_len=16, p_y1=0.5, seed=4)]
+        a = [b.tolist() for b in flagged_sequences(300, seq_len=16, p_y1=0.5, seed=4)]
+        b = [b.tolist() for b in flagged_sequences(300, seq_len=16, p_y1=0.5, seed=4)]
         assert a == b
 
     def test_shapes_and_rate(self):
-        seqs = list(flagged_sequences(500, seq_len=64, p_y1=0.507, seed=1))
-        assert len(seqs) == 500
-        assert all(len(s.pieces) == 64 and len(s.y) == 64 for s in seqs)
-        rate = sum(sum(s.y) for s in seqs) / (500 * 64)
+        blocks = list(flagged_sequences(500, seq_len=64, p_y1=0.507, seed=1))
+        assert [b.shape for b in blocks] == [(256, 64), (244, 64)]
+        rate = sum(b.sum() for b in blocks) / (500 * 64)
         assert rate == pytest.approx(0.507, abs=0.01)
 
     def test_bad_arguments(self):

@@ -307,13 +307,21 @@ class TestTrain:
         masking, training = self._configs(6)
         a, _ = train(_topic_sequences(30, 0), masking, training)
         b, _ = train(_topic_sequences(30, 0), masking, training)
-        assert a == b
+        # Float reprs round-trip exactly, and a step whose batch lacks a class
+        # reports nan for it, which == would call unequal to itself.
+        assert repr(a) == repr(b)
 
     def test_loss_decreases_on_learnable_data(self):
-        masking, training = self._configs(60)
-        metrics, _ = train(_topic_sequences(60, 1), masking, training)
-        evals = [m for m in metrics if m.is_eval]
-        assert evals[-1].total_loss < evals[0].total_loss
+        # The held-out set has six masked slots, so one run's final eval loss
+        # is noisy; it must fall on average over ten seeds, and in most runs.
+        changes = []
+        for seed in range(10):
+            masking, training = self._configs(60, seed=seed)
+            metrics, _ = train(_topic_sequences(60, 1), masking, training)
+            evals = [m for m in metrics if m.is_eval]
+            changes.append(evals[-1].total_loss - evals[0].total_loss)
+        assert sum(changes) < 0
+        assert sum(change < 0 for change in changes) >= 6
 
     def test_step_rows_come_from_the_pre_update_pass(self):
         # lim with p_nc=1 masks chunk slots only, so a step row's chunk loss is
