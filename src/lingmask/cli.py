@@ -23,12 +23,20 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from itertools import islice
+from json.encoder import encode_basestring
 from typing import Any, Iterator, NoReturn
 
 from . import __version__
 from .chunker import chunk_stats, parse_annotations
-from .corpus import clean_document, ingest_documents
-from .datasets import build_ipc_examples, build_similarity_pairs, read_patent_records, split_dataset
+from .corpus import CleanDocument, clean_document, ingest_documents
+from .datasets import (
+    IpcExample,
+    SimilarityPair,
+    build_ipc_examples,
+    build_similarity_pairs,
+    read_patent_records,
+    split_dataset,
+)
 from .masking import (
     BLOCK,
     FORMAT_VERSION,
@@ -108,15 +116,41 @@ def _emit_json(payload: dict, output: str | None) -> None:
         print(text)
 
 
+# The JSONL records, written piece by piece: each string goes through
+# ``encode_basestring``, the escaping ``json.dumps(..., ensure_ascii=False)``
+# applies, so the bytes are those of ``json.dumps`` on the record's dict.
+def _document_record(doc: CleanDocument) -> str:
+    sentences = ", ".join(map(encode_basestring, doc.sentences))
+    return f'{{"id": {encode_basestring(doc.id)}, "sentences": [{sentences}]}}'
+
+
+def _ipc_record(example: IpcExample) -> str:
+    text, label = encode_basestring(example.text), encode_basestring(example.label)
+    return f'{{"text": {text}, "label": {label}}}'
+
+
+class _Quoted(dict):
+    """JSON string literals by text, made when first asked for, so each
+    distinct claims text and patent id of a run is escaped once."""
+
+    def __missing__(self, text: str) -> str:
+        quoted = self[text] = encode_basestring(text)
+        return quoted
+
+
+def _pair_record(pair: SimilarityPair, quoted: _Quoted) -> str:
+    return (
+        f'{{"text_a": {quoted[pair.text_a]}, "text_b": {quoted[pair.text_b]}, '
+        f'"id_a": {quoted[pair.id_a]}, "id_b": {quoted[pair.id_b]}, '
+        f'"label": {"true" if pair.label else "false"}}}'
+    )
+
+
 def _cmd_normalize(cfg: dict[str, Any]) -> int:
     with _atomic_output(cfg["output"]) as tmp, _open_text(tmp) as handle:
         count = 0
         for raw in ingest_documents(cfg["input"], cfg["format"]):
-            doc = clean_document(raw)
-            handle.write(
-                json.dumps({"id": doc.id, "sentences": doc.sentences}, ensure_ascii=False)
-                + "\n"
-            )
+            handle.write(_document_record(clean_document(raw)) + "\n")
             count += 1
     log.info("normalized %d documents", count)
     return EX_OK
@@ -246,26 +280,10 @@ def _cmd_make_ipc(cfg: dict[str, Any]) -> int:
     with _atomic_output(cfg["output"]) as tmp, _open_text(tmp) as handle:
         count = 0
         for example in build_ipc_examples(read_patent_records(cfg["input"]), counters):
-            handle.write(
-                json.dumps({"text": example.text, "label": example.label}, ensure_ascii=False)
-                + "\n"
-            )
+            handle.write(_ipc_record(example) + "\n")
             count += 1
     log.info("wrote %d examples, skipped: %s", count, dict(counters) or "none")
     return EX_OK
-
-
-def _pair_record(pair) -> str:
-    return json.dumps(
-        {
-            "text_a": pair.text_a,
-            "text_b": pair.text_b,
-            "id_a": pair.id_a,
-            "id_b": pair.id_b,
-            "label": pair.label,
-        },
-        ensure_ascii=False,
-    )
 
 
 def _cmd_make_pairs(cfg: dict[str, Any]) -> int:
@@ -284,10 +302,11 @@ def _cmd_make_pairs(cfg: dict[str, Any]) -> int:
         )
         base, ext = os.path.splitext(cfg["output"])
         outputs.update((f"{base}.{name}{ext}", items) for name, items in splits.items())
+    quoted = _Quoted()
     for path, items in outputs.items():
         with _atomic_output(path) as tmp, _open_text(tmp) as handle:
             for pair in items:
-                handle.write(_pair_record(pair) + "\n")
+                handle.write(_pair_record(pair, quoted) + "\n")
     log.info("wrote %d pairs, dropped: %s", len(pairs), dict(counters) or "none")
     return EX_OK
 
@@ -432,6 +451,7 @@ _RANGES = {
     "--n": _AT_LEAST_ONE,
     "--p-nc": _PROBABILITY,
     "--p-y1": _PROBABILITY,
+    "--seed": (lambda v: v >= 0, "must be >= 0"),
 }
 
 

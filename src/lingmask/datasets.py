@@ -29,6 +29,8 @@ class Citation:
     category: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cited_pub_number, str):
+            raise ValueError(f"cited pub must be a string: {self.cited_pub_number!r}")
         if len(self.category) != 1:
             raise ValueError(f"citation category must be a single letter: {self.category!r}")
 
@@ -44,8 +46,8 @@ class PatentRecord:
     citations: list[Citation] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not self.pub_number:
-            raise ValueError("pub_number must be non-empty")
+        if not isinstance(self.pub_number, str) or not self.pub_number:
+            raise ValueError(f"pub_number must be a non-empty string: {self.pub_number!r}")
 
 
 @dataclass

@@ -41,9 +41,10 @@ the whole corpus, and how the work is batched does not matter.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
+from json.encoder import encode_basestring
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -151,8 +152,8 @@ class MaskedExample:
 
 _U64 = np.uint64
 _LOW = _U64(0xFFFFFFFF)
-_PHILOX_M = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=_U64)
-_PHILOX_W = np.array([0x9E3779B9, 0xBB67AE85], dtype=_U64)
+_PHILOX_M0, _PHILOX_M1 = _U64(0xD2511F53), _U64(0xCD9E8D57)
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B9, 0xBB67AE85
 
 
 def philox4x32(counter, key) -> np.ndarray:
@@ -161,12 +162,13 @@ def philox4x32(counter, key) -> np.ndarray:
     key ``(k0, k1)``: 32-bit words, held as uint64 scalars or 1-d arrays
     that broadcast together. Returns the (4, n) output words."""
     c0, c1, c2, c3 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(c, dtype=_U64)) for c in counter))
-    key = np.asarray(key, dtype=_U64)
+    k0, k1 = (int(k) for k in key)
     for _ in range(10):
-        product = np.stack([c0, c2]) * _PHILOX_M
-        hi, lo = product >> _U64(32), product & _LOW
-        c0, c1, c2, c3 = hi[1] ^ c1 ^ key[0], lo[1], hi[0] ^ c3 ^ key[1], lo[0]
-        key = (key + _PHILOX_W) & _LOW
+        # Two products, not one stacked array: a (2, n) temporary this large
+        # would be mapped afresh by the allocator every round.
+        p0, p1 = c0 * _PHILOX_M0, c2 * _PHILOX_M1
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & _LOW, (p0 >> 32) ^ c3 ^ k1, p0 & _LOW
+        k0, k1 = (k0 + _PHILOX_W0) & 0xFFFFFFFF, (k1 + _PHILOX_W1) & 0xFFFFFFFF
     return np.stack([c0, c1, c2, c3])
 
 
@@ -376,17 +378,33 @@ def sequence_from_annotated(
     )
 
 
+_INT = {int}
+
+
+@lru_cache(maxsize=256)
+def _weights_text(n_masked: int, max_pred: int) -> str:
+    return repr(_pad_weights(n_masked, max_pred))
+
+
 def example_to_json_line(example: MaskedExample) -> str:
-    """Serialize one example to its JSONL record (stable key order)."""
-    return json.dumps(
-        {
-            "input_ids": example.input_ids,
-            "masked_positions": example.masked_positions,
-            "labels": example.labels,
-            "weights": example.weights,
-            "strategy": example.strategy_tag,
-            "branch": example.branch,
-            "doc_id": example.doc_id,
-        },
-        ensure_ascii=False,
+    """Serialize one example to its JSONL record (stable key order).
+
+    The bytes are those of ``json.dumps(record, ensure_ascii=False)``: an int
+    list's ``repr`` is its JSON text, the strategy and branch tags are ASCII
+    names from fixed sets, and ``doc_id`` is escaped by the function
+    ``json.dumps`` uses. A list that is not a list of Python ints (a numpy
+    integer's or a bool's ``repr`` is not the JSON of an int) raises
+    ``TypeError``, as does a ``doc_id`` that is not a ``str``.
+    """
+    ids, positions, labels = example.input_ids, example.masked_positions, example.labels
+    if not (
+        type(ids) is type(positions) is type(labels) is list
+        and {*map(type, ids), *map(type, positions), *map(type, labels)} <= _INT
+    ):
+        raise TypeError("input_ids, masked_positions and labels must be lists of int")
+    weights = _weights_text(len(positions), len(example.weights))
+    return (
+        f'{{"input_ids": {ids!r}, "masked_positions": {positions!r}, '
+        f'"labels": {labels!r}, "weights": {weights}, "strategy": "{example.strategy_tag}", '
+        f'"branch": "{example.branch}", "doc_id": {encode_basestring(example.doc_id)}}}'
     )

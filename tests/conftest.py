@@ -2,11 +2,24 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from lingmask.chunker import AnnotatedToken, sentence_from_tokens
 from lingmask.subword import Vocabulary, load_vocab
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+# Strings weighted toward what JSON escapes or passes through as is: quotes,
+# backslashes, control characters, U+2028/U+2029, non-ASCII and astral
+# characters.
+JSON_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f", "\u2028", "\u2029", "é", "\U0001f600"]),
+        st.characters(),
+    ),
+    max_size=30,
+)
 
 
 @pytest.fixture(scope="session")

@@ -3,12 +3,17 @@ import shutil
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from lingmask import cli
 from lingmask.cli import EX_FAIL, EX_IOERR, EX_OK, EX_TOLERANCE, EX_USAGE, main
+from lingmask.corpus import CleanDocument
+from lingmask.datasets import IpcExample, SimilarityPair
 from lingmask.masking import BLOCK
 
-from conftest import make_annotated_corpus
+from conftest import JSON_TEXT, make_annotated_corpus
 
 
 class TestExitCodes:
@@ -50,6 +55,22 @@ class TestExitCodes:
         argv = [a.format(config=config) for a in argv]
         assert main(argv) == EX_USAGE
         assert capsys.readouterr().err.startswith(f"usage: lingmask {subcommand} [-h]")
+
+    @pytest.mark.parametrize(
+        "subcommand", ["make-pretraining-data", "verify-masking", "make-pairs", "train-tiny"]
+    )
+    def test_negative_seed_names_the_flag(self, tmp_path, annotated_corpus, patents_path, capsys, subcommand):
+        tsv, vocab = annotated_corpus
+        inputs = {
+            "make-pretraining-data": ["--annotations", tsv, "--vocab", vocab],
+            "verify-masking": ["--n", "10"],
+            "make-pairs": ["--input", patents_path],
+            "train-tiny": ["--annotations", tsv, "--vocab", vocab, "--steps", "1"],
+        }[subcommand]
+        out = tmp_path / "out"
+        assert main([subcommand, *inputs, "--seed", "-1", "--output", str(out)]) == EX_FAIL
+        assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -118,6 +139,40 @@ class TestNormalize:
         sidecar = json.loads((tmp_path / "clean.jsonl.config.json").read_text())
         assert sidecar["subcommand"] == "normalize"
         assert sidecar["format"] == "jsonl"
+
+
+# Reference forms of the dataset records: each record's dict through
+# json.dumps. The writers build the same bytes from pieces.
+def _dumps(record):
+    return json.dumps(record, ensure_ascii=False)
+
+
+class TestRecordWriters:
+    @given(JSON_TEXT.filter(bool), st.lists(JSON_TEXT, max_size=4))
+    def test_document_record(self, doc_id, sentences):
+        doc = CleanDocument(id=doc_id, sentences=sentences)
+        assert cli._document_record(doc) == _dumps({"id": doc_id, "sentences": sentences})
+
+    @given(JSON_TEXT, st.from_regex(r"[A-Z]\d{2}[A-Z]", fullmatch=True))
+    def test_ipc_record(self, text, label):
+        example = IpcExample(text=text, label=label)
+        assert cli._ipc_record(example) == _dumps({"text": text, "label": label})
+
+    @given(st.lists(st.tuples(JSON_TEXT, JSON_TEXT, JSON_TEXT, JSON_TEXT, st.booleans()), max_size=6))
+    def test_pair_records_share_one_cache(self, fields):
+        # Texts and ids repeat across pairs and between the two kinds of
+        # field; one cache serves a whole run.
+        pairs = [
+            SimilarityPair(text_a, text_b, id_a, id_a + "|" + id_b, label)
+            for text_a, text_b, id_a, id_b, label in fields
+        ]
+        pairs += pairs[::-1] + [SimilarityPair(p.id_a, p.text_a, p.text_b, p.text_b + "|", p.label) for p in pairs]
+        quoted = cli._Quoted()
+        for pair in pairs:
+            expected = _dumps(
+                {"text_a": pair.text_a, "text_b": pair.text_b, "id_a": pair.id_a, "id_b": pair.id_b, "label": pair.label}
+            )
+            assert cli._pair_record(pair, quoted) == expected
 
 
 class TestChunkStats:
@@ -257,6 +312,33 @@ class TestMakePretrainingData:
         ]
         assert main(argv) == EX_FAIL
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.tsv"]
+
+    @pytest.mark.parametrize(
+        "field,corrupt",
+        [
+            ("labels", lambda labels: [np.int64(v) for v in labels]),
+            ("masked_positions", lambda positions: [bool(v) for v in positions]),
+            ("doc_id", len),
+        ],
+        ids=["numpy-label", "bool-position", "int-doc-id"],
+    )
+    def test_non_json_value_writes_nothing(self, tmp_path, annotated_corpus, monkeypatch, field, corrupt):
+        build_example = cli.build_example
+
+        def corrupted(seq, config, row):
+            example = build_example(seq, config, row)
+            setattr(example, field, corrupt(getattr(example, field)))
+            return example
+
+        monkeypatch.setattr(cli, "build_example", corrupted)
+        tsv, vocab = annotated_corpus
+        argv = [
+            "make-pretraining-data", "--annotations", tsv, "--vocab", vocab,
+            "--output", str(tmp_path / "out.jsonl"),
+        ]
+        with pytest.raises(TypeError):
+            main(argv)
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_annotations_leave_no_sidecar(self, tmp_path, annotated_corpus):
         _, vocab = annotated_corpus

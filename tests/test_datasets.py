@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -80,6 +81,22 @@ class TestReadRecords:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"pub_number": "A"}\n{"nope": 1}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
+            list(read_patent_records(str(path)))
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"pub_number": 123},
+            {"pub_number": ["P1"]},
+            {"pub_number": "P1", "citations": [{"pub": 7, "category": "X"}]},
+            {"pub_number": "P1", "citations": [{"pub": None, "category": "X"}]},
+        ],
+        ids=["int-id", "list-id", "int-cited", "null-cited"],
+    )
+    def test_non_string_ids_rejected(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"pub_number": "A"}\n' + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="invalid patent record at line 2: .*must be"):
             list(read_patent_records(str(path)))
 
 

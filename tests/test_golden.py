@@ -27,6 +27,13 @@ GOLDEN = {
     "train-tiny": "9cc221e6386ee5a835d73df85f65471be528d6c1c81bc2ecc7e4c9e2fdbae3cb",
 }
 
+# make-pairs --seed 5 --train-frac 0.8: the split files (the unsplit output
+# is the "make-pairs" digest).
+SPLIT_GOLDEN = {
+    "train": "435046cad34912c9a4342f72906d823faa5e67e769313de9a78e6d7c2d880471",
+    "test": "4bfb631280f41941d630f5bedb4c0ab276de11616f6b093e048e97c9c7a2e720",
+}
+
 
 def _argv(name, annotations, vocab, patents, documents, out):
     return {
@@ -63,3 +70,12 @@ def test_output_digest(name, tmp_path, annotated_corpus, patents_path, data_dir)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name]
     assert main([argv[0], "--config", f"{out}.config.json", "--output", str(replay)]) == EX_OK
     assert hashlib.sha256(replay.read_bytes()).hexdigest() == GOLDEN[name]
+
+
+def test_split_digests(tmp_path, patents_path):
+    out = tmp_path / "out"
+    argv = ["make-pairs", "--input", patents_path, "--seed", "5", "--train-frac", "0.8"]
+    assert main([*argv, "--output", str(out)]) == EX_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["make-pairs"]
+    for name, digest in SPLIT_GOLDEN.items():
+        assert hashlib.sha256((tmp_path / f"out.{name}").read_bytes()).hexdigest() == digest

@@ -1,18 +1,23 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lingmask.chunker import AnnotatedSentence, AnnotatedToken
 from lingmask.masking import (
     BLOCK,
+    BRANCHES,
+    STRATEGIES,
     MaskedExample,
     MaskingConfig,
     TokenizedSequence,
     Philox,
     build_example,
     draw_rows,
+    example_to_json_line,
     mask_budget,
     mask_rows,
     mask_sequences,
@@ -23,6 +28,7 @@ from lingmask.masking import (
 from lingmask.subword import Vocabulary
 
 import scalar_masking
+from conftest import JSON_TEXT
 
 
 def make_seq(n, flagged=(), doc_id="d"):
@@ -181,6 +187,67 @@ class TestExampleValidation:
     def test_weight_pattern(self):
         with pytest.raises(ValueError):
             MaskedExample([1, 2, 3], [0], [1], [0.0, 1.0], "mlm", "n/a")
+
+
+# Reference form of an example record: the dict the record holds, through
+# json.dumps. The writer builds the same bytes from pieces.
+def _oracle_example_line(example):
+    return json.dumps(
+        {
+            "input_ids": example.input_ids,
+            "masked_positions": example.masked_positions,
+            "labels": example.labels,
+            "weights": example.weights,
+            "strategy": example.strategy_tag,
+            "branch": example.branch,
+            "doc_id": example.doc_id,
+        },
+        ensure_ascii=False,
+    )
+
+
+BIG_INTS = st.one_of(st.integers(-(2**70), 2**70), st.integers(0, 40))
+
+
+@st.composite
+def examples(draw):
+    input_ids = draw(st.lists(BIG_INTS, min_size=1, max_size=40))
+    positions = sorted(draw(st.sets(st.integers(0, len(input_ids) - 1), max_size=len(input_ids))))
+    max_pred = len(positions) + draw(st.integers(0, 25))
+    return MaskedExample(
+        input_ids=input_ids,
+        masked_positions=positions,
+        labels=draw(st.lists(BIG_INTS, min_size=len(positions), max_size=len(positions))),
+        weights=[1.0] * len(positions) + [0.0] * (max_pred - len(positions)),
+        strategy_tag=draw(st.sampled_from(STRATEGIES)),
+        branch=draw(st.sampled_from(BRANCHES)),
+        doc_id=draw(JSON_TEXT),
+    )
+
+
+class TestExampleJsonLine:
+    @given(examples())
+    def test_equals_json_dumps(self, example):
+        assert example_to_json_line(example) == _oracle_example_line(example)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("input_ids", [np.int64(3), 4, 5]),
+            ("labels", [np.int32(4)]),
+            ("masked_positions", [True]),
+            ("input_ids", [3, False, 5]),
+            ("input_ids", (3, 4, 5)),
+            ("doc_id", 7),
+            ("doc_id", None),
+        ],
+        ids=["numpy-id", "numpy-label", "bool-position", "bool-id", "tuple", "int-doc-id", "none-doc-id"],
+    )
+    def test_rejects_non_json_values(self, field, value):
+        example = MaskedExample([3, 4, 5], [1], [4], [1.0, 0.0], "mlm", "n/a", "d")
+        setattr(example, field, value)
+        with pytest.raises(TypeError):
+            example_to_json_line(example)
 
 
 class TestSequenceFromAnnotated:
