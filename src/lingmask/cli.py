@@ -441,17 +441,27 @@ _SUBCOMMANDS = {
 
 # Value checks by flag, made once the options are resolved, so that a bad
 # value is a validation failure that names its flag.
+_AT_LEAST_ZERO = (lambda v: v >= 0, "must be >= 0")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must be in (0, 1)")
 _PROBABILITY = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
 _RANGES = {
-    "--mask-prob": (lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
+    "--mask-prob": _OPEN_UNIT,
     "--max-pred": _AT_LEAST_ONE,
     "--max-seq-len": _AT_LEAST_ONE,
     "--seq-len": _AT_LEAST_ONE,
     "--n": _AT_LEAST_ONE,
     "--p-nc": _PROBABILITY,
     "--p-y1": _PROBABILITY,
-    "--seed": (lambda v: v >= 0, "must be >= 0"),
+    "--seed": _AT_LEAST_ZERO,
+    "--max-chunk-len": _AT_LEAST_ONE,
+    "--lr": _AT_LEAST_ZERO,
+    "--steps": _AT_LEAST_ZERO,
+    "--batch-size": _AT_LEAST_ONE,
+    "--eval-every": _AT_LEAST_ONE,
+    "--context-radius": _AT_LEAST_ZERO,
+    "--hidden-dim": _AT_LEAST_ONE,
+    "--eval-fraction": _OPEN_UNIT,
 }
 
 

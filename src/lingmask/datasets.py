@@ -48,6 +48,9 @@ class PatentRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.pub_number, str) or not self.pub_number:
             raise ValueError(f"pub_number must be a non-empty string: {self.pub_number!r}")
+        for name in ("title", "abstract", "claims", "description"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string: {getattr(self, name)!r}")
 
 
 @dataclass
@@ -85,21 +88,26 @@ def ipc_subclass(full_tag: str) -> str:
     return tag[:4]
 
 
+def _citation(raw: object) -> Citation:
+    if not isinstance(raw, dict) or not isinstance(raw.get("category"), str):
+        raise ValueError(f"citation must be an object with a string category: {raw!r}")
+    return Citation(cited_pub_number=raw["pub"], category=raw["category"].strip().upper())
+
+
 def read_patent_records(path: str) -> Iterator[PatentRecord]:
     """Stream patent records from JSONL; errors carry the line number."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             try:
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"record must be a JSON object: {record!r}")
                 ipc = record.get("ipc", [])
                 if isinstance(ipc, str):
                     tags = [t.strip() for t in ipc.split(";") if t.strip()]
                 else:
                     tags = [str(t).strip() for t in ipc if str(t).strip()]
-                citations = [
-                    Citation(cited_pub_number=c["pub"], category=c["category"].strip().upper())
-                    for c in record.get("citations", [])
-                ]
+                citations = [_citation(c) for c in record.get("citations", [])]
                 yield PatentRecord(
                     pub_number=record["pub_number"],
                     title=record.get("title", ""),

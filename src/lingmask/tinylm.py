@@ -8,10 +8,13 @@ implemented exactly, so masking strategies can be compared end to end without
 a transformer. Training is plain gradient descent to keep optimizer effects
 out of the comparison.
 
-A slot x vocabulary matrix of context-piece counts turns the encoder and its
-backward pass into dense matrix products over a whole batch. A training step
-runs one such pass; its step row reports the batch's losses from before the
-update, and eval rows report the held-out set.
+A context-row x vocabulary matrix of context-piece counts turns the encoder
+and its backward pass into dense matrix products over a whole batch. At radius
+0 all prediction slots of an example see the same context, so they share one
+row; at a positive radius each slot has its own. A training step runs one such
+pass, and one clamped per-slot NLL vector gives its loss and the loss of each
+slot class; its step row reports the batch's losses from before the update,
+and eval rows report the held-out set.
 """
 
 from __future__ import annotations
@@ -84,19 +87,22 @@ class TinyLmParams:
         return self.embeddings.shape[1]
 
 
-EVAL_BLOCK = 32  # held-out examples per forward pass; bounds the slot x V matrices
+EVAL_BLOCK = 32  # held-out examples per forward pass; bounds the context-row x V matrices
 Pair = tuple[MaskedExample, Sequence[bool]]  # an example and its sequence's chunk flags
 
 
 def _encode(
     examples: Sequence[MaskedExample], params: TinyLmParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched context encoder over the prediction slots of ``examples``.
 
-    Returns ``(counts, sizes, hidden)``: the slot x V matrix ``C`` of
-    unmasked context-piece counts within ``context_radius`` (0: the whole
-    sequence), the context size ``n`` of each slot (at least 1), and
-    ``H = C @ E / n``. A slot with an empty context gets a zero hidden row.
+    Returns ``(counts, sizes, hidden, rows)``: the row x V matrix ``C`` of
+    unmasked context-piece counts with one row per distinct context, the
+    context size ``n`` of each row (at least 1), ``H = C @ E / n``, and the
+    row of each slot. At ``context_radius`` 0 the context is the whole
+    sequence, so each example is one row, shared by its slots; otherwise each
+    slot is a row of the pieces within the radius. A row with an empty
+    context gets a zero hidden vector.
     """
     lengths = np.array([len(ex.input_ids) for ex in examples], dtype=int)
     ids = np.zeros((len(examples), int(lengths.max(initial=0))), dtype=int)
@@ -106,28 +112,18 @@ def _encode(
     slot_pos = np.array([p for ex in examples for p in ex.masked_positions], dtype=int)
     visible = np.arange(ids.shape[1]) < lengths[:, None]
     visible[slot_ex, slot_pos] = False  # masked pieces are not context
-    window = visible[slot_ex]
     if params.context_radius:
+        window = visible[slot_ex]
         window &= np.abs(np.arange(ids.shape[1]) - slot_pos[:, None]) <= params.context_radius
-    slot, column = np.nonzero(window)
+        owner, rows = slot_ex, np.arange(len(slot_ex))
+    else:
+        window, owner, rows = visible, np.arange(len(examples)), slot_ex
+    row, column = np.nonzero(window)
     v = params.vocab_size
-    counts = np.bincount(slot * v + ids[slot_ex[slot], column], minlength=len(slot_ex) * v)
-    counts = counts.reshape(len(slot_ex), v).astype(float)
+    counts = np.bincount(row * v + ids[owner[row], column], minlength=len(owner) * v)
+    counts = counts.reshape(len(owner), v).astype(float)
     sizes = np.maximum(counts.sum(axis=1), 1.0)
-    return counts, sizes, counts @ params.embeddings / sizes[:, None]
-
-
-def context_encode(
-    example: MaskedExample, params: TinyLmParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden vectors for the masked positions of one example.
-
-    Returns ``(hidden, empty)`` where ``hidden`` is (n_masked, H) and
-    ``empty`` flags positions whose context window contained no unmasked
-    piece (their hidden vector is zero).
-    """
-    counts, _, hidden = _encode([example], params)
-    return hidden, ~counts.any(axis=1)
+    return counts, sizes, counts @ params.embeddings / sizes[:, None], rows
 
 
 def predict(hidden: np.ndarray, params: TinyLmParams) -> np.ndarray:
@@ -138,6 +134,20 @@ def predict(hidden: np.ndarray, params: TinyLmParams) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def _slot_nll(
+    picked: np.ndarray, weights: np.ndarray, clamp_counter: Counter | None = None
+) -> np.ndarray:
+    """-log of the slots' label probabilities ``picked``, clamped at 1e-12;
+    clamps on real (weighted) slots are counted and logged."""
+    clamped = (picked < PROB_CLAMP) & (weights > 0)
+    if clamped.any():
+        count = int(clamped.sum())
+        log.warning("clamped %d zero label probabilities", count)
+        if clamp_counter is not None:
+            clamp_counter["clamped_probs"] += count
+    return -np.log(np.maximum(picked, PROB_CLAMP))
 
 
 def mlm_loss(
@@ -163,14 +173,8 @@ def mlm_loss(
     if total_weight == 0.0:
         raise ValueError("no prediction slots: all weights are zero")
     picked = probs[np.arange(probs.shape[0]), label_arr]
-    clamped = (picked < PROB_CLAMP) & (weight_arr > 0)
-    if clamped.any():
-        count = int(clamped.sum())
-        log.warning("clamped %d zero label probabilities", count)
-        if clamp_counter is not None:
-            clamp_counter["clamped_probs"] += count
-    picked = np.maximum(picked, PROB_CLAMP)
-    return float(np.sum(-np.log(picked) * weight_arr) / total_weight)
+    nll = _slot_nll(picked, weight_arr, clamp_counter)
+    return float(np.sum(nll * weight_arr) / total_weight)
 
 
 def _slot_targets(examples: Sequence[MaskedExample]) -> tuple[np.ndarray, np.ndarray]:
@@ -180,15 +184,19 @@ def _slot_targets(examples: Sequence[MaskedExample]) -> tuple[np.ndarray, np.nda
     return np.array(labels, dtype=int), np.array(weights, dtype=float)
 
 
-def _slot_losses(probs: np.ndarray, pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray]:
-    """``mlm_loss`` (nan without weight) and weight sum of all, chunk and
-    non-chunk slots, given the slot probabilities of the pairs' examples."""
-    labels, weights = _slot_targets([example for example, _ in pairs])
+def _class_sums(
+    pairs: Sequence[Pair], nll: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted NLL sums and weight totals of all, chunk and non-chunk slots,
+    given the slot NLL and weights of the pairs' examples."""
     chunk = np.array([bool(f[p]) for ex, f in pairs for p in ex.masked_positions], dtype=bool)
-    classes = (weights, weights * chunk, weights * ~chunk)
-    totals = np.array([w.sum() for w in classes])
-    losses = [mlm_loss(probs, labels, w) if t > 0 else math.nan for w, t in zip(classes, totals)]
-    return np.array(losses), totals
+    classes = np.stack([weights, weights * chunk, weights * ~chunk])
+    return (classes * nll).sum(axis=1), classes.sum(axis=1)
+
+
+def _means(sums: np.ndarray, totals: np.ndarray) -> list[float]:
+    """Weighted means, nan for a class without weight."""
+    return [float(s / t) if t > 0 else math.nan for s, t in zip(sums, totals)]
 
 
 def loss_and_grads(
@@ -197,39 +205,46 @@ def loss_and_grads(
     """Forward and analytic backward pass over a batch, as dense matmuls.
 
     The loss is ``mlm_loss`` with the examples' weights. With ``dZ`` its
-    gradient at the logits: ``db = dZ.sum(0)``, ``dW = dZ.T @ H`` and
-    ``dE = C.T @ ((dZ @ W) / n)``. ``grads["probs"]`` also holds the slot
-    probabilities, so callers can split the loss by slot class.
+    gradient at the context rows' logits (a row's softmax times its slots'
+    summed ``w/W``, minus each slot's ``onehot(label) w/W``):
+    ``db = dZ.sum(0)``, ``dW = dZ.T @ H`` and ``dE = C.T @ ((dZ @ W) / n)``.
+    ``grads["nll"]`` and ``grads["weights"]`` also hold the slots' clamped
+    NLL and weights, so callers can split the loss by slot class.
     """
-    counts, sizes, hidden = _encode(batch, params)
+    counts, sizes, hidden, rows = _encode(batch, params)
     probs = predict(hidden, params)
     labels, weights = _slot_targets(batch)
-    loss = mlm_loss(probs, labels, weights)
-    scale = weights / weights.sum()
-    dlogits = probs * scale[:, None]
-    dlogits[np.arange(len(labels)), labels] -= scale
+    total_weight = weights.sum()
+    if total_weight == 0.0:
+        raise ValueError("no prediction slots: all weights are zero")
+    nll = _slot_nll(probs[rows, labels], weights)
+    scale = weights / total_weight
+    dlogits = probs * np.bincount(rows, scale, minlength=len(probs))[:, None]
+    np.subtract.at(dlogits, (rows, labels), scale)
     grads = {
         "embeddings": counts.T @ ((dlogits @ params.w_mlm) / sizes[:, None]),
         "w_mlm": dlogits.T @ hidden,
         "b_mlm": dlogits.sum(axis=0),
-        "probs": probs,
+        "nll": nll,
+        "weights": weights,
     }
-    return loss, grads
+    return float(np.sum(nll * weights) / total_weight), grads
 
 
 def grad_and_step(
     batch: Sequence[MaskedExample], params: TinyLmParams, lr: float
-) -> tuple[TinyLmParams, float, np.ndarray]:
-    """One plain gradient-descent update; returns the pre-step loss and slot probabilities."""
+) -> tuple[TinyLmParams, float, tuple[np.ndarray, np.ndarray]]:
+    """One plain gradient-descent update; returns the pre-step loss and the
+    slots' pre-step NLL and weights."""
     if lr < 0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
     loss, grads = loss_and_grads(batch, params)
-    probs = grads.pop("probs")
+    slots = grads.pop("nll"), grads.pop("weights")
     if not all(np.all(np.isfinite(grad)) for grad in grads.values()):
         raise ValueError("non-finite gradient")
     for name, grad in grads.items():
         getattr(params, name)[...] -= lr * grad
-    return params, loss, probs
+    return params, loss, slots
 
 
 def evaluate(pairs: Sequence[Pair], params: TinyLmParams) -> tuple[float, float, float]:
@@ -241,13 +256,16 @@ def evaluate(pairs: Sequence[Pair], params: TinyLmParams) -> tuple[float, float,
     sums, totals = np.zeros(3), np.zeros(3)
     for start in range(0, len(pairs), EVAL_BLOCK):
         block = pairs[start : start + EVAL_BLOCK]
-        probs = predict(_encode([example for example, _ in block], params)[2], params)
-        losses, weights = _slot_losses(probs, block)
-        sums += np.where(weights > 0, losses, 0.0) * weights
-        totals += weights
+        examples = [example for example, _ in block]
+        _, _, hidden, rows = _encode(examples, params)
+        labels, weights = _slot_targets(examples)
+        nll = _slot_nll(predict(hidden, params)[rows, labels], weights)
+        block_sums, block_totals = _class_sums(block, nll, weights)
+        sums += block_sums
+        totals += block_totals
     if not totals[0] > 0:
         raise ValueError("no prediction slots to evaluate")
-    total, nc_loss, non_loss = (float(s / t) if t > 0 else math.nan for s, t in zip(sums, totals))
+    total, nc_loss, non_loss = _means(sums, totals)
     return total, nc_loss, non_loss
 
 
@@ -338,11 +356,11 @@ def train(
     for step in range(1, train_config.steps + 1):
         batch_pairs = list(islice(stream, train_config.batch_size))
         batch = [example for example, _ in batch_pairs]
-        params, loss, probs = grad_and_step(batch, params, train_config.lr)
+        params, loss, slots = grad_and_step(batch, params, train_config.lr)
         if not math.isfinite(loss):
             raise RuntimeError(f"training diverged at step {step}: loss={loss}")
-        (_, batch_nc, batch_non), _ = _slot_losses(probs, batch_pairs)
-        metrics.append(MetricsRow(step, loss, float(batch_nc), float(batch_non), False))
+        _, batch_nc, batch_non = _means(*_class_sums(batch_pairs, *slots))
+        metrics.append(MetricsRow(step, loss, batch_nc, batch_non, False))
         if step % train_config.eval_every == 0 or step == train_config.steps:
             eval_row(step)
     return metrics, params

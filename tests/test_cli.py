@@ -485,6 +485,34 @@ class TestTrainTiny:
         # initial eval + 4 train rows + evals at steps 2 and 4
         assert len(lines) == 1 + 1 + 4 + 2
 
+    @pytest.mark.parametrize("missing_input", [False, True], ids=["input", "missing-input"])
+    @pytest.mark.parametrize(
+        "subcommand,flag,value,rule",
+        [
+            ("train-tiny", "--lr", "-0.5", "must be >= 0, got -0.5"),
+            ("train-tiny", "--steps", "-1", "must be >= 0, got -1"),
+            ("train-tiny", "--batch-size", "0", "must be >= 1, got 0"),
+            ("train-tiny", "--eval-every", "0", "must be >= 1, got 0"),
+            ("train-tiny", "--hidden-dim", "0", "must be >= 1, got 0"),
+            ("train-tiny", "--context-radius", "-1", "must be >= 0, got -1"),
+            ("train-tiny", "--eval-fraction", "0", "must be in (0, 1), got 0.0"),
+            ("train-tiny", "--eval-fraction", "1", "must be in (0, 1), got 1.0"),
+            ("chunk-stats", "--max-chunk-len", "0", "must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_values_name_the_flag_before_reading_input(
+        self, tmp_path, annotated_corpus, capsys, missing_input, subcommand, flag, value, rule
+    ):
+        tsv, vocab = annotated_corpus
+        if missing_input:
+            tsv = str(tmp_path / "missing.tsv")
+        argv = [subcommand, "--annotations", tsv, flag, value, "--output", str(tmp_path / "out")]
+        if subcommand == "train-tiny":
+            argv += ["--vocab", vocab]
+        assert main(argv) == EX_FAIL
+        assert f"error: {flag} {rule}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestKsCompare:
     def test_compares_histograms(self, tmp_path, capsys):

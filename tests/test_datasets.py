@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from lingmask.cli import EX_FAIL, main
 from lingmask.datasets import (
     Citation,
     IpcExample,
@@ -98,6 +99,31 @@ class TestReadRecords:
         path.write_text('{"pub_number": "A"}\n' + json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="invalid patent record at line 2: .*must be"):
             list(read_patent_records(str(path)))
+
+    @pytest.mark.parametrize("subcommand", ["make-ipc", "make-pairs"])
+    @pytest.mark.parametrize(
+        "record",
+        [
+            [1, 2],
+            {"pub_number": "P1", "title": None},
+            {"pub_number": "P1", "abstract": ["a"]},
+            {"pub_number": "P1", "claims": 5},
+            {"pub_number": "P1", "description": {"text": "d"}},
+            {"pub_number": "P1", "citations": [["P2", "X"]]},
+            {"pub_number": "P1", "citations": [{"pub": "P2", "category": 5}]},
+            {"pub_number": "P1", "citations": [{"pub": "P2"}]},
+        ],
+        ids=["array", "null-title", "list-abstract", "int-claims", "object-description",
+             "array-citation", "int-category", "no-category"],
+    )
+    def test_wrongly_typed_fields_fail_on_their_line(self, tmp_path, capsys, subcommand, record):
+        path = tmp_path / "bad.jsonl"
+        good = {"pub_number": "A", "claims": "a claim", "ipc": "A61K 31/00"}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main([subcommand, "--input", str(path), "--output", str(out)]) == EX_FAIL
+        assert "error: invalid patent record at line 2: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestIpcExamples:

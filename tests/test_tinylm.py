@@ -7,10 +7,11 @@ import pytest
 
 from lingmask.masking import MaskedExample, MaskingConfig, TokenizedSequence
 from lingmask.tinylm import (
+    EVAL_BLOCK,
     MetricsRow,
     TinyLmParams,
     TrainingConfig,
-    context_encode,
+    _encode,
     evaluate,
     grad_and_step,
     loss_and_grads,
@@ -32,19 +33,25 @@ def example(input_ids, positions, labels, max_pred=6, **kwargs):
     )
 
 
+def _slot_hidden(example, params):
+    """Per-slot hidden vectors of one example, and which slots had an empty context."""
+    counts, _, hidden, rows = _encode([example], params)
+    return hidden[rows], ~counts.any(axis=1)[rows]
+
+
 class TestContextEncode:
     def test_identical_context_embeddings_mean_to_themselves(self):
         params = TinyLmParams.init(5, 3, context_radius=0, seed=0)
         params.embeddings[:] = 0.25
         ex = example([0, 1, 2, 3], [1], [2])
-        hidden, empty = context_encode(ex, params)
+        hidden, empty = _slot_hidden(ex, params)
         assert np.allclose(hidden[0], 0.25)
         assert not empty.any()
 
     def test_empty_window_is_flagged_zero(self):
         params = TinyLmParams.init(5, 3, context_radius=1, seed=0)
         ex = example([0, 1, 2], [0, 1, 2], [0, 1, 2])  # everything masked
-        hidden, empty = context_encode(ex, params)
+        hidden, empty = _slot_hidden(ex, params)
         assert empty.all()
         assert np.all(hidden == 0.0)
 
@@ -52,14 +59,14 @@ class TestContextEncode:
         params = TinyLmParams.init(4, 2, context_radius=0, seed=0)
         params.embeddings[:] = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [0.0, 0.0]])
         ex = example([0, 1, 2], [1], [3])
-        hidden, _ = context_encode(ex, params)
+        hidden, _ = _slot_hidden(ex, params)
         assert np.allclose(hidden[0], [(1 + 5) / 2, (2 + 6) / 2])
 
     def test_radius_limits_window(self):
         params = TinyLmParams.init(4, 2, context_radius=1, seed=0)
         params.embeddings[:] = np.array([[1.0, 1.0], [2.0, 2.0], [4.0, 4.0], [8.0, 8.0]])
         ex = example([0, 1, 2, 3], [2], [0])
-        hidden, _ = context_encode(ex, params)
+        hidden, _ = _slot_hidden(ex, params)
         assert np.allclose(hidden[0], [5.0, 5.0])  # mean of positions 1 and 3
 
 
@@ -157,7 +164,7 @@ class TestGradients:
     def test_bias_gradient_matches_identity(self):
         params = TinyLmParams.init(4, 3, seed=2)
         ex = example([0, 1, 2, 3], [1, 2], [3, 0])
-        hidden, _ = context_encode(ex, params)
+        hidden, _ = _slot_hidden(ex, params)
         probs = predict(hidden, params)
         _, grads = loss_and_grads([ex], params)
         expected = np.zeros(4)
@@ -182,17 +189,9 @@ class TestGradients:
         worst = 0.0
         for trial in range(20):
             params = TinyLmParams.init(7, 3, context_radius=rng.choice([0, 1, 2]), seed=trial)
-            batch = []
-            for _ in range(rng.randrange(1, 5)):
-                length = rng.randrange(1, 9)
-                positions = sorted(rng.sample(range(length), rng.randrange(1, min(length, 6) + 1)))
-                batch.append(
-                    example(
-                        [rng.randrange(7) for _ in range(length)],
-                        positions,
-                        [rng.randrange(7) for _ in positions],
-                    )
-                )
+            batch = [_random_example(rng, 7) for _ in range(rng.randrange(1, 5))]
+            # An example without masked positions has a context but no slots.
+            batch.insert(rng.randrange(len(batch) + 1), example([1, 2, 3], [], []))
             loss, grads = loss_and_grads(batch, params)
             ref_loss, ref_grads = _loop_loss_and_grads(batch, params)
             worst = max(worst, abs(loss - ref_loss))
@@ -249,11 +248,22 @@ class TestGradients:
                     ) < 1e-4
 
 
-def _loop_loss_and_grads(batch, params):
-    """Per-slot reference for ``loss_and_grads``: one context mean per slot."""
-    names = ("embeddings", "w_mlm", "b_mlm")
-    grads = {name: np.zeros_like(getattr(params, name)) for name in names}
-    slots = []
+def _random_example(rng, vocab_size):
+    """An example of 1-8 pieces with 1-6 masked positions and random labels."""
+    length = rng.randrange(1, 9)
+    positions = sorted(rng.sample(range(length), rng.randrange(1, min(length, 6) + 1)))
+    return example(
+        [rng.randrange(vocab_size) for _ in range(length)],
+        positions,
+        [rng.randrange(vocab_size) for _ in positions],
+    )
+
+
+def _loop_slots(batch, params):
+    """Per-slot forward reference: one context mean per slot, in slot order.
+
+    Yields ``(probs, label, hidden, context)`` for each prediction slot.
+    """
     for ex in batch:
         visible = [k for k in range(len(ex.input_ids)) if k not in ex.masked_positions]
         for position, label in zip(ex.masked_positions, ex.labels):
@@ -264,7 +274,26 @@ def _loop_loss_and_grads(batch, params):
             hidden = np.zeros(params.hidden_dim)
             if context:
                 hidden = params.embeddings[context].mean(axis=0)
-            slots.append((predict(hidden[None, :], params)[0], label, hidden, context))
+            yield predict(hidden[None, :], params)[0], label, hidden, context
+
+
+def _loop_evaluate(pairs, params):
+    """Per-slot reference for ``evaluate``: class means of -log p(label)."""
+    sums, totals = [0.0] * 3, [0.0] * 3
+    for ex, flags in pairs:
+        slots = _loop_slots([ex], params)
+        for (probs, label, _, _), position, w in zip(slots, ex.masked_positions, ex.weights):
+            for k in (0, 1 if flags[position] else 2):
+                sums[k] -= math.log(probs[label]) * w
+                totals[k] += w
+    return [s / t if t else math.nan for s, t in zip(sums, totals)]
+
+
+def _loop_loss_and_grads(batch, params):
+    """Per-slot reference for ``loss_and_grads``: one context mean per slot."""
+    names = ("embeddings", "w_mlm", "b_mlm")
+    grads = {name: np.zeros_like(getattr(params, name)) for name in names}
+    slots = list(_loop_slots(batch, params))
     loss = 0.0
     for probs, label, hidden, context in slots:
         loss -= math.log(probs[label]) / len(slots)
@@ -367,6 +396,29 @@ class TestEvaluate:
         ex = example([0, 1, 2, 3], [0, 1], [2, 3], max_pred=4)
         total, nc, non = evaluate([(ex, seq_flags)], params)
         assert total == pytest.approx((nc + non) / 2)
+
+    @pytest.mark.parametrize("radius", [0, 2])
+    def test_matches_per_slot_loop(self, radius):
+        rng = random.Random(radius)
+        params = TinyLmParams.init(9, 4, context_radius=radius, seed=3)
+        pairs = []
+        for i in range(2 * EVAL_BLOCK + 5):
+            if i == 3:
+                # Every position masked: the slots' context is empty.
+                pairs.append((example([4, 5, 6], [0, 1, 2], [1, 2, 3]), [True, False, True]))
+                continue
+            ex = _random_example(rng, 9)
+            flags = [rng.random() < 0.5 for _ in ex.input_ids]
+            if EVAL_BLOCK <= i < 2 * EVAL_BLOCK:
+                flags = [True] * len(flags)  # this block has no non-chunk slot
+            pairs.append((ex, flags))
+        for got, want in zip(evaluate(pairs, params), _loop_evaluate(pairs, params)):
+            assert abs(got - want) < 1e-12
+        chunk_only = [(ex, [True] * len(f)) for ex, f in pairs]
+        got, want = evaluate(chunk_only, params), _loop_evaluate(chunk_only, params)
+        assert math.isnan(got[2]) and math.isnan(want[2])
+        for g, w in zip(got[:2], want[:2]):
+            assert abs(g - w) < 1e-12
 
     def test_missing_class_is_nan(self):
         params = TinyLmParams.init(6, 3, seed=4)
