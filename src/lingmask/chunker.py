@@ -147,11 +147,14 @@ def parse_annotations(
 
     Each distinct raw line is split, validated and converted once per call;
     later occurrences reuse its (frozen) token and chunk id, so sentences share
-    token objects and a repeated line costs one dictionary lookup. Errors
-    still name the first offending line, and unknown tags are counted or
-    logged on every occurrence.
+    token objects and a repeated line costs one dictionary lookup. Lines that
+    differ only in their chunk id share one token too, so the memo holds one
+    token per distinct (surface, POS) and one small entry per distinct line.
+    Errors still name the first offending line, and unknown tags are counted
+    or logged on every occurrence.
     """
     memo: dict[str, _LineEntry] = {}  # raw line -> its entry
+    tokens: dict[tuple[str, str], AnnotatedToken] = {}  # (surface, POS) -> token
     entries: list[_LineEntry] = []
     lineno = 0
     with open(path, encoding="utf-8") as handle:
@@ -163,7 +166,7 @@ def parse_annotations(
                         yield _sentence(entries, lineno)
                         entries = []
                     continue
-                entry = memo[line] = _parse_line(line, lineno)
+                entry = memo[line] = _parse_line(line, lineno, tokens)
             if entry[2] is not None:
                 if warn_counter is not None:
                     warn_counter[entry[2]] += 1
@@ -197,8 +200,13 @@ def _sentence(entries: list[_LineEntry], lineno: int) -> AnnotatedSentence:
     return AnnotatedSentence(tokens=[entry[0] for entry in entries], chunk_spans=spans)
 
 
-def _parse_line(line: str, lineno: int) -> _LineEntry:
-    """Validate one non-blank annotation line into (token, chunk id, unknown tag)."""
+def _parse_line(
+    line: str, lineno: int, tokens: dict[tuple[str, str], AnnotatedToken]
+) -> _LineEntry:
+    """Validate one non-blank annotation line into (token, chunk id, unknown tag).
+
+    The token is taken from ``tokens`` by (surface, POS), or made and added.
+    """
     columns = line.rstrip("\n").split("\t")
     if len(columns) != 3:
         raise ValueError(
@@ -219,7 +227,10 @@ def _parse_line(line: str, lineno: int) -> _LineEntry:
             raise ValueError(
                 f"invalid chunk id {chunk_field!r} at line {lineno}"
             ) from exc
-    return AnnotatedToken(surface, pos), cid, unknown
+    token = tokens.get((surface, pos))
+    if token is None:
+        token = tokens[surface, pos] = AnnotatedToken(surface, pos)
+    return token, cid, unknown
 
 
 @dataclass

@@ -462,6 +462,8 @@ _RANGES = {
     "--context-radius": _AT_LEAST_ZERO,
     "--hidden-dim": _AT_LEAST_ONE,
     "--eval-fraction": _OPEN_UNIT,
+    "--train-frac": _PROBABILITY,
+    "--tolerance": _AT_LEAST_ZERO,
 }
 
 

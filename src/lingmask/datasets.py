@@ -12,6 +12,7 @@ relatedness.
 from __future__ import annotations
 
 import json
+import logging
 import random
 import re
 from collections import Counter
@@ -19,6 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import normalize_text
+
+log = logging.getLogger(__name__)
 
 _SUBCLASS = re.compile(r"^[A-Z]\d{2}[A-Z]")
 
@@ -165,35 +168,58 @@ def build_similarity_pairs(
     negative, and a draw that is a true citation partner of the anchor is
     redrawn (at most 10 times, then both are dropped). The output is shuffled
     and balanced per construction.
+
+    The records are read once, as a stream: of each record only its id, its
+    normalized claims and its X citations are kept, so memory grows with the
+    claims texts and citation pairs, not with titles, abstracts or
+    descriptions. The citation pairs are checked once every text is known.
+    When a ``pub_number`` repeats, the last record of that id supplies its
+    text; repeats are counted as ``repeated_pub_number`` and logged once.
     """
     if counters is None:
         counters = Counter()
-    materialized = list(records)
     texts: dict[str, str] = {}
-    for record in materialized:
+    cited_pairs: list[tuple[str, str]] = []  # every X citation, in input order
+    repeated = 0
+    first_repeated = None
+    for record in records:
+        if record.pub_number in texts:
+            repeated += 1
+            if first_repeated is None:
+                first_repeated = record.pub_number
         texts[record.pub_number] = normalize_text(record.claims)
+        cited_pairs.extend(
+            (record.pub_number, citation.cited_pub_number)
+            for citation in record.citations
+            if citation.category == "X"
+        )
+    if repeated:
+        counters["repeated_pub_number"] += repeated
+        log.warning(
+            "%d record(s) repeat an earlier pub_number (first: %r); "
+            "each id keeps the claims of its last record",
+            repeated,
+            first_repeated,
+        )
 
     positives: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
-    for record in materialized:
-        for citation in record.citations:
-            if citation.category != "X":
-                continue
-            pair = (record.pub_number, citation.cited_pub_number)
-            if pair[0] == pair[1]:
-                counters["skipped_self_citation"] += 1
-                continue
-            if citation.cited_pub_number not in texts:
-                counters["skipped_unknown_cited"] += 1
-                continue
-            if not texts[pair[0]] or not texts[pair[1]]:
-                counters["skipped_missing_text"] += 1
-                continue
-            if pair in seen:
-                counters["skipped_duplicate_citation"] += 1
-                continue
-            seen.add(pair)
-            positives.append(pair)
+    for pair in cited_pairs:
+        citing, cited = pair
+        if citing == cited:
+            counters["skipped_self_citation"] += 1
+            continue
+        if cited not in texts:
+            counters["skipped_unknown_cited"] += 1
+            continue
+        if not texts[citing] or not texts[cited]:
+            counters["skipped_missing_text"] += 1
+            continue
+        if pair in seen:
+            counters["skipped_duplicate_citation"] += 1
+            continue
+        seen.add(pair)
+        positives.append(pair)
     if not positives:
         raise ValueError("no X-category citation pairs in input")
 

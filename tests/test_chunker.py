@@ -190,6 +190,22 @@ class TestParseAnnotations:
         with pytest.raises(dataclasses.FrozenInstanceError):
             first.tokens[0].surface = "pump"
 
+    def test_lines_differing_in_chunk_id_share_one_token(self, tmp_path):
+        path = self._write(
+            tmp_path / "ann.tsv",
+            "valve\tNOUN\t0\nvalve\tVERB\t-\n\n"
+            "the\tDET\t3\nvalve\tNOUN\t3\nvalve\tNOUN\t-\nvalve\tNOUNX\t7\n",
+        )
+        counter = Counter()
+        tokens = [t for s in parse_annotations(path, warn_counter=counter) for t in s.tokens]
+        assert [(t.surface, t.pos) for t in tokens] == [
+            ("valve", "NOUN"), ("valve", "VERB"), ("the", "DET"),
+            ("valve", "NOUN"), ("valve", "NOUN"), ("valve", "X"),
+        ]
+        nouns = [t for t in tokens if t.pos == "NOUN"]
+        assert all(t is nouns[0] for t in nouns)
+        assert counter == Counter({"NOUNX": 1})
+
 
 class TestChunkStats:
     def _sentence(self, n_tokens, span_lengths):

@@ -413,11 +413,14 @@ class TestVerifyMasking:
     @pytest.mark.parametrize(
         "flag,value,rule",
         [("--mask-prob", "0", "must be in (0, 1), got 0.0"), ("--max-pred", "0", "must be >= 1, got 0"),
-         ("--p-y1", "2", "must be in [0, 1], got 2.0"), ("--p-nc", "-0.5", "must be in [0, 1], got -0.5")],
+         ("--p-y1", "2", "must be in [0, 1], got 2.0"), ("--p-nc", "-0.5", "must be in [0, 1], got -0.5"),
+         ("--tolerance", "-1", "must be >= 0, got -1.0"), ("--tolerance", "nan", "must be >= 0, got nan")],
     )
-    def test_bad_values_name_the_flag(self, capsys, flag, value, rule):
-        assert main(["verify-masking", "--n", "10", flag, value]) == EX_FAIL
+    def test_bad_values_name_the_flag(self, tmp_path, capsys, flag, value, rule):
+        argv = ["verify-masking", "--n", "10", flag, value, "--output", str(tmp_path / "report.json")]
+        assert main(argv) == EX_FAIL
         assert f"error: {flag} {rule}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_runs_with_its_defaults(self, capsys):
         assert main(["verify-masking"]) == EX_OK
@@ -462,6 +465,18 @@ class TestDatasetCommands:
         train = (tmp_path / "pairs.train.jsonl").read_text().splitlines()
         test = (tmp_path / "pairs.test.jsonl").read_text().splitlines()
         assert len(train) + len(test) == len(rows)
+
+    @pytest.mark.parametrize("missing_input", [False, True], ids=["input", "missing-input"])
+    @pytest.mark.parametrize("value", ["1.5", "-0.5", "nan", "inf"])
+    def test_bad_train_frac_names_the_flag_before_reading_input(
+        self, tmp_path, patents_path, capsys, missing_input, value
+    ):
+        patents = str(tmp_path / "missing.jsonl") if missing_input else patents_path
+        argv = ["make-pairs", "--input", patents, "--train-frac", value,
+                "--output", str(tmp_path / "pairs.jsonl")]
+        assert main(argv) == EX_FAIL
+        assert f"error: --train-frac must be in [0, 1], got {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrainTiny:

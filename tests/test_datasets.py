@@ -1,10 +1,12 @@
 import json
+import logging
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from lingmask.cli import EX_FAIL, main
+from lingmask.cli import EX_FAIL, EX_OK, main
 from lingmask.datasets import (
     Citation,
     IpcExample,
@@ -211,6 +213,50 @@ class TestSimilarityPairs:
     def test_self_pair_type_rejected(self):
         with pytest.raises(ValueError):
             SimilarityPair("t", "t", "A", "A", True)
+
+    def test_repeated_pub_number_keeps_last_record_and_warns_once(self, caplog):
+        records = [
+            PatentRecord(pub_number="A", claims="text a", citations=[Citation("B", "X")]),
+            PatentRecord(pub_number="B", claims="text b", citations=[Citation("A", "X")]),
+            PatentRecord(pub_number="B", claims="text b again"),
+            PatentRecord(pub_number="A", claims=""),
+        ]
+        counters = Counter()
+        with caplog.at_level(logging.WARNING, logger="lingmask.datasets"):
+            with pytest.raises(ValueError, match="no X-category"):
+                list(build_similarity_pairs(records, random.Random(0), counters))
+        # The last A has no claims, so both pairs of A drop as before.
+        assert counters == Counter({"repeated_pub_number": 2, "skipped_missing_text": 2})
+        assert [r.getMessage() for r in caplog.records] == [
+            "2 record(s) repeat an earlier pub_number (first: 'B'); "
+            "each id keeps the claims of its last record"
+        ]
+
+    def test_peak_memory_ignores_unused_fields(self, tmp_path, patents_path):
+        # make-pairs uses only ids, claims and citations, so padding every
+        # record's title, abstract and description must not be held at once.
+        pad = " ".join(["padding"] * 6250)  # 50 kB
+        with open(patents_path, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        padded = tmp_path / "padded.jsonl"
+        with open(padded, "w", encoding="utf-8") as handle:
+            for record in records:
+                record.update(title=pad, abstract=pad, description=pad)
+                handle.write(json.dumps(record) + "\n")
+        total_padding = 3 * len(pad) * len(records)
+
+        def peak(path):
+            argv = ["make-pairs", "--input", str(path), "--seed", "5", "--train-frac", "0.8",
+                    "--output", str(tmp_path / "pairs.jsonl")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EX_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(patents_path)  # warm-up: one-time allocations of the first run
+        assert peak(padded) - peak(patents_path) < total_padding / 4
 
 
 class TestSplitDataset:
