@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import random
 import sys
@@ -313,7 +314,6 @@ def _cmd_make_pairs(cfg: dict[str, Any]) -> int:
 
 def _cmd_train_tiny(cfg: dict[str, Any]) -> int:
     vocab, masking_config = _load_masking_vocab(cfg)
-    sequences = list(_annotated_sequences(cfg, vocab))
     train_config = TrainingConfig(
         lr=cfg["lr"],
         steps=cfg["steps"],
@@ -324,7 +324,7 @@ def _cmd_train_tiny(cfg: dict[str, Any]) -> int:
         hidden_dim=cfg["hidden_dim"],
         eval_fraction=cfg["eval_fraction"],
     )
-    metrics, _ = train(sequences, masking_config, train_config)
+    metrics, _ = train(_annotated_sequences(cfg, vocab), masking_config, train_config)
     with _atomic_output(cfg["output"]) as tmp:
         write_metrics_csv(metrics, tmp)
     log.info("wrote %d metric rows", len(metrics))
@@ -442,6 +442,7 @@ _SUBCOMMANDS = {
 # Value checks by flag, made once the options are resolved, so that a bad
 # value is a validation failure that names its flag.
 _AT_LEAST_ZERO = (lambda v: v >= 0, "must be >= 0")
+_FINITE_AT_LEAST_ZERO = (lambda v: 0 <= v < math.inf, "must be finite and >= 0")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 _OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must be in (0, 1)")
 _PROBABILITY = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
@@ -455,7 +456,7 @@ _RANGES = {
     "--p-y1": _PROBABILITY,
     "--seed": _AT_LEAST_ZERO,
     "--max-chunk-len": _AT_LEAST_ONE,
-    "--lr": _AT_LEAST_ZERO,
+    "--lr": _FINITE_AT_LEAST_ZERO,
     "--steps": _AT_LEAST_ZERO,
     "--batch-size": _AT_LEAST_ONE,
     "--eval-every": _AT_LEAST_ONE,

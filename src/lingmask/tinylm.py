@@ -15,6 +15,15 @@ row; at a positive radius each slot has its own. A training step runs one such
 pass, and one clamped per-slot NLL vector gives its loss and the loss of each
 slot class; its step row reports the batch's losses from before the update,
 and eval rows report the held-out set.
+
+Examples are masked once and packed as they are made into one table of flat
+arrays (``PackedExamples``): every piece id with -1 at the masked positions,
+and per slot its position, label, weight and chunk flag, plus per-example
+offsets into both. Its memory grows with pieces and slots, not with examples
+x V. A batch or an eval block is gathered from it by index with a few array
+operations, and its count matrix comes from one ``bincount``; no step or
+eval block loops over its examples in Python. The held-out split and the
+epoch orders are index arrays into the table.
 """
 
 from __future__ import annotations
@@ -23,10 +32,11 @@ import csv
 import logging
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import count, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,49 +101,167 @@ EVAL_BLOCK = 32  # held-out examples per forward pass; bounds the context-row x 
 Pair = tuple[MaskedExample, Sequence[bool]]  # an example and its sequence's chunk flags
 
 
-def _encode(
-    examples: Sequence[MaskedExample], params: TinyLmParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batched context encoder over the prediction slots of ``examples``.
+class NonFiniteError(ValueError):
+    """Logits or updated parameters that are not finite."""
 
-    Returns ``(counts, sizes, hidden, rows)``: the row x V matrix ``C`` of
-    unmasked context-piece counts with one row per distinct context, the
-    context size ``n`` of each row (at least 1), ``H = C @ E / n``, and the
-    row of each slot. At ``context_radius`` 0 the context is the whole
-    sequence, so each example is one row, shared by its slots; otherwise each
-    slot is a row of the pieces within the radius. A row with an empty
-    context gets a zero hidden vector.
+
+class ExampleSlots(NamedTuple):
+    """The prediction slots of one packed example (views into its table)."""
+
+    masked_positions: np.ndarray
+    labels: np.ndarray
+    weights: np.ndarray
+    chunk: np.ndarray
+
+
+@dataclass
+class PackedExamples:
+    """Masked examples as flat arrays plus per-example offsets.
+
+    Example ``k`` owns pieces ``piece_offsets[k]:piece_offsets[k + 1]`` and
+    slots ``slot_offsets[k]:slot_offsets[k + 1]``. ``ids`` holds every piece
+    id of the input with -1 at the masked positions, so it is the example's
+    visible context; per slot there is its position in the example, its
+    label, its weight and whether its piece is in a chunk.
     """
-    lengths = np.array([len(ex.input_ids) for ex in examples], dtype=int)
-    ids = np.zeros((len(examples), int(lengths.max(initial=0))), dtype=int)
-    for row, example in zip(ids, examples):
-        row[: len(example.input_ids)] = example.input_ids
-    slot_ex = np.repeat(np.arange(len(examples)), [len(ex.masked_positions) for ex in examples])
-    slot_pos = np.array([p for ex in examples for p in ex.masked_positions], dtype=int)
-    visible = np.arange(ids.shape[1]) < lengths[:, None]
-    visible[slot_ex, slot_pos] = False  # masked pieces are not context
-    if params.context_radius:
-        window = visible[slot_ex]
-        window &= np.abs(np.arange(ids.shape[1]) - slot_pos[:, None]) <= params.context_radius
-        owner, rows = slot_ex, np.arange(len(slot_ex))
+
+    ids: np.ndarray
+    piece_offsets: np.ndarray
+    positions: np.ndarray
+    labels: np.ndarray
+    weights: np.ndarray
+    chunk: np.ndarray
+    slot_offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.piece_offsets) - 1
+
+
+@dataclass
+class PackedBatch:
+    """The examples at ``index`` of a packed table, in that order.
+
+    Training steps and eval blocks gather from the table by index; iterating
+    yields each example's slots and serves only inspection.
+    """
+
+    table: PackedExamples
+    index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __iter__(self) -> Iterator[ExampleSlots]:
+        table = self.table
+        for k in self.index:
+            start, stop = table.slot_offsets[k], table.slot_offsets[k + 1]
+            yield ExampleSlots(
+                table.positions[start:stop],
+                table.labels[start:stop],
+                table.weights[start:stop],
+                table.chunk[start:stop],
+            )
+
+
+def pack(items: Iterable[MaskedExample | Pair]) -> PackedExamples:
+    """Pack examples, or (example, chunk flags) pairs, into one table.
+
+    ``items`` is read once and no example is kept. The slots of an example
+    given without flags count as non-chunk.
+    """
+    ids, positions, labels, weights = array("i"), array("i"), array("i"), array("d")
+    flags_by_piece = bytearray()
+    piece_ends, slot_ends = array("q", [0]), array("q", [0])
+    for item in items:
+        example, flags = item if isinstance(item, tuple) else (item, None)
+        n_pieces = len(example.input_ids)
+        if flags is not None and len(flags) != n_pieces:
+            raise ValueError("chunk flags must align with input_ids")
+        ids.extend(example.input_ids)
+        positions.extend(example.masked_positions)
+        labels.extend(example.labels)
+        weights.extend(example.weights[: len(example.labels)])
+        flags_by_piece.extend(bytes(n_pieces) if flags is None else flags)
+        piece_ends.append(len(ids))
+        slot_ends.append(len(labels))
+    piece_offsets = np.frombuffer(piece_ends, dtype=np.int64)
+    slot_offsets = np.frombuffer(slot_ends, dtype=np.int64)
+    slot_positions = np.frombuffer(positions, dtype=np.intc)
+    masked = piece_offsets[:-1].repeat(np.diff(slot_offsets)) + slot_positions
+    context = np.frombuffer(ids, dtype=np.intc)
+    context[masked] = -1
+    return PackedExamples(
+        context,
+        piece_offsets,
+        slot_positions,
+        np.frombuffer(labels, dtype=np.intc),
+        np.frombuffer(weights, dtype=np.float64),
+        np.frombuffer(flags_by_piece, dtype=np.uint8)[masked].astype(bool),
+        slot_offsets,
+    )
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated ``arange(start, stop)`` of each pair, and for each
+    element the index of its pair."""
+    lengths = stops - starts
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + lengths)[owner], owner
+
+
+def _as_batch(items: PackedBatch | Iterable[MaskedExample | Pair]) -> PackedBatch:
+    """``items`` if it is a batch already, else all of them packed."""
+    if isinstance(items, PackedBatch):
+        return items
+    table = pack(items)
+    return PackedBatch(table, np.arange(len(table)))
+
+
+def _encode(
+    batch: PackedBatch, params: TinyLmParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Batched context encoder over the prediction slots of ``batch``.
+
+    Returns ``(counts, sizes, hidden, rows, slots)``: the row x V matrix
+    ``C`` of unmasked context-piece counts with one row per distinct context,
+    the context size ``n`` of each row (at least 1), ``H = C @ E / n``, the
+    row of each slot, and each slot's index in the table. At
+    ``context_radius`` 0 the context is the whole sequence, so each example
+    is one row, shared by its slots; otherwise each slot is a row of the
+    pieces within the radius. Either way a row is one range of the table's
+    pieces. A row with an empty context gets a zero hidden vector.
+    """
+    table, index, radius = batch.table, batch.index, params.context_radius
+    slots, slot_example = _ranges(table.slot_offsets[index], table.slot_offsets[index + 1])
+    starts, stops = table.piece_offsets[index], table.piece_offsets[index + 1]
+    if radius:
+        first, positions = starts[slot_example], table.positions[slots]
+        lo = first + np.maximum(positions - radius, 0)
+        hi = np.minimum(first + positions + radius + 1, stops[slot_example])
+        rows = np.arange(len(slots))
     else:
-        window, owner, rows = visible, np.arange(len(examples)), slot_ex
-    row, column = np.nonzero(window)
+        lo, hi, rows = starts, stops, slot_example
+    pieces, row = _ranges(lo, hi)
+    ids = table.ids[pieces]
+    visible = ids >= 0  # masked pieces are not context
     v = params.vocab_size
-    counts = np.bincount(row * v + ids[owner[row], column], minlength=len(owner) * v)
-    counts = counts.reshape(len(owner), v).astype(float)
+    counts = np.bincount(row[visible] * v + ids[visible], minlength=len(lo) * v)
+    counts = counts.reshape(len(lo), v).astype(float)
     sizes = np.maximum(counts.sum(axis=1), 1.0)
-    return counts, sizes, counts @ params.embeddings / sizes[:, None], rows
+    return counts, sizes, counts @ params.embeddings / sizes[:, None], rows, slots
 
 
 def predict(hidden: np.ndarray, params: TinyLmParams) -> np.ndarray:
     """Probability rows softmax(W h + b), stabilized by max subtraction."""
-    logits = hidden @ params.w_mlm.T + params.b_mlm
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("non-finite logits")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    logits = hidden @ params.w_mlm.T
+    logits += params.b_mlm
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("non-finite logits")
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _slot_nll(
@@ -177,20 +305,12 @@ def mlm_loss(
     return float(np.sum(nll * weight_arr) / total_weight)
 
 
-def _slot_targets(examples: Sequence[MaskedExample]) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and weights of the prediction slots of ``examples``, in order."""
-    labels = [label for ex in examples for label in ex.labels]
-    weights = [w for ex in examples for w in ex.weights[: len(ex.labels)]]
-    return np.array(labels, dtype=int), np.array(weights, dtype=float)
-
-
 def _class_sums(
-    pairs: Sequence[Pair], nll: np.ndarray, weights: np.ndarray
+    chunk: np.ndarray, nll: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted NLL sums and weight totals of all, chunk and non-chunk slots,
-    given the slot NLL and weights of the pairs' examples."""
-    chunk = np.array([bool(f[p]) for ex, f in pairs for p in ex.masked_positions], dtype=bool)
-    classes = np.stack([weights, weights * chunk, weights * ~chunk])
+    given each slot's chunk flag, NLL and weight."""
+    classes = np.array([weights, weights * chunk, weights * ~chunk])
     return (classes * nll).sum(axis=1), classes.sum(axis=1)
 
 
@@ -200,7 +320,7 @@ def _means(sums: np.ndarray, totals: np.ndarray) -> list[float]:
 
 
 def loss_and_grads(
-    batch: Sequence[MaskedExample], params: TinyLmParams
+    batch: PackedBatch | Sequence[MaskedExample], params: TinyLmParams
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Forward and analytic backward pass over a batch, as dense matmuls.
 
@@ -208,12 +328,14 @@ def loss_and_grads(
     gradient at the context rows' logits (a row's softmax times its slots'
     summed ``w/W``, minus each slot's ``onehot(label) w/W``):
     ``db = dZ.sum(0)``, ``dW = dZ.T @ H`` and ``dE = C.T @ ((dZ @ W) / n)``.
-    ``grads["nll"]`` and ``grads["weights"]`` also hold the slots' clamped
-    NLL and weights, so callers can split the loss by slot class.
+    ``grads["chunk"]``, ``grads["nll"]`` and ``grads["weights"]`` also hold
+    the slots' chunk flags, clamped NLL and weights, so callers can split the
+    loss by slot class. A list of examples is packed first.
     """
-    counts, sizes, hidden, rows = _encode(batch, params)
+    batch = _as_batch(batch)
+    counts, sizes, hidden, rows, slots = _encode(batch, params)
     probs = predict(hidden, params)
-    labels, weights = _slot_targets(batch)
+    labels, weights = batch.table.labels[slots], batch.table.weights[slots]
     total_weight = weights.sum()
     if total_weight == 0.0:
         raise ValueError("no prediction slots: all weights are zero")
@@ -225,6 +347,7 @@ def loss_and_grads(
         "embeddings": counts.T @ ((dlogits @ params.w_mlm) / sizes[:, None]),
         "w_mlm": dlogits.T @ hidden,
         "b_mlm": dlogits.sum(axis=0),
+        "chunk": batch.table.chunk[slots],
         "nll": nll,
         "weights": weights,
     }
@@ -232,35 +355,40 @@ def loss_and_grads(
 
 
 def grad_and_step(
-    batch: Sequence[MaskedExample], params: TinyLmParams, lr: float
-) -> tuple[TinyLmParams, float, tuple[np.ndarray, np.ndarray]]:
+    batch: PackedBatch | Sequence[MaskedExample], params: TinyLmParams, lr: float
+) -> tuple[TinyLmParams, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """One plain gradient-descent update; returns the pre-step loss and the
-    slots' pre-step NLL and weights."""
-    if lr < 0:
-        raise ValueError(f"learning rate must be >= 0, got {lr}")
+    slots' chunk flags, pre-step NLL and weights. An update that would leave
+    a parameter non-finite raises ``NonFiniteError`` and changes nothing."""
+    if not 0 <= lr < math.inf:
+        raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
     loss, grads = loss_and_grads(batch, params)
-    slots = grads.pop("nll"), grads.pop("weights")
-    if not all(np.all(np.isfinite(grad)) for grad in grads.values()):
-        raise ValueError("non-finite gradient")
-    for name, grad in grads.items():
-        getattr(params, name)[...] -= lr * grad
+    slots = grads.pop("chunk"), grads.pop("nll"), grads.pop("weights")
+    updated = {name: getattr(params, name) - lr * grad for name, grad in grads.items()}
+    if not all(np.isfinite(value).all() for value in updated.values()):
+        raise NonFiniteError("non-finite parameters after the update")
+    for name, value in updated.items():
+        getattr(params, name)[...] = value
     return params, loss, slots
 
 
-def evaluate(pairs: Sequence[Pair], params: TinyLmParams) -> tuple[float, float, float]:
+def evaluate(
+    pairs: PackedBatch | Sequence[Pair], params: TinyLmParams
+) -> tuple[float, float, float]:
     """(total, chunk-slot, non-chunk-slot) weighted mean NLL over fixed examples.
 
     A class with no slots reports nan. ``EVAL_BLOCK`` examples go through
-    each forward pass.
+    each forward pass. A list of (example, chunk flags) pairs is packed first.
     """
+    batch = _as_batch(pairs)
+    table = batch.table
     sums, totals = np.zeros(3), np.zeros(3)
-    for start in range(0, len(pairs), EVAL_BLOCK):
-        block = pairs[start : start + EVAL_BLOCK]
-        examples = [example for example, _ in block]
-        _, _, hidden, rows = _encode(examples, params)
-        labels, weights = _slot_targets(examples)
-        nll = _slot_nll(predict(hidden, params)[rows, labels], weights)
-        block_sums, block_totals = _class_sums(block, nll, weights)
+    for start in range(0, len(batch), EVAL_BLOCK):
+        block = PackedBatch(table, batch.index[start : start + EVAL_BLOCK])
+        _, _, hidden, rows, slots = _encode(block, params)
+        weights = table.weights[slots]
+        nll = _slot_nll(predict(hidden, params)[rows, table.labels[slots]], weights)
+        block_sums, block_totals = _class_sums(table.chunk[slots], nll, weights)
         sums += block_sums
         totals += block_totals
     if not totals[0] > 0:
@@ -281,8 +409,8 @@ class TrainingConfig:
     eval_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError("lr must be finite and >= 0")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.batch_size < 1 or self.eval_every < 1 or self.hidden_dim < 1:
@@ -307,29 +435,32 @@ def train(
 ) -> tuple[list[MetricsRow], TinyLmParams]:
     """Train the tiny head on statically masked examples from ``corpus``.
 
-    The corpus is split into train and held-out parts with the training seed,
-    examples are generated once per sequence with the masking seed, and the
-    held-out set is re-evaluated at step 0, every ``eval_every`` steps, and at
-    the end. A step row reports the training batch's total, chunk and
-    non-chunk losses from the one forward pass before that step's update;
-    eval rows carry ``is_eval`` and report the held-out set. Raises if the
-    loss stops being finite.
+    Each non-empty sequence of the corpus is masked once with the masking
+    seed and packed into one table as it is read. The table is split into
+    train and held-out examples with the training seed, and the held-out set
+    is re-evaluated at step 0, every ``eval_every`` steps, and at the end. A
+    step row reports the training batch's total, chunk and non-chunk losses
+    from the one forward pass before that step's update; eval rows carry
+    ``is_eval`` and report the held-out set. Raises ``RuntimeError`` naming
+    the step once logits or parameters stop being finite.
     """
-    sequences = [s for s in corpus if s.pieces]
-    if not sequences:
+
+    def masked_examples() -> Iterator[Pair]:
+        sequences = (s for s in corpus if s.pieces)
+        for index, block in enumerate(iter(lambda: list(islice(sequences, BLOCK)), [])):
+            rng = sequence_rng(masking_config.seed, index)
+            for seq, row in zip(block, mask_sequences(block, masking_config, rng)):
+                yield build_example(seq, masking_config, row), seq.y
+
+    table = pack(masked_examples())
+    if not len(table):
         raise ValueError("empty corpus")
-    pairs = []
-    for index in range(0, len(sequences), BLOCK):
-        block = sequences[index : index + BLOCK]
-        rng = sequence_rng(masking_config.seed, index // BLOCK)
-        for seq, row in zip(block, mask_sequences(block, masking_config, rng)):
-            pairs.append((build_example(seq, masking_config, row), seq.y))
-    order = list(range(len(pairs)))
+    order = list(range(len(table)))
     random.Random(f"{train_config.seed}:split").shuffle(order)
-    eval_n = max(1, int(round(train_config.eval_fraction * len(pairs))))
-    eval_pairs = [pairs[i] for i in order[:eval_n]]
-    train_pairs = [pairs[i] for i in order[eval_n:]]
-    if train_config.steps > 0 and not train_pairs:
+    eval_n = max(1, int(round(train_config.eval_fraction * len(table))))
+    eval_set = PackedBatch(table, np.array(order[:eval_n], dtype=np.int64))
+    train_index = np.array(order[eval_n:], dtype=np.int64)
+    if train_config.steps > 0 and not len(train_index):
         raise ValueError("corpus too small: no training sequences after held-out split")
 
     params = TinyLmParams.init(
@@ -342,27 +473,33 @@ def train(
     metrics: list[MetricsRow] = []
 
     def eval_row(step: int) -> None:
-        total, nc, non = evaluate(eval_pairs, params)
+        total, nc, non = evaluate(eval_set, params)
         metrics.append(MetricsRow(step, total, nc, non, True))
 
-    def shuffled_epochs() -> Iterator[Pair]:
+    def batches() -> Iterator[np.ndarray]:
+        """Example indices of each batch; a batch may span two epochs."""
+        pending = train_index[:0]
         for epoch in count():
-            epoch_order = list(range(len(train_pairs)))
+            epoch_order = list(range(len(train_index)))
             random.Random(f"{train_config.seed}:epoch:{epoch}").shuffle(epoch_order)
-            yield from (train_pairs[i] for i in epoch_order)
+            pending = np.concatenate((pending, train_index[epoch_order]))
+            while len(pending) >= train_config.batch_size:
+                yield pending[: train_config.batch_size]
+                pending = pending[train_config.batch_size :]
 
     eval_row(0)
-    stream = shuffled_epochs()
-    for step in range(1, train_config.steps + 1):
-        batch_pairs = list(islice(stream, train_config.batch_size))
-        batch = [example for example, _ in batch_pairs]
-        params, loss, slots = grad_and_step(batch, params, train_config.lr)
-        if not math.isfinite(loss):
-            raise RuntimeError(f"training diverged at step {step}: loss={loss}")
-        _, batch_nc, batch_non = _means(*_class_sums(batch_pairs, *slots))
-        metrics.append(MetricsRow(step, loss, batch_nc, batch_non, False))
-        if step % train_config.eval_every == 0 or step == train_config.steps:
-            eval_row(step)
+    # Every overflow ends at a finiteness check that names the step, so
+    # numpy's warnings would only say the same thing first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, index in zip(range(1, train_config.steps + 1), batches()):
+            try:
+                params, loss, slots = grad_and_step(PackedBatch(table, index), params, train_config.lr)
+                _, batch_nc, batch_non = _means(*_class_sums(*slots))
+                metrics.append(MetricsRow(step, loss, batch_nc, batch_non, False))
+                if step % train_config.eval_every == 0 or step == train_config.steps:
+                    eval_row(step)
+            except NonFiniteError as err:
+                raise RuntimeError(f"training diverged at step {step}: {err}") from err
     return metrics, params
 
 

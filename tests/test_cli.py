@@ -504,7 +504,8 @@ class TestTrainTiny:
     @pytest.mark.parametrize(
         "subcommand,flag,value,rule",
         [
-            ("train-tiny", "--lr", "-0.5", "must be >= 0, got -0.5"),
+            ("train-tiny", "--lr", "-0.5", "must be finite and >= 0, got -0.5"),
+            ("train-tiny", "--lr", "inf", "must be finite and >= 0, got inf"),
             ("train-tiny", "--steps", "-1", "must be >= 0, got -1"),
             ("train-tiny", "--batch-size", "0", "must be >= 1, got 0"),
             ("train-tiny", "--eval-every", "0", "must be >= 1, got 0"),

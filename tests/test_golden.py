@@ -25,6 +25,10 @@ GOLDEN = {
     "normalize": "3066951d731990dc413a8f0a853b76f1b3421f390a2b103cbf7f4cc71a535582",
     # Step rows take all three losses from the pre-update pass.
     "train-tiny": "9cc221e6386ee5a835d73df85f65471be528d6c1c81bc2ecc7e4c9e2fdbae3cb",
+    # Each slot's context is the unmasked pieces within two of it.
+    "train-tiny-radius-2": "4da4119b06ac2cd6a72dbba7e502194806feb46c73a3eb76a4e93a0e117036ca",
+    # lim with p_nc 1 masks chunk pieces only: step rows have nan non-chunk losses.
+    "train-tiny-lim-chunk-only": "efd5e1bc1d177fbf1c8d0a1c3597b53f32befd9e82b5b7f08d23ce54e13fbb8e",
 }
 
 # make-pairs --seed 5 --train-frac 0.8: the split files (the unsplit output
@@ -54,6 +58,15 @@ def _argv(name, annotations, vocab, patents, documents, out):
         "normalize": ["normalize", "--input", documents],
         "train-tiny": [
             "train-tiny", "--annotations", annotations, "--vocab", vocab,
+            "--steps", "5", "--batch-size", "4", "--seed", "2",
+        ],
+        "train-tiny-radius-2": [
+            "train-tiny", "--annotations", annotations, "--vocab", vocab,
+            "--steps", "5", "--batch-size", "4", "--seed", "2", "--context-radius", "2",
+        ],
+        "train-tiny-lim-chunk-only": [
+            "train-tiny", "--annotations", annotations, "--vocab", vocab,
+            "--strategy", "lim", "--p-nc", "1.0",
             "--steps", "5", "--batch-size", "4", "--seed", "2",
         ],
     }[name] + ["--output", out]

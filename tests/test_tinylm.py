@@ -1,6 +1,11 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +14,17 @@ from lingmask.masking import MaskedExample, MaskingConfig, TokenizedSequence
 from lingmask.tinylm import (
     EVAL_BLOCK,
     MetricsRow,
+    NonFiniteError,
+    PackedBatch,
     TinyLmParams,
     TrainingConfig,
+    _as_batch,
     _encode,
     evaluate,
     grad_and_step,
     loss_and_grads,
     mlm_loss,
+    pack,
     predict,
     train,
     write_metrics_csv,
@@ -35,7 +44,7 @@ def example(input_ids, positions, labels, max_pred=6, **kwargs):
 
 def _slot_hidden(example, params):
     """Per-slot hidden vectors of one example, and which slots had an empty context."""
-    counts, _, hidden, rows = _encode([example], params)
+    counts, _, hidden, rows, _ = _encode(_as_batch([example]), params)
     return hidden[rows], ~counts.any(axis=1)[rows]
 
 
@@ -204,6 +213,21 @@ class TestGradients:
         params = TinyLmParams.init(3, 2, seed=0)
         with pytest.raises(ValueError):
             grad_and_step([example([0, 1], [0], [1], max_pred=2)], params, lr=-0.1)
+        with pytest.raises(ValueError, match="finite"):
+            grad_and_step([example([0, 1], [0], [1], max_pred=2)], params, lr=math.inf)
+
+    def test_overflowing_update_raises_and_keeps_params(self):
+        # The label's bias gradient is about -0.8, so the update takes its
+        # bias from 1.5e308 past the largest float.
+        params = TinyLmParams.init(5, 3, seed=3)
+        params.b_mlm[:] = 1.5e308
+        before = params.embeddings.copy(), params.w_mlm.copy(), params.b_mlm.copy()
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError, match="non-finite parameters"):
+                grad_and_step([example([0, 1, 2, 3, 4], [2], [1])], params, lr=1e308)
+        assert np.array_equal(params.embeddings, before[0])
+        assert np.array_equal(params.w_mlm, before[1])
+        assert np.array_equal(params.b_mlm, before[2])
 
     def test_finite_differences_small(self):
         rng = random.Random(0)
@@ -367,13 +391,21 @@ class TestTrain:
             assert math.isnan(row.non_nc_token_loss)
 
     def test_divergence_aborts(self):
+        # At lr 1e9 the parameters stay finite until the logits overflow; at
+        # lr 1e308 the first update overflows. Either way the error names the
+        # step, and numpy warns of nothing (warnings fail the test suite).
         masking, _ = self._configs(40)
-        training = TrainingConfig(
-            lr=1e9, steps=40, batch_size=4, eval_every=40, seed=0, hidden_dim=4
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises((ValueError, RuntimeError)):
+        for lr in (1e9, 1e308):
+            training = TrainingConfig(
+                lr=lr, steps=40, batch_size=4, eval_every=40, seed=0, hidden_dim=4
+            )
+            with pytest.raises(RuntimeError, match=r"^training diverged at step \d+: non-finite"):
                 train(_topic_sequences(30, 0), masking, training)
+
+    @pytest.mark.parametrize("lr", [math.inf, math.nan, -0.5])
+    def test_lr_must_be_finite_and_non_negative(self, lr):
+        with pytest.raises(ValueError, match="lr must be finite and >= 0"):
+            TrainingConfig(lr=lr)
 
     def test_empty_corpus_rejected(self):
         masking, training = self._configs(1)
@@ -425,3 +457,86 @@ class TestEvaluate:
         ex = example([0, 1, 2, 3], [0], [2], max_pred=4)
         _, nc, non = evaluate([(ex, [True, True, True, True])], params)
         assert math.isnan(non) and not math.isnan(nc)
+
+
+class TestPacked:
+    def _pairs(self, n, seed):
+        rng = random.Random(seed)
+        pairs = []
+        for _ in range(n):
+            ex = _random_example(rng, 9)
+            pairs.append((ex, [rng.random() < 0.5 for _ in ex.input_ids]))
+        pairs.append((example([1, 2, 3], [], []), [True, True, True]))  # no slots
+        return pairs
+
+    def test_table_holds_each_example(self):
+        pairs = self._pairs(12, 0)
+        table = pack(pairs)
+        assert len(table) == len(pairs)
+        for k, (ex, flags) in enumerate(pairs):
+            pieces = table.ids[table.piece_offsets[k] : table.piece_offsets[k + 1]]
+            context = [-1 if p in ex.masked_positions else t for p, t in enumerate(ex.input_ids)]
+            assert pieces.tolist() == context
+        index = np.array([3, 12, 0, 3, 7])
+        for (ex, flags), slots in zip((pairs[i] for i in index), PackedBatch(table, index)):
+            assert slots.masked_positions.tolist() == ex.masked_positions
+            assert slots.labels.tolist() == ex.labels
+            assert slots.weights.tolist() == ex.weights[: len(ex.labels)]
+            assert slots.chunk.tolist() == [flags[p] for p in ex.masked_positions]
+
+    def test_batch_iterates_its_gathered_slots(self):
+        # The benchmark's tracer counts a step's slots by iterating its batch.
+        table = pack(self._pairs(20, 1))
+        params = TinyLmParams.init(9, 3, seed=0)
+        for index in (np.array([5, 20, 5, 0]), np.arange(len(table)), np.array([20])):
+            batch = PackedBatch(table, index)
+            slots = _encode(batch, params)[4]
+            assert sum(len(ex.labels) for ex in batch) == len(slots)
+            assert table.labels[slots].tolist() == [
+                label for ex in batch for label in ex.labels.tolist()
+            ]
+
+    def test_examples_without_flags_are_non_chunk(self):
+        table = pack([ex for ex, _ in self._pairs(5, 2)])
+        assert len(table.chunk) == len(table.labels) > 0
+        assert not table.chunk.any()
+
+    def test_flags_must_align(self):
+        with pytest.raises(ValueError, match="chunk flags must align"):
+            pack([(example([1, 2, 3], [1], [2]), [True, False])])
+
+    def test_empty_table(self):
+        table = pack([])
+        assert len(table) == 0
+        assert list(PackedBatch(table, np.arange(0))) == []
+        with pytest.raises(ValueError, match="no prediction slots"):
+            evaluate([], TinyLmParams.init(3, 2, seed=0))
+
+
+def test_tracer_sees_every_step(tmp_path, annotated_corpus):
+    """``perfbench/tracer.py`` wraps the tinylm entry points and counts the
+    slots of every step's batch."""
+    root = Path(__file__).resolve().parents[1]
+    tsv, vocab = annotated_corpus
+    stats, spans = tmp_path / "stats.json", tmp_path / "spans.jsonl"
+    steps = 7
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable, str(root / "perfbench" / "tracer.py"), str(stats), str(spans), "--",
+            "train-tiny", "--annotations", tsv, "--vocab", vocab, "--steps", str(steps),
+            "--batch-size", "4", "--eval-every", "3", "--output", str(tmp_path / "metrics.csv"),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(stats.read_text())
+    assert report["rc"] == 0
+    assert report["unwrapped"] == []
+    assert report["stats"]["tinylm.grad_and_step"][0] == steps
+    assert report["counts"]["tinylm.steps"] == steps
+    assert report["counts"]["tinylm.slots"] > 0
