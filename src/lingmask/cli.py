@@ -20,6 +20,7 @@ import logging
 import math
 import os
 import random
+import re
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -331,14 +332,28 @@ def _cmd_train_tiny(cfg: dict[str, Any]) -> int:
     return EX_OK
 
 
+_INTEGER_KEY = re.compile(r"-?[0-9]+")
+
+
 def _load_histogram(path: str) -> list[int]:
+    """The sample of a JSON object of integer values and their counts: each
+    value repeated count times. A count must be a non-negative JSON integer."""
     with open(path, encoding="utf-8") as handle:
-        histogram = json.load(handle)
+        try:
+            histogram = json.load(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path}: histogram file is not JSON: {exc}") from exc
     if not isinstance(histogram, dict):
         raise ValueError(f"histogram file must hold a JSON object: {path}")
     sample: list[int] = []
-    for key, count in sorted(histogram.items(), key=lambda kv: int(kv[0])):
-        sample.extend([int(key)] * int(count))
+    for key, count in histogram.items():
+        if not _INTEGER_KEY.fullmatch(key):
+            raise ValueError(f"{path}: histogram key {key!r} is not an integer")
+        if type(count) is not int or count < 0:
+            raise ValueError(
+                f"{path}: count of key {key!r} must be a non-negative integer, got {json.dumps(count)}"
+            )
+        sample.extend([int(key)] * count)
     return sample
 
 

@@ -219,6 +219,24 @@ def ks_two_sample(sample_a: Sequence[float], sample_b: Sequence[float]) -> KsRes
     return KsResult(d_statistic=d, p_value=p_value, n1=n1, n2=n2)
 
 
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_SPLITMIX_M1, _SPLITMIX_M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+
+
+def _splitmix64(states: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function (Steele, Lea & Flood, OOPSLA 2014, "Fast
+    splittable pseudorandom number generators"), applied in place to a uint64
+    array of states. The generator seeded with ``seed`` outputs the hash of
+    ``seed + k * 0x9E3779B97F4A7C15`` (mod 2**64) as its ``k``-th value.
+    Array arithmetic wraps silently, where numpy scalars would warn."""
+    states ^= states >> np.uint64(30)
+    states *= _SPLITMIX_M1
+    states ^= states >> np.uint64(27)
+    states *= _SPLITMIX_M2
+    states ^= states >> np.uint64(31)
+    return states
+
+
 def flagged_sequences(
     n_sequences: int,
     seq_len: int = 128,
@@ -227,11 +245,23 @@ def flagged_sequences(
 ) -> Iterator[np.ndarray]:
     """Synthetic corpus of iid Bernoulli chunk flags, in blocks of ``BLOCK``
     sequences: (rows, seq_len) boolean arrays, so memory stays flat at any
-    corpus size. Masking-probability statistics depend only on the flags."""
+    corpus size. Masking-probability statistics depend only on the flags.
+
+    Flag ``i`` of the corpus (row-major) is set when the high 32 bits of the
+    ``i + 1``-th SplitMix64 value from ``seed`` are below
+    ``round(p_y1 * 2**32)``, so a shorter corpus is a prefix of a longer one.
+    """
     if n_sequences < 1:
         raise ValueError(f"n_sequences must be >= 1, got {n_sequences}")
     if not 0.0 <= p_y1 <= 1.0:
         raise ValueError(f"p_y1 must be in [0, 1], got {p_y1}")
-    rng = np.random.default_rng(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    threshold = round(p_y1 * 2**32)
+    # k * gamma for the k of one block's flags; each block adds its own start.
+    steps = np.arange(1, min(BLOCK, n_sequences) * seq_len + 1, dtype=np.uint64) * np.uint64(_SPLITMIX_GAMMA)
     for emitted in range(0, n_sequences, BLOCK):
-        yield rng.random((min(BLOCK, n_sequences - emitted), seq_len)) < p_y1
+        rows = min(BLOCK, n_sequences - emitted)
+        start = np.uint64((seed + emitted * seq_len * _SPLITMIX_GAMMA) % 2**64)
+        hashes = _splitmix64(steps[: rows * seq_len] + start)
+        yield (hashes >> np.uint64(32) < threshold).reshape(rows, seq_len)

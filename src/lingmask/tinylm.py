@@ -44,6 +44,7 @@ from .masking import (
     BLOCK,
     MaskedExample,
     MaskingConfig,
+    Philox,
     TokenizedSequence,
     build_example,
     mask_sequences,
@@ -53,6 +54,10 @@ from .masking import (
 log = logging.getLogger(__name__)
 
 PROB_CLAMP = 1e-12
+
+# The Philox stream of the initial weights: a masking block's stream is its
+# block index, which never comes near this.
+INIT_STREAM = 2**64 - 1
 
 
 @dataclass
@@ -80,10 +85,17 @@ class TinyLmParams:
     def init(
         cls, vocab_size: int, hidden_dim: int, context_radius: int = 0, seed: int = 0
     ) -> "TinyLmParams":
-        rng = np.random.default_rng(seed)
+        """Embeddings, then output weights, uniform on [-0.05, 0.05): one
+        32-bit word each, from the Philox stream ``INIT_STREAM`` under
+        ``seed``. Biases start at zero."""
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        size = vocab_size * hidden_dim
+        words = Philox(seed % 2**64, INIT_STREAM).words(np.arange((2 * size + 3) // 4))
+        weights = words[: 2 * size] * (0.1 / 2**32) - 0.05
         return cls(
-            embeddings=rng.uniform(-0.05, 0.05, (vocab_size, hidden_dim)),
-            w_mlm=rng.uniform(-0.05, 0.05, (vocab_size, hidden_dim)),
+            embeddings=weights[:size].reshape(vocab_size, hidden_dim),
+            w_mlm=weights[size:].reshape(vocab_size, hidden_dim),
             b_mlm=np.zeros(vocab_size),
             context_radius=context_radius,
         )
@@ -267,13 +279,15 @@ def predict(hidden: np.ndarray, params: TinyLmParams) -> np.ndarray:
 def _slot_nll(
     picked: np.ndarray, weights: np.ndarray, clamp_counter: Counter | None = None
 ) -> np.ndarray:
-    """-log of the slots' label probabilities ``picked``, clamped at 1e-12;
-    clamps on real (weighted) slots are counted and logged."""
+    """-log of the slots' label probabilities ``picked``, clamped at 1e-12.
+    Clamps on real (weighted) slots are added to ``clamp_counter``, or logged
+    when there is none."""
     clamped = (picked < PROB_CLAMP) & (weights > 0)
     if clamped.any():
         count = int(clamped.sum())
-        log.warning("clamped %d zero label probabilities", count)
-        if clamp_counter is not None:
+        if clamp_counter is None:
+            log.warning("clamped %d zero label probabilities", count)
+        else:
             clamp_counter["clamped_probs"] += count
     return -np.log(np.maximum(picked, PROB_CLAMP))
 
@@ -288,7 +302,7 @@ def mlm_loss(
 
     sum_ij -log(p_ij[label_ij]) w_ij / sum_ij w_ij. Padding slots carry
     weight 0 and contribute nothing. Probabilities are clamped at 1e-12;
-    clamps on real slots are counted and logged.
+    clamps on real slots are counted as ``_slot_nll`` does.
     """
     probs = np.asarray(predictions, dtype=float)
     label_arr = np.asarray(labels, dtype=int)
@@ -320,7 +334,9 @@ def _means(sums: np.ndarray, totals: np.ndarray) -> list[float]:
 
 
 def loss_and_grads(
-    batch: PackedBatch | Sequence[MaskedExample], params: TinyLmParams
+    batch: PackedBatch | Sequence[MaskedExample],
+    params: TinyLmParams,
+    clamp_counter: Counter | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Forward and analytic backward pass over a batch, as dense matmuls.
 
@@ -330,7 +346,8 @@ def loss_and_grads(
     ``db = dZ.sum(0)``, ``dW = dZ.T @ H`` and ``dE = C.T @ ((dZ @ W) / n)``.
     ``grads["chunk"]``, ``grads["nll"]`` and ``grads["weights"]`` also hold
     the slots' chunk flags, clamped NLL and weights, so callers can split the
-    loss by slot class. A list of examples is packed first.
+    loss by slot class. A list of examples is packed first. Clamped
+    probabilities are counted as ``_slot_nll`` does.
     """
     batch = _as_batch(batch)
     counts, sizes, hidden, rows, slots = _encode(batch, params)
@@ -339,7 +356,7 @@ def loss_and_grads(
     total_weight = weights.sum()
     if total_weight == 0.0:
         raise ValueError("no prediction slots: all weights are zero")
-    nll = _slot_nll(probs[rows, labels], weights)
+    nll = _slot_nll(probs[rows, labels], weights, clamp_counter)
     scale = weights / total_weight
     dlogits = probs * np.bincount(rows, scale, minlength=len(probs))[:, None]
     np.subtract.at(dlogits, (rows, labels), scale)
@@ -355,14 +372,17 @@ def loss_and_grads(
 
 
 def grad_and_step(
-    batch: PackedBatch | Sequence[MaskedExample], params: TinyLmParams, lr: float
+    batch: PackedBatch | Sequence[MaskedExample],
+    params: TinyLmParams,
+    lr: float,
+    clamp_counter: Counter | None = None,
 ) -> tuple[TinyLmParams, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """One plain gradient-descent update; returns the pre-step loss and the
     slots' chunk flags, pre-step NLL and weights. An update that would leave
     a parameter non-finite raises ``NonFiniteError`` and changes nothing."""
     if not 0 <= lr < math.inf:
         raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
-    loss, grads = loss_and_grads(batch, params)
+    loss, grads = loss_and_grads(batch, params, clamp_counter)
     slots = grads.pop("chunk"), grads.pop("nll"), grads.pop("weights")
     updated = {name: getattr(params, name) - lr * grad for name, grad in grads.items()}
     if not all(np.isfinite(value).all() for value in updated.values()):
@@ -373,7 +393,9 @@ def grad_and_step(
 
 
 def evaluate(
-    pairs: PackedBatch | Sequence[Pair], params: TinyLmParams
+    pairs: PackedBatch | Sequence[Pair],
+    params: TinyLmParams,
+    clamp_counter: Counter | None = None,
 ) -> tuple[float, float, float]:
     """(total, chunk-slot, non-chunk-slot) weighted mean NLL over fixed examples.
 
@@ -387,7 +409,7 @@ def evaluate(
         block = PackedBatch(table, batch.index[start : start + EVAL_BLOCK])
         _, _, hidden, rows, slots = _encode(block, params)
         weights = table.weights[slots]
-        nll = _slot_nll(predict(hidden, params)[rows, table.labels[slots]], weights)
+        nll = _slot_nll(predict(hidden, params)[rows, table.labels[slots]], weights, clamp_counter)
         block_sums, block_totals = _class_sums(table.chunk[slots], nll, weights)
         sums += block_sums
         totals += block_totals
@@ -442,7 +464,9 @@ def train(
     step row reports the training batch's total, chunk and non-chunk losses
     from the one forward pass before that step's update; eval rows carry
     ``is_eval`` and report the held-out set. Raises ``RuntimeError`` naming
-    the step once logits or parameters stop being finite.
+    the step once logits or parameters stop being finite. Clamped label
+    probabilities are counted over the run and logged once, also when the
+    run diverges.
     """
 
     def masked_examples() -> Iterator[Pair]:
@@ -471,9 +495,10 @@ def train(
     )
 
     metrics: list[MetricsRow] = []
+    clamps: Counter = Counter()
 
     def eval_row(step: int) -> None:
-        total, nc, non = evaluate(eval_set, params)
+        total, nc, non = evaluate(eval_set, params, clamps)
         metrics.append(MetricsRow(step, total, nc, non, True))
 
     def batches() -> Iterator[np.ndarray]:
@@ -487,19 +512,23 @@ def train(
                 yield pending[: train_config.batch_size]
                 pending = pending[train_config.batch_size :]
 
-    eval_row(0)
     # Every overflow ends at a finiteness check that names the step, so
     # numpy's warnings would only say the same thing first.
+    step = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, index in zip(range(1, train_config.steps + 1), batches()):
-            try:
-                params, loss, slots = grad_and_step(PackedBatch(table, index), params, train_config.lr)
+        try:
+            eval_row(0)
+            for step, index in zip(range(1, train_config.steps + 1), batches()):
+                params, loss, slots = grad_and_step(PackedBatch(table, index), params, train_config.lr, clamps)
                 _, batch_nc, batch_non = _means(*_class_sums(*slots))
                 metrics.append(MetricsRow(step, loss, batch_nc, batch_non, False))
                 if step % train_config.eval_every == 0 or step == train_config.steps:
                     eval_row(step)
-            except NonFiniteError as err:
-                raise RuntimeError(f"training diverged at step {step}: {err}") from err
+        except NonFiniteError as err:
+            raise RuntimeError(f"training diverged at step {step}: {err}") from err
+        finally:
+            if clamps:
+                log.warning("clamped %d zero label probabilities in this run", clamps["clamped_probs"])
     return metrics, params
 
 

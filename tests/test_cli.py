@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -540,3 +543,50 @@ class TestKsCompare:
         report = json.loads(capsys.readouterr().out)
         assert report["d_statistic"] == 1.0
         assert report["n1"] == 4 and report["n2"] == 4
+
+    def test_chunk_stats_report_names_file_and_key(self, tmp_path, annotated_corpus, capsys):
+        a, report = tmp_path / "a.json", tmp_path / "report.json"
+        a.write_text(json.dumps({"1": 2}))
+        assert main(["chunk-stats", "--annotations", annotated_corpus[0], "--output", str(report)]) == EX_OK
+        assert main(["ks-compare", "--a", str(a), "--b", str(report)]) == EX_FAIL
+        assert f"error: {report}: histogram key 'histogram' is not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["-5", "3.7", "true", '"2"'])
+    def test_count_must_be_a_non_negative_integer(self, tmp_path, capsys, count):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"1": 2}))
+        b.write_text(f'{{"1": 1, "2": {count}}}')
+        assert main(["ks-compare", "--a", str(a), "--b", str(b)]) == EX_FAIL
+        err = capsys.readouterr().err
+        assert f"error: {b}: count of key '2' must be a non-negative integer, got {count}" in err
+
+    def test_non_json_file_is_named(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"1": 2}))
+        b.write_text("1: 2\n")
+        assert main(["ks-compare", "--a", str(a), "--b", str(b)]) == EX_FAIL
+        assert f"error: {b}: histogram file is not JSON" in capsys.readouterr().err
+
+
+def test_no_subcommand_imports_numpy_random(tmp_path, annotated_corpus):
+    """numpy.random loads OpenSSL through ``secrets``; the subcommands that
+    draw random numbers use their own generators instead."""
+    tsv, vocab = annotated_corpus
+    root = Path(__file__).resolve().parents[1]
+    script = f"""
+import sys
+from lingmask.cli import main
+assert main(["train-tiny", "--annotations", {tsv!r}, "--vocab", {vocab!r}, "--steps", "3",
+             "--batch-size", "4", "--output", {str(tmp_path / "metrics.csv")!r}]) == 0
+assert main(["verify-masking", "--n", "300", "--tolerance", "1",
+             "--output", {str(tmp_path / "report.json")!r}]) == 0
+assert main(["make-pretraining-data", "--annotations", {tsv!r}, "--vocab", {vocab!r},
+             "--output", {str(tmp_path / "examples.jsonl")!r}]) == 0
+assert "numpy.random" not in sys.modules, "numpy.random was imported"
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

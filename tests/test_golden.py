@@ -15,20 +15,22 @@ from lingmask.cli import EX_OK, main
 GOLDEN = {
     # Example format 2: masks come from one Philox stream per block of BLOCK
     # sequences (make-pretraining-data, verify-masking and train-tiny).
+    # verify-masking's synthetic flags come from SplitMix64 hashes of their
+    # index, and train-tiny's initial weights from Philox stream 2**64 - 1.
     "make-pretraining-data-mlm": "fac45905c378431d8aaee9f0fcac216924c2e775f1f47277cefe7d4ec162d2b6",
     "make-pretraining-data-lim": "f261557c896ac1ec55993ca519f66b4452eb228f8543c7a26e3796bb2d332746",
-    "verify-masking": "33d233f725578563bbe18030fe55832a55a9fa832974e1eb559fbb4b9acbe62c",
+    "verify-masking": "0ba69e8e9f0601aadc9a6d08d773c9cedbbc8d747103a7175a9d82a2fb5a17d0",
     "make-ipc": "cf3cee2be23442165060a2d5ed16f9317c47caf1d557fe4c189260e3bd24feb9",
     "make-pairs": "c740f45d92d7ad65e29a12ac960e1129477c10eca324c9f0079ea4067dd9cabb",
     # documents.jsonl holds formula spans, operator tokens, abbreviations and
     # non-ASCII digits, so this pins the formula rules and the sentence splitter.
     "normalize": "3066951d731990dc413a8f0a853b76f1b3421f390a2b103cbf7f4cc71a535582",
     # Step rows take all three losses from the pre-update pass.
-    "train-tiny": "9cc221e6386ee5a835d73df85f65471be528d6c1c81bc2ecc7e4c9e2fdbae3cb",
+    "train-tiny": "14c21d64fbf4c74eb02ed61e1535a69b63b0933238113c6a0c393871a7c1d01e",
     # Each slot's context is the unmasked pieces within two of it.
-    "train-tiny-radius-2": "4da4119b06ac2cd6a72dbba7e502194806feb46c73a3eb76a4e93a0e117036ca",
+    "train-tiny-radius-2": "7bf203a85d6cd1f20034695f7d764a7df10147b71c3e1717efd914b6b569c24d",
     # lim with p_nc 1 masks chunk pieces only: step rows have nan non-chunk losses.
-    "train-tiny-lim-chunk-only": "efd5e1bc1d177fbf1c8d0a1c3597b53f32befd9e82b5b7f08d23ce54e13fbb8e",
+    "train-tiny-lim-chunk-only": "7c85339362ce752307dbbabfaa4135d9f17ce96262fa035fc3047f4abf01b571",
 }
 
 # make-pairs --seed 5 --train-frac 0.8: the split files (the unsplit output

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, strategies as st
 from lingmask.masking import MaskingConfig, TokenizedSequence, build_example, mask_sequences, sequence_rng
 from lingmask.stats import (
     MaskTally,
+    _splitmix64,
     empirical_mask_report,
     expected_conditional_mask_prob,
     flagged_sequences,
@@ -167,20 +170,56 @@ class TestKs:
         assert 0.0 <= result.p_value <= 1.0
 
 
+def _splitmix64_reference(seed, k):
+    """The k-th output of SplitMix64 seeded with ``seed``, in Python ints."""
+    z = (seed + k * 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
 class TestFlaggedSequences:
-    def test_deterministic(self):
-        a = [b.tolist() for b in flagged_sequences(300, seq_len=16, p_y1=0.5, seed=4)]
-        b = [b.tolist() for b in flagged_sequences(300, seq_len=16, p_y1=0.5, seed=4)]
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_hash_matches_reference(self, seed):
+        states = np.arange(1, 9, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed)
+        assert _splitmix64(states).tolist() == [_splitmix64_reference(seed, k) for k in range(1, 9)]
+
+    def test_flag_is_high_hash_word_below_threshold(self):
+        flags = np.concatenate(list(flagged_sequences(300, seq_len=16, p_y1=0.3, seed=9))).ravel()
+        threshold = round(0.3 * 2**32)
+        expected = [_splitmix64_reference(9, i + 1) >> 32 < threshold for i in range(len(flags))]
+        assert flags.tolist() == expected
+
+    @pytest.mark.parametrize("seed", [4, 2**64 - 1])
+    def test_deterministic(self, seed):
+        a = [b.tolist() for b in flagged_sequences(300, seq_len=16, p_y1=0.5, seed=seed)]
+        b = [b.tolist() for b in flagged_sequences(300, seq_len=16, p_y1=0.5, seed=seed)]
         assert a == b
+        other = [b.tolist() for b in flagged_sequences(300, seq_len=16, p_y1=0.5, seed=seed - 1)]
+        assert a != other
 
-    def test_shapes_and_rate(self):
-        blocks = list(flagged_sequences(500, seq_len=64, p_y1=0.507, seed=1))
-        assert [b.shape for b in blocks] == [(256, 64), (244, 64)]
-        rate = sum(b.sum() for b in blocks) / (500 * 64)
-        assert rate == pytest.approx(0.507, abs=0.01)
+    def test_prefix_of_longer_corpus(self):
+        short = np.concatenate(list(flagged_sequences(300, seq_len=16, seed=2)))
+        long = np.concatenate(list(flagged_sequences(600, seq_len=16, seed=2)))
+        assert (long[:300] == short).all()
 
-    def test_bad_arguments(self):
+    @pytest.mark.parametrize("p_y1,expected", [(0.0, False), (1.0, True)])
+    def test_extreme_rates(self, p_y1, expected):
+        for block in flagged_sequences(300, seq_len=16, p_y1=p_y1, seed=2**64 - 1):
+            assert (block == expected).all()
+
+    @pytest.mark.parametrize("n,seq_len", [(500, 64), (50_000, 128)])
+    def test_shapes_and_rate(self, n, seq_len):
+        blocks = list(flagged_sequences(n, seq_len=seq_len, p_y1=0.507, seed=1))
+        assert [b.shape for b in blocks] == [(min(256, n - e), seq_len) for e in range(0, n, 256)]
+        flags = n * seq_len
+        hits = sum(int(b.sum()) for b in blocks)
+        assert hits / flags == pytest.approx(0.507, abs=0.01)
+        assert abs(hits - flags * 0.507) / math.sqrt(flags * 0.507 * 0.493) < 4
+
+    @pytest.mark.parametrize(
+        "n,p_y1,seed", [(0, 0.5, 0), (1, 1.5, 0), (1, -0.1, 0), (1, 0.5, -1)]
+    )
+    def test_bad_arguments(self, n, p_y1, seed):
         with pytest.raises(ValueError):
-            list(flagged_sequences(0))
-        with pytest.raises(ValueError):
-            list(flagged_sequences(1, p_y1=1.5))
+            list(flagged_sequences(n, p_y1=p_y1, seed=seed))

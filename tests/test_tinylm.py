@@ -1,7 +1,9 @@
 import json
+import logging
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -46,6 +48,30 @@ def _slot_hidden(example, params):
     """Per-slot hidden vectors of one example, and which slots had an empty context."""
     counts, _, hidden, rows, _ = _encode(_as_batch([example]), params)
     return hidden[rows], ~counts.any(axis=1)[rows]
+
+
+class TestInit:
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_uniform_deterministic_weights(self, seed):
+        params = TinyLmParams.init(7, 5, seed=seed)
+        again = TinyLmParams.init(7, 5, seed=seed)
+        for weights in (params.embeddings, params.w_mlm):
+            assert weights.shape == (7, 5)
+            assert (-0.05 <= weights).all() and (weights <= 0.05).all()
+        assert (params.embeddings == again.embeddings).all() and (params.w_mlm == again.w_mlm).all()
+        assert not np.array_equal(params.embeddings, params.w_mlm)
+        assert not params.b_mlm.any()
+        other = TinyLmParams.init(7, 5, seed=seed - 1 if seed else 1)
+        assert not np.array_equal(params.embeddings, other.embeddings)
+
+    def test_spread_covers_the_interval(self):
+        weights = TinyLmParams.init(100, 8, seed=3).embeddings
+        assert weights.min() < -0.045 and weights.max() > 0.045
+        assert abs(weights.mean()) < 0.005
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            TinyLmParams.init(3, 2, seed=-1)
 
 
 class TestContextEncode:
@@ -401,6 +427,18 @@ class TestTrain:
             )
             with pytest.raises(RuntimeError, match=r"^training diverged at step \d+: non-finite"):
                 train(_topic_sequences(30, 0), masking, training)
+
+    def test_clamps_logged_once_per_run(self, caplog):
+        # At lr 1e9 many forward passes clamp before the run diverges; the
+        # run's total is logged once, as it aborts.
+        masking, _ = self._configs(40)
+        training = TrainingConfig(lr=1e9, steps=40, batch_size=4, eval_every=40, seed=0, hidden_dim=4)
+        with caplog.at_level(logging.WARNING, logger="lingmask.tinylm"):
+            with pytest.raises(RuntimeError, match="training diverged"):
+                train(_topic_sequences(30, 0), masking, training)
+        clamp_lines = [r.getMessage() for r in caplog.records if "clamped" in r.getMessage()]
+        assert len(clamp_lines) == 1
+        assert re.fullmatch(r"clamped [1-9]\d* zero label probabilities in this run", clamp_lines[0])
 
     @pytest.mark.parametrize("lr", [math.inf, math.nan, -0.5])
     def test_lr_must_be_finite_and_non_negative(self, lr):
