@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .chunker import AnnotatedSentence, AnnotatedToken, ChunkStats, chunk_stats, extract_noun_chunks
 from .corpus import CleanDocument, RawDocument, clean_document, normalize_text, split_sentences
 from .masking import BLOCK, MaskedExample, MaskingConfig, TokenizedSequence, build_example, mask_sequences, sequence_rng
-from .stats import KsResult, MaskProbReport, empirical_mask_report, expected_conditional_mask_prob, ks_two_sample, tally_block
+from .stats import KsResult, MaskProbReport, empirical_mask_report, expected_conditional_mask_prob, ks_from_counts, ks_two_sample, tally_block
 from .subword import Encoding, Vocabulary, encode_sentence, encode_word, load_vocab
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "encode_word",
     "expected_conditional_mask_prob",
     "extract_noun_chunks",
+    "ks_from_counts",
     "ks_two_sample",
     "load_vocab",
     "mask_sequences",

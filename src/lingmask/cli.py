@@ -51,7 +51,7 @@ from .masking import (
     sequence_from_annotated,
     sequence_rng,
 )
-from .stats import empirical_mask_report, flagged_sequences, ks_two_sample, tally_block
+from .stats import empirical_mask_report, flagged_sequences, ks_from_counts, tally_block
 from .subword import Vocabulary, corpus_split_stats, load_vocab
 from .tinylm import TrainingConfig, train, write_metrics_csv
 
@@ -335,9 +335,10 @@ def _cmd_train_tiny(cfg: dict[str, Any]) -> int:
 _INTEGER_KEY = re.compile(r"-?[0-9]+")
 
 
-def _load_histogram(path: str) -> list[int]:
-    """The sample of a JSON object of integer values and their counts: each
-    value repeated count times. A count must be a non-negative JSON integer."""
+def _load_histogram(path: str) -> Counter:
+    """The value -> count table of a JSON object of integer values and their
+    counts; keys naming the same integer add up. A count must be a
+    non-negative JSON integer."""
     with open(path, encoding="utf-8") as handle:
         try:
             histogram = json.load(handle)
@@ -345,7 +346,7 @@ def _load_histogram(path: str) -> list[int]:
             raise ValueError(f"{path}: histogram file is not JSON: {exc}") from exc
     if not isinstance(histogram, dict):
         raise ValueError(f"histogram file must hold a JSON object: {path}")
-    sample: list[int] = []
+    counts: Counter = Counter()
     for key, count in histogram.items():
         if not _INTEGER_KEY.fullmatch(key):
             raise ValueError(f"{path}: histogram key {key!r} is not an integer")
@@ -353,12 +354,12 @@ def _load_histogram(path: str) -> list[int]:
             raise ValueError(
                 f"{path}: count of key {key!r} must be a non-negative integer, got {json.dumps(count)}"
             )
-        sample.extend([int(key)] * count)
-    return sample
+        counts[int(key)] += count
+    return counts
 
 
 def _cmd_ks_compare(cfg: dict[str, Any]) -> int:
-    result = ks_two_sample(_load_histogram(cfg["a"]), _load_histogram(cfg["b"]))
+    result = ks_from_counts(_load_histogram(cfg["a"]), _load_histogram(cfg["b"]))
     _emit_json(
         {
             "d_statistic": result.d_statistic,

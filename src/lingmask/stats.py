@@ -13,8 +13,9 @@ writes pre-training data), so the law can be checked end to end.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -179,30 +180,32 @@ class KsResult:
 
 
 def ks_two_sample(sample_a: Sequence[float], sample_b: Sequence[float]) -> KsResult:
-    """Exact D via a merged sorted scan; asymptotic p-value.
+    """Two-sample KS test: ``ks_from_counts`` on the samples' value counts."""
+    return ks_from_counts(Counter(sample_a), Counter(sample_b))
 
-    Ties are handled by evaluating the ECDF difference at every distinct value
-    of the pooled sample. The p-value uses the Kolmogorov survival series
-    Q(lambda) = 2 sum_{k>=1} (-1)^(k-1) exp(-2 k^2 lambda^2), truncated at
-    k = 100, with lambda = (sqrt(n_e) + 0.12 + 0.11 / sqrt(n_e)) D and
+
+def ks_from_counts(counts_a: Mapping[float, int], counts_b: Mapping[float, int]) -> KsResult:
+    """Exact D of the two samples given as value -> count tables; asymptotic
+    p-value.
+
+    D is the largest ECDF difference over the distinct values of the pooled
+    sample, taken by one scan of the sorted union of the keys with running
+    counts, so ties need no special case and memory grows with the distinct
+    values, not with the counts. The p-value uses the Kolmogorov survival
+    series Q(lambda) = 2 sum_{k>=1} (-1)^(k-1) exp(-2 k^2 lambda^2), truncated
+    at k = 100, with lambda = (sqrt(n_e) + 0.12 + 0.11 / sqrt(n_e)) D and
     n_e = n1 n2 / (n1 + n2).
     """
-    if len(sample_a) == 0 or len(sample_b) == 0:
+    if min(counts_a.values(), default=0) < 0 or min(counts_b.values(), default=0) < 0:
+        raise ValueError("counts must be non-negative")
+    n1, n2 = sum(counts_a.values()), sum(counts_b.values())
+    if n1 == 0 or n2 == 0:
         raise ValueError("both samples must be non-empty")
-    a = sorted(sample_a)
-    b = sorted(sample_b)
-    n1, n2 = len(a), len(b)
     i = j = 0
     d = 0.0
-    while i < n1 or j < n2:
-        if j >= n2 or (i < n1 and a[i] <= b[j]):
-            value = a[i]
-        else:
-            value = b[j]
-        while i < n1 and a[i] == value:
-            i += 1
-        while j < n2 and b[j] == value:
-            j += 1
+    for value in sorted(counts_a.keys() | counts_b.keys()):
+        i += counts_a.get(value, 0)
+        j += counts_b.get(value, 0)
         diff = abs(i / n1 - j / n2)
         if diff > d:
             d = diff

@@ -16,14 +16,19 @@ pass, and one clamped per-slot NLL vector gives its loss and the loss of each
 slot class; its step row reports the batch's losses from before the update,
 and eval rows report the held-out set.
 
-Examples are masked once and packed as they are made into one table of flat
-arrays (``PackedExamples``): every piece id with -1 at the masked positions,
-and per slot its position, label, weight and chunk flag, plus per-example
-offsets into both. Its memory grows with pieces and slots, not with examples
-x V. A batch or an eval block is gathered from it by index with a few array
-operations, and its count matrix comes from one ``bincount``; no step or
-eval block loops over its examples in Python. The held-out split and the
-epoch orders are index arrays into the table.
+The corpus is masked once and packed into one table of flat arrays
+(``PackedExamples``): every piece id with -1 at the masked positions, and per
+slot its position, label, weight and chunk flag, plus per-example offsets
+into both. ``train`` builds it block by block (``pack_corpus``): a block's
+pieces and flags are flattened once, its masked positions come from the
+block's coin and key words, as ``mask_sequences`` draws them, and its rows
+of the table are written with array operations, with no example object and
+no replacement words, which the table would blank anyway. ``pack`` builds
+the same table from example objects. Its memory grows with pieces and slots,
+not with examples x V. A batch or an eval block is gathered from it by index
+with a few array operations, and its count matrix comes from one
+``bincount``; no step or eval block loops over its examples in Python. The
+held-out split and the epoch orders are index arrays into the table.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import random
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import chain, count, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -46,10 +51,14 @@ from .masking import (
     MaskingConfig,
     Philox,
     TokenizedSequence,
-    build_example,
-    mask_sequences,
+    draw_rows,
+    mask_rows,
     sequence_rng,
 )
+
+# Not called here: the benchmark's tracer (perfbench/tracer.py) lists this
+# name among the attributes it wraps.
+from .masking import build_example  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -175,13 +184,43 @@ class PackedBatch:
             )
 
 
+def _table(
+    ids: np.ndarray,
+    piece_offsets: np.ndarray,
+    positions: np.ndarray,
+    slot_offsets: np.ndarray,
+    piece_chunk: np.ndarray,
+    labels: np.ndarray | None = None,
+) -> PackedExamples:
+    """The table of flat piece ids and chunk flags, per-example offsets into
+    pieces and slots, and each slot's position in its example.
+
+    ``ids`` is blanked in place at the masked positions; ``labels`` default
+    to the pieces there. Every slot weighs 1, as every real slot of a
+    ``MaskedExample`` does.
+    """
+    masked = piece_offsets[:-1].repeat(np.diff(slot_offsets)) + positions
+    if labels is None:
+        labels = ids[masked]
+    ids[masked] = -1
+    return PackedExamples(
+        ids,
+        piece_offsets,
+        positions,
+        labels,
+        np.ones(len(masked)),
+        piece_chunk[masked].astype(bool),
+        slot_offsets,
+    )
+
+
 def pack(items: Iterable[MaskedExample | Pair]) -> PackedExamples:
     """Pack examples, or (example, chunk flags) pairs, into one table.
 
     ``items`` is read once and no example is kept. The slots of an example
     given without flags count as non-chunk.
     """
-    ids, positions, labels, weights = array("i"), array("i"), array("i"), array("d")
+    ids, positions, labels = array("i"), array("i"), array("i")
     flags_by_piece = bytearray()
     piece_ends, slot_ends = array("q", [0]), array("q", [0])
     for item in items:
@@ -192,24 +231,59 @@ def pack(items: Iterable[MaskedExample | Pair]) -> PackedExamples:
         ids.extend(example.input_ids)
         positions.extend(example.masked_positions)
         labels.extend(example.labels)
-        weights.extend(example.weights[: len(example.labels)])
         flags_by_piece.extend(bytes(n_pieces) if flags is None else flags)
         piece_ends.append(len(ids))
         slot_ends.append(len(labels))
-    piece_offsets = np.frombuffer(piece_ends, dtype=np.int64)
-    slot_offsets = np.frombuffer(slot_ends, dtype=np.int64)
-    slot_positions = np.frombuffer(positions, dtype=np.intc)
-    masked = piece_offsets[:-1].repeat(np.diff(slot_offsets)) + slot_positions
-    context = np.frombuffer(ids, dtype=np.intc)
-    context[masked] = -1
-    return PackedExamples(
-        context,
-        piece_offsets,
-        slot_positions,
+    return _table(
+        np.frombuffer(ids, dtype=np.intc),
+        np.frombuffer(piece_ends, dtype=np.int64),
+        np.frombuffer(positions, dtype=np.intc),
+        np.frombuffer(slot_ends, dtype=np.int64),
+        np.frombuffer(flags_by_piece, dtype=np.uint8),
         np.frombuffer(labels, dtype=np.intc),
-        np.frombuffer(weights, dtype=np.float64),
-        np.frombuffer(flags_by_piece, dtype=np.uint8)[masked].astype(bool),
-        slot_offsets,
+    )
+
+
+def pack_corpus(corpus: Iterable[TokenizedSequence], config: MaskingConfig) -> PackedExamples:
+    """Mask the non-empty sequences of ``corpus`` and pack them into one table.
+
+    The masked positions are those of ``mask_sequences`` on each block of
+    ``BLOCK`` sequences. No replacement words are drawn, since the table
+    blanks every masked position whatever its replacement, and no example
+    object is built: a block's pieces and flags are flattened once, and the
+    rest is array operations on the block.
+    """
+    # Each list starts with what an empty corpus needs: no pieces or slots,
+    # and the leading 0 of the offsets.
+    ids, flags, positions = [np.zeros(0, np.intc)], [np.zeros(0, bool)], [np.zeros(0, np.intc)]
+    lengths, counts = [np.zeros(1, np.int64)], [np.zeros(1, np.int64)]
+    sequences = (s for s in corpus if s.pieces)
+    for index, block in enumerate(iter(lambda: list(islice(sequences, BLOCK)), [])):
+        rows = len(block)
+        pieces, ys = [s.pieces for s in block], [s.y for s in block]
+        block_lengths = np.fromiter(map(len, pieces), np.int64, rows)
+        if not np.array_equal(np.fromiter(map(len, ys), np.int64, rows), block_lengths):
+            raise ValueError("chunk flags must align with pieces")
+        span, total = int(block_lengths.max()), int(block_lengths.sum())
+        if span > config.max_seq_len:
+            raise ValueError(f"sequence longer than max_seq_len {config.max_seq_len}")
+        block_flags = np.fromiter(chain.from_iterable(ys), bool, total)
+        grid = np.zeros((rows, span), dtype=bool)
+        grid[np.arange(span) < block_lengths[:, None]] = block_flags
+        draws = draw_rows(sequence_rng(config.seed, index), config, 0, rows, span, replacements=False)
+        masked = mask_rows(grid, block_lengths, config, draws)
+        filled = np.arange(masked.positions.shape[1]) < masked.counts[:, None]
+        ids.append(np.fromiter(chain.from_iterable(pieces), np.intc, total))
+        flags.append(block_flags)
+        positions.append(masked.positions[filled].astype(np.intc))
+        lengths.append(block_lengths)
+        counts.append(masked.counts)
+    return _table(
+        np.concatenate(ids),
+        np.concatenate(lengths).cumsum(),
+        np.concatenate(positions),
+        np.concatenate(counts).cumsum(),
+        np.concatenate(flags),
     )
 
 
@@ -458,7 +532,7 @@ def train(
     """Train the tiny head on statically masked examples from ``corpus``.
 
     Each non-empty sequence of the corpus is masked once with the masking
-    seed and packed into one table as it is read. The table is split into
+    seed and packed into one table (``pack_corpus``). The table is split into
     train and held-out examples with the training seed, and the held-out set
     is re-evaluated at step 0, every ``eval_every`` steps, and at the end. A
     step row reports the training batch's total, chunk and non-chunk losses
@@ -469,14 +543,7 @@ def train(
     run diverges.
     """
 
-    def masked_examples() -> Iterator[Pair]:
-        sequences = (s for s in corpus if s.pieces)
-        for index, block in enumerate(iter(lambda: list(islice(sequences, BLOCK)), [])):
-            rng = sequence_rng(masking_config.seed, index)
-            for seq, row in zip(block, mask_sequences(block, masking_config, rng)):
-                yield build_example(seq, masking_config, row), seq.y
-
-    table = pack(masked_examples())
+    table = pack_corpus(corpus, masking_config)
     if not len(table):
         raise ValueError("empty corpus")
     order = list(range(len(table)))

@@ -94,3 +94,13 @@ def annotated_corpus(tmp_path_factory) -> tuple[str, str]:
     tsv, vocab = base / "annotations.tsv", base / "vocab.txt"
     make_annotated_corpus(tsv, vocab, n_sentences=120, seed=13)
     return str(tsv), str(vocab)
+
+
+@pytest.fixture(scope="session")
+def multi_block_corpus(tmp_path_factory) -> tuple[str, str]:
+    """Paths to a 600-sentence annotation TSV, which spans three masking
+    blocks, and its vocabulary file."""
+    base = tmp_path_factory.mktemp("multi_block_corpus")
+    tsv, vocab = base / "annotations.tsv", base / "vocab.txt"
+    make_annotated_corpus(tsv, vocab, n_sentences=600, seed=17)
+    return str(tsv), str(vocab)

@@ -544,6 +544,16 @@ class TestKsCompare:
         assert report["d_statistic"] == 1.0
         assert report["n1"] == 4 and report["n2"] == 4
 
+    def test_counts_are_not_expanded(self, tmp_path, capsys):
+        # Keys naming the same integer add up: "03" and "3" are one value.
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"3": 10**8, "03": 10**8}))
+        b.write_text(json.dumps({"3": 1, "4": 1}))
+        assert main(["ks-compare", "--a", str(a), "--b", str(b)]) == EX_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["d_statistic"] == 0.5
+        assert report["n1"] == 2 * 10**8 and report["n2"] == 2
+
     def test_chunk_stats_report_names_file_and_key(self, tmp_path, annotated_corpus, capsys):
         a, report = tmp_path / "a.json", tmp_path / "report.json"
         a.write_text(json.dumps({"1": 2}))

@@ -31,6 +31,8 @@ GOLDEN = {
     "train-tiny-radius-2": "7bf203a85d6cd1f20034695f7d764a7df10147b71c3e1717efd914b6b569c24d",
     # lim with p_nc 1 masks chunk pieces only: step rows have nan non-chunk losses.
     "train-tiny-lim-chunk-only": "7c85339362ce752307dbbabfaa4135d9f17ce96262fa035fc3047f4abf01b571",
+    # 600 sentences: masks from three blocks' streams, the last one partial.
+    "train-tiny-multi-block": "03202a617283b753ee1bfdd48a0619d37400b415927e9883241ae70a5ad14599",
 }
 
 # make-pairs --seed 5 --train-frac 0.8: the split files (the unsplit output
@@ -71,12 +73,17 @@ def _argv(name, annotations, vocab, patents, documents, out):
             "--strategy", "lim", "--p-nc", "1.0",
             "--steps", "5", "--batch-size", "4", "--seed", "2",
         ],
+        "train-tiny-multi-block": [
+            "train-tiny", "--annotations", annotations, "--vocab", vocab,
+            "--strategy", "lim", "--p-nc", "0.75",
+            "--steps", "5", "--batch-size", "4", "--seed", "2",
+        ],
     }[name] + ["--output", out]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_output_digest(name, tmp_path, annotated_corpus, patents_path, data_dir):
-    annotations, vocab = annotated_corpus
+def test_output_digest(name, tmp_path, annotated_corpus, multi_block_corpus, patents_path, data_dir):
+    annotations, vocab = multi_block_corpus if name == "train-tiny-multi-block" else annotated_corpus
     out = tmp_path / "out"
     replay = tmp_path / "replay"
     documents = str(data_dir / "documents.jsonl")

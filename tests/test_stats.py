@@ -11,6 +11,7 @@ from lingmask.stats import (
     empirical_mask_report,
     expected_conditional_mask_prob,
     flagged_sequences,
+    ks_from_counts,
     ks_two_sample,
     tally_block,
 )
@@ -168,6 +169,57 @@ class TestKs:
         assert result.d_statistic == ks_two_sample(b, a).d_statistic
         assert 0.0 <= result.d_statistic <= 1.0
         assert 0.0 <= result.p_value <= 1.0
+
+
+def _merged_scan_d(a, b):
+    """D by a merged scan of the two sorted samples, advancing past each
+    distinct value in both (the scan ``ks_two_sample`` ran before it counted
+    its samples)."""
+    a, b = sorted(a), sorted(b)
+    i = j = 0
+    d = 0.0
+    while i < len(a) or j < len(b):
+        value = a[i] if j >= len(b) or (i < len(a) and a[i] <= b[j]) else b[j]
+        while i < len(a) and a[i] == value:
+            i += 1
+        while j < len(b) and b[j] == value:
+            j += 1
+        d = max(d, abs(i / len(a) - j / len(b)))
+    return d
+
+
+def _expand(counts):
+    return [value for value, count in counts.items() for _ in range(count)]
+
+
+# Count tables over a few values, so the two samples tie often; a value may
+# have count 0. Each table has at least one count.
+_COUNTS = st.dictionaries(st.integers(-3, 6), st.integers(0, 9), max_size=8).filter(
+    lambda counts: sum(counts.values()) > 0
+)
+
+
+class TestKsFromCounts:
+    @given(_COUNTS, _COUNTS)
+    def test_equals_the_expanded_samples(self, counts_a, counts_b):
+        a, b = _expand(counts_a), _expand(counts_b)
+        result = ks_from_counts(counts_a, counts_b)
+        assert result == ks_two_sample(a, b)
+        assert result.d_statistic == _merged_scan_d(a, b) == _brute_force_d(a, b)
+        assert (result.n1, result.n2) == (len(a), len(b))
+
+    def test_large_counts_need_no_expansion(self):
+        result = ks_from_counts({3: 10**12}, {3: 1, 4: 1})
+        assert result.d_statistic == 0.5
+        assert (result.n1, result.n2) == (10**12, 2)
+
+    @pytest.mark.parametrize(
+        "counts_a, counts_b, error",
+        [({1: 0}, {1: 1}, "non-empty"), ({}, {1: 1}, "non-empty"), ({1: -1, 2: 2}, {1: 1}, "non-negative")],
+    )
+    def test_invalid_tables_rejected(self, counts_a, counts_b, error):
+        with pytest.raises(ValueError, match=error):
+            ks_from_counts(counts_a, counts_b)
 
 
 def _splitmix64_reference(seed, k):

@@ -7,12 +7,22 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lingmask.masking import MaskedExample, MaskingConfig, TokenizedSequence
+from lingmask import tinylm
+from lingmask.masking import (
+    BLOCK,
+    MaskedExample,
+    MaskingConfig,
+    TokenizedSequence,
+    build_example,
+    mask_sequences,
+    sequence_rng,
+)
 from lingmask.tinylm import (
     EVAL_BLOCK,
     MetricsRow,
@@ -27,6 +37,7 @@ from lingmask.tinylm import (
     loss_and_grads,
     mlm_loss,
     pack,
+    pack_corpus,
     predict,
     train,
     write_metrics_csv,
@@ -549,6 +560,74 @@ class TestPacked:
         assert list(PackedBatch(table, np.arange(0))) == []
         with pytest.raises(ValueError, match="no prediction slots"):
             evaluate([], TinyLmParams.init(3, 2, seed=0))
+
+
+def _per_example_table(corpus, config):
+    """``pack`` over one ``build_example`` per sequence, masked block by block
+    with ``mask_sequences``: what ``pack_corpus`` replaces."""
+
+    def pairs():
+        sequences = (s for s in corpus if s.pieces)
+        for index, block in enumerate(iter(lambda: list(islice(sequences, BLOCK)), [])):
+            for seq, row in zip(block, mask_sequences(block, config, sequence_rng(config.seed, index))):
+                yield build_example(seq, config, row), seq.y
+
+    return pack(pairs())
+
+
+class TestPackCorpus:
+    MAX_SEQ_LEN = 12
+
+    def _corpus(self, n, seed):
+        """``n`` non-empty sequences with empty ones among them: lengths 1 to
+        ``MAX_SEQ_LEN`` (the first sequence has exactly that many pieces),
+        and some sequences all chunk or all non-chunk."""
+        rng = random.Random(seed)
+        corpus = []
+        for i in range(n):
+            if i % 37 == 5:
+                corpus.append(TokenizedSequence([], [], f"empty-{i}"))
+            length = self.MAX_SEQ_LEN if i == 0 else rng.randint(1, self.MAX_SEQ_LEN)
+            share = rng.choice([0.0, 0.5, 1.0, rng.random()])
+            flags = [rng.random() < share for _ in range(length)]
+            corpus.append(TokenizedSequence([rng.randrange(20) for _ in range(length)], flags, f"d{i}"))
+        return corpus
+
+    @pytest.mark.parametrize("n", [BLOCK + 1, 2 * BLOCK + 7])
+    @pytest.mark.parametrize("strategy, p_nc", [("mlm", None), ("lim", 0.75), ("lim", 1.0)])
+    def test_equals_per_example_packing(self, n, strategy, p_nc):
+        config = MaskingConfig(
+            strategy=strategy, p_nc=p_nc, max_seq_len=self.MAX_SEQ_LEN, max_pred=3,
+            seed=n, mask_piece_id=1, vocab_size=20,
+        )
+        corpus = self._corpus(n, seed=n)
+        got, want = pack_corpus(corpus, config), _per_example_table(corpus, config)
+        assert len(got) == n
+        for field in want.__dataclass_fields__:
+            got_field, want_field = getattr(got, field), getattr(want, field)
+            assert got_field.dtype == want_field.dtype, field
+            assert np.array_equal(got_field, want_field), field
+
+    def test_empty_corpus(self):
+        config = MaskingConfig(max_seq_len=self.MAX_SEQ_LEN, vocab_size=20)
+        table = pack_corpus([TokenizedSequence([], [])], config)
+        assert len(table) == 0 and len(table.labels) == 0
+
+    def test_longer_than_max_seq_len_rejected(self):
+        config = MaskingConfig(max_seq_len=3, vocab_size=20)
+        with pytest.raises(ValueError, match="longer than max_seq_len 3"):
+            pack_corpus([TokenizedSequence([1, 2, 3, 4], [True] * 4)], config)
+
+    def test_train_builds_no_example(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an example object was built")
+
+        monkeypatch.setattr(tinylm, "build_example", refuse)
+        monkeypatch.setattr(MaskedExample, "__post_init__", refuse)
+        masking = MaskingConfig(max_seq_len=8, mask_piece_id=0, vocab_size=10)
+        training = TrainingConfig(steps=3, batch_size=4, hidden_dim=4)
+        metrics, _ = train(_topic_sequences(30, 0), masking, training)
+        assert [m.step for m in metrics if not m.is_eval] == [1, 2, 3]
 
 
 def test_tracer_sees_every_step(tmp_path, annotated_corpus):
