@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 log = logging.getLogger(__name__)
@@ -60,7 +60,7 @@ class AnnotatedSentence:
 
     tokens: list[AnnotatedToken]
     chunk_spans: list[tuple[int, int]]
-    y: list[bool] | None = None
+    y: list[bool] = field(init=False)
 
     def __post_init__(self) -> None:
         n = len(self.tokens)
@@ -71,10 +71,7 @@ class AnnotatedSentence:
             if start < prev_end:
                 raise ValueError(f"overlapping spans at [{start}, {end})")
             prev_end = end
-        if self.y is None:
-            self.y = spans_to_flags(self.chunk_spans, n)
-        elif len(self.y) != n or self.y != spans_to_flags(self.chunk_spans, n):
-            raise ValueError("y flags inconsistent with chunk spans")
+        self.y = spans_to_flags(self.chunk_spans, n)
 
 
 def extract_noun_chunks(tokens: list[AnnotatedToken]) -> list[tuple[int, int]]:

@@ -15,6 +15,7 @@ breach, 64 usage error, 74 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -265,7 +266,7 @@ def _cmd_verify_masking(cfg: dict[str, Any]) -> int:
     report = empirical_mask_report(
         tallies, cfg["mask_prob"], cfg["p_nc"] if cfg["strategy"] == "lim" else None
     )
-    _emit_json(report.to_dict(), cfg["output"])
+    _emit_json(dataclasses.asdict(report), cfg["output"])
     if report.abs_error is None:
         log.error("conditional masking probability is undefined on this corpus")
         return EX_FAIL

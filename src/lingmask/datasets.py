@@ -108,8 +108,10 @@ def read_patent_records(path: str) -> Iterator[PatentRecord]:
                 ipc = record.get("ipc", [])
                 if isinstance(ipc, str):
                     tags = [t.strip() for t in ipc.split(";") if t.strip()]
-                else:
+                elif isinstance(ipc, list):
                     tags = [str(t).strip() for t in ipc if str(t).strip()]
+                else:
+                    raise ValueError(f"ipc must be a string or a list: {ipc!r}")
                 citations = [_citation(c) for c in record.get("citations", [])]
                 yield PatentRecord(
                     pub_number=record["pub_number"],

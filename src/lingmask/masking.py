@@ -37,6 +37,13 @@ words. Because Philox is counter-based, only the words a batch of rows needs
 are computed, and an example depends only on the seed, its ordinal and its
 own sequence: the output for a corpus prefix is a prefix of the output for
 the whole corpus, and how the work is batched does not matter.
+
+``draw_rows`` is the one function that knows this layout, and ``mask_rows``
+its one caller: for a batch of rows of a block it returns the masked
+positions of all rows as one flat array, with per-row counts, branches and
+the aligned replacement ids. ``mask_sequences`` (pre-training examples),
+``stats.tally_block`` (the law check) and ``tinylm.pack_corpus`` (the tiny
+LM's table) all mask through it.
 """
 
 from __future__ import annotations
@@ -250,26 +257,39 @@ def mask_budget(lengths: np.ndarray, config: MaskingConfig) -> np.ndarray:
 
 
 class MaskedRows(NamedTuple):
-    """Masked positions chosen for some rows of a block.
+    """Masked positions chosen for some rows of a block, as flat arrays.
 
-    Row ``i`` masks ``positions[i, :counts[i]]`` (ascending; the rest of the
-    row is padding, max_seq_len). ``nc`` says whether the row's pool is its
+    ``positions`` holds each row's masked positions in ascending order, the
+    rows one after another: row ``i`` owns ``counts[i]`` of them.
+    ``replacements`` is aligned with ``positions``: the piece id written
+    there, the mask piece, a random piece or -1 to keep the piece (80/10/10);
+    it is None when not drawn. ``nc`` says whether each row's pool is its
     chunk-flagged positions; it is None under ``mlm``.
     """
 
     positions: np.ndarray
     counts: np.ndarray
     nc: np.ndarray | None
+    replacements: np.ndarray | None
 
 
-def mask_rows(flags: np.ndarray, lengths: np.ndarray, config: MaskingConfig, draws: Draws) -> MaskedRows:
-    """Choose the masked positions of some rows of a block.
+def mask_rows(
+    flags: np.ndarray,
+    lengths: np.ndarray,
+    config: MaskingConfig,
+    rng: Philox,
+    first: int = 0,
+    replacements: bool = True,
+) -> MaskedRows:
+    """Choose the masked positions of rows ``first``, ``first + 1``, ... of
+    the block whose stream is ``rng``, and with ``replacements`` what each
+    is replaced by.
 
     ``flags`` is a (rows, span) boolean array of chunk flags, False past
-    each row's length, where ``span`` is the longest length; ``draws`` are
-    the rows' words from ``draw_rows``.
+    each row's length, where ``span`` is the longest length (``flag_grid``).
     """
-    span = flags.shape[1]
+    rows, span = flags.shape
+    draws = draw_rows(rng, config, first, rows, span, replacements)
     pool = np.arange(span) < lengths[:, None]
     nc = None
     if config.strategy == "lim":
@@ -285,20 +305,35 @@ def mask_rows(flags: np.ndarray, lengths: np.ndarray, config: MaskingConfig, dra
     keys[~pool] = np.iinfo(_U64).max
     width = min(config.max_pred, span)
     smallest = np.sort(np.partition(keys, width - 1, axis=1)[:, :width], axis=1)
-    chosen = (smallest & _LOW).astype(np.int64)
-    positions = np.sort(np.where(np.arange(width) < counts[:, None], chosen, config.max_seq_len), axis=1)
-    return MaskedRows(positions, counts, nc)
-
-
-def _replacement_ids(draws: Draws, config: MaskingConfig) -> np.ndarray:
-    """Piece id written at the ``j``-th masked position of each row: the
-    mask piece, a random piece, or -1 to keep the piece (80/10/10)."""
-    random_ids = ((draws.ids * _U64(config.vocab_size)) >> _U64(32)).astype(np.int64)
-    return np.where(
-        draws.replace < config.mask_frac * 2**32,
+    filled = np.arange(width) < counts[:, None]
+    # Sorting each row with the unused columns past any position leaves its
+    # own positions first, in ascending order.
+    positions = np.sort(np.where(filled, (smallest & _LOW).astype(np.int64), span), axis=1)[filled]
+    if not replacements:
+        return MaskedRows(positions, counts, nc, None)
+    replace = draws.replace[filled]
+    random_ids = ((draws.ids[filled] * _U64(config.vocab_size)) >> _U64(32)).astype(np.int64)
+    ids = np.where(
+        replace < config.mask_frac * 2**32,
         config.mask_piece_id,
-        np.where(draws.replace < (config.mask_frac + config.random_frac) * 2**32, random_ids, -1),
+        np.where(replace < (config.mask_frac + config.random_frac) * 2**32, random_ids, -1),
     )
+    return MaskedRows(positions, counts, nc, ids)
+
+
+def flag_grid(seqs: Sequence[TokenizedSequence], config: MaskingConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk flags of ``seqs`` as ``mask_rows`` takes them: a (rows,
+    longest length) boolean grid, False past each row's length, and the
+    lengths. A sequence longer than ``max_seq_len`` raises ``ValueError``."""
+    lengths = np.fromiter((len(seq.y) for seq in seqs), np.int64, len(seqs))
+    span = int(lengths.max())
+    if span > config.max_seq_len:
+        raise ValueError(f"sequence longer than max_seq_len {config.max_seq_len}")
+    flags = np.zeros((len(seqs), span), dtype=bool)
+    flags[np.arange(span) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(seq.y for seq in seqs), bool, int(lengths.sum())
+    )
+    return flags, lengths
 
 
 class MaskRow(NamedTuple):
@@ -314,25 +349,14 @@ def mask_sequences(
 ) -> Iterator[MaskRow]:
     """Masks of the sequences that are rows ``first``, ``first + 1``, ... of
     the block whose stream is ``rng``; yields one row per sequence."""
-    lengths = np.fromiter((len(seq.y) for seq in seqs), np.int64, len(seqs))
-    span = int(lengths.max())
-    if span > config.max_seq_len:
-        raise ValueError(f"sequence longer than max_seq_len {config.max_seq_len}")
-    flags = np.zeros((len(seqs), span), dtype=bool)
-    flags[np.arange(span) < lengths[:, None]] = np.fromiter(
-        chain.from_iterable(seq.y for seq in seqs), bool, int(lengths.sum())
-    )
-    draws = draw_rows(rng, config, first, len(seqs), span)
-    masked = mask_rows(flags, lengths, config, draws)
+    masked = mask_rows(*flag_grid(seqs, config), config, rng, first)
     branches = (
         ["n/a"] * len(seqs)
         if masked.nc is None
         else ["nc" if nc else "non_nc" for nc in masked.nc.tolist()]
     )
     # One flat list per field, sliced row by row as the rows are consumed.
-    filled = np.arange(masked.positions.shape[1]) < masked.counts[:, None]
-    positions = masked.positions[filled].tolist()
-    replacements = _replacement_ids(draws, config)[filled].tolist()
+    positions, replacements = masked.positions.tolist(), masked.replacements.tolist()
     ends = masked.counts.cumsum().tolist()
     return (
         MaskRow(branch, positions[start:end], replacements[start:end])

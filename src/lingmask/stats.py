@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .masking import BLOCK, MaskingConfig, Philox, draw_rows, mask_rows
+from .masking import BLOCK, MaskingConfig, Philox, mask_rows
 
 
 def expected_conditional_mask_prob(mask_prob: float, p_nc: float, p_y1: float) -> float:
@@ -61,19 +61,6 @@ class MaskProbReport:
     se_mask_given_y1: float | None
     se_mask_given_y0: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "n_sequences": self.n_sequences,
-            "n_tokens": self.n_tokens,
-            "p_y1": self.p_y1,
-            "p_mask_given_y1": self.p_mask_given_y1,
-            "p_mask_given_y0": self.p_mask_given_y0,
-            "expected_p_mask_given_y1": self.expected_p_mask_given_y1,
-            "abs_error": self.abs_error,
-            "se_mask_given_y1": self.se_mask_given_y1,
-            "se_mask_given_y0": self.se_mask_given_y0,
-        }
-
 
 def _ratio_and_se(
     num: float, den: float, num_sq: float, den_sq: float, cross: float
@@ -100,13 +87,10 @@ def tally_block(flags: np.ndarray, config: MaskingConfig, rng: Philox) -> MaskTa
     """Mask a block of full-length flag rows and count it."""
     rows, seq_len = flags.shape
     lengths = np.full(rows, seq_len)
-    draws = draw_rows(rng, config, 0, rows, seq_len, replacements=False)
-    masked = mask_rows(flags, lengths, config, draws)
-    filled = np.arange(masked.positions.shape[1]) < masked.counts[:, None]
-    hits = np.take_along_axis(flags, np.minimum(masked.positions, seq_len - 1), axis=1)
-    return MaskTally(
-        lengths, np.count_nonzero(flags, axis=1), masked.counts, np.count_nonzero(hits & filled, axis=1)
-    )
+    masked = mask_rows(flags, lengths, config, rng, replacements=False)
+    owner = np.repeat(np.arange(rows), masked.counts)
+    masked_chunk = np.bincount(owner[flags[owner, masked.positions]], minlength=rows)
+    return MaskTally(lengths, np.count_nonzero(flags, axis=1), masked.counts, masked_chunk)
 
 
 def empirical_mask_report(

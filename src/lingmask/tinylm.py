@@ -2,11 +2,10 @@
 
 The encoder is a deliberate stand-in for a deep network: the hidden vector of
 a masked position is the mean embedding of the unmasked pieces in its context
-window (radius 0 means the whole sequence). The output layer, the weighted
-cross-entropy loss over prediction slots, and the padding-weight mechanism are
-implemented exactly, so masking strategies can be compared end to end without
-a transformer. Training is plain gradient descent to keep optimizer effects
-out of the comparison.
+window (radius 0 means the whole sequence). The output layer and the
+cross-entropy loss over prediction slots are implemented exactly, so masking
+strategies can be compared end to end without a transformer. Training is
+plain gradient descent to keep optimizer effects out of the comparison.
 
 A context-row x vocabulary matrix of context-piece counts turns the encoder
 and its backward pass into dense matrix products over a whole batch. At radius
@@ -18,17 +17,17 @@ and eval rows report the held-out set.
 
 The corpus is masked once and packed into one table of flat arrays
 (``PackedExamples``): every piece id with -1 at the masked positions, and per
-slot its position, label, weight and chunk flag, plus per-example offsets
-into both. ``train`` builds it block by block (``pack_corpus``): a block's
-pieces and flags are flattened once, its masked positions come from the
-block's coin and key words, as ``mask_sequences`` draws them, and its rows
-of the table are written with array operations, with no example object and
-no replacement words, which the table would blank anyway. ``pack`` builds
-the same table from example objects. Its memory grows with pieces and slots,
-not with examples x V. A batch or an eval block is gathered from it by index
-with a few array operations, and its count matrix comes from one
-``bincount``; no step or eval block loops over its examples in Python. The
-held-out split and the epoch orders are index arrays into the table.
+slot its position, label and chunk flag, plus per-example offsets into both.
+``train`` builds it block by block (``pack_corpus``): a block's pieces are
+flattened once, its masked positions come from ``mask_rows``, as
+``mask_sequences`` draws them, and its rows of the table are written with
+array operations, with no example object and no replacement words, which the
+table would blank anyway. ``pack`` builds the same table from example objects.
+Its memory grows with pieces and slots, not with examples x V. A batch or an
+eval block is gathered from it by index with a few array operations, and its
+count matrix comes from one ``bincount``; no step or eval block loops over its
+examples in Python. The held-out split and the epoch orders are index arrays
+into the table.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .masking import (
     MaskingConfig,
     Philox,
     TokenizedSequence,
-    draw_rows,
+    flag_grid,
     mask_rows,
     sequence_rng,
 )
@@ -131,7 +130,6 @@ class ExampleSlots(NamedTuple):
 
     masked_positions: np.ndarray
     labels: np.ndarray
-    weights: np.ndarray
     chunk: np.ndarray
 
 
@@ -143,14 +141,14 @@ class PackedExamples:
     slots ``slot_offsets[k]:slot_offsets[k + 1]``. ``ids`` holds every piece
     id of the input with -1 at the masked positions, so it is the example's
     visible context; per slot there is its position in the example, its
-    label, its weight and whether its piece is in a chunk.
+    label and whether its piece is in a chunk. Every slot weighs 1, as every
+    real slot of a ``MaskedExample`` does.
     """
 
     ids: np.ndarray
     piece_offsets: np.ndarray
     positions: np.ndarray
     labels: np.ndarray
-    weights: np.ndarray
     chunk: np.ndarray
     slot_offsets: np.ndarray
 
@@ -179,7 +177,6 @@ class PackedBatch:
             yield ExampleSlots(
                 table.positions[start:stop],
                 table.labels[start:stop],
-                table.weights[start:stop],
                 table.chunk[start:stop],
             )
 
@@ -189,29 +186,20 @@ def _table(
     piece_offsets: np.ndarray,
     positions: np.ndarray,
     slot_offsets: np.ndarray,
-    piece_chunk: np.ndarray,
+    chunk: np.ndarray,
     labels: np.ndarray | None = None,
 ) -> PackedExamples:
-    """The table of flat piece ids and chunk flags, per-example offsets into
-    pieces and slots, and each slot's position in its example.
+    """The table of flat piece ids, per-example offsets into pieces and
+    slots, and each slot's position in its example and chunk flag.
 
     ``ids`` is blanked in place at the masked positions; ``labels`` default
-    to the pieces there. Every slot weighs 1, as every real slot of a
-    ``MaskedExample`` does.
+    to the pieces there.
     """
     masked = piece_offsets[:-1].repeat(np.diff(slot_offsets)) + positions
     if labels is None:
         labels = ids[masked]
     ids[masked] = -1
-    return PackedExamples(
-        ids,
-        piece_offsets,
-        positions,
-        labels,
-        np.ones(len(masked)),
-        piece_chunk[masked].astype(bool),
-        slot_offsets,
-    )
+    return PackedExamples(ids, piece_offsets, positions, labels, chunk.astype(bool), slot_offsets)
 
 
 def pack(items: Iterable[MaskedExample | Pair]) -> PackedExamples:
@@ -221,7 +209,7 @@ def pack(items: Iterable[MaskedExample | Pair]) -> PackedExamples:
     given without flags count as non-chunk.
     """
     ids, positions, labels = array("i"), array("i"), array("i")
-    flags_by_piece = bytearray()
+    chunk = bytearray()
     piece_ends, slot_ends = array("q", [0]), array("q", [0])
     for item in items:
         example, flags = item if isinstance(item, tuple) else (item, None)
@@ -231,7 +219,10 @@ def pack(items: Iterable[MaskedExample | Pair]) -> PackedExamples:
         ids.extend(example.input_ids)
         positions.extend(example.masked_positions)
         labels.extend(example.labels)
-        flags_by_piece.extend(bytes(n_pieces) if flags is None else flags)
+        if flags is None:
+            chunk.extend(bytes(len(example.masked_positions)))
+        else:
+            chunk.extend(flags[p] for p in example.masked_positions)
         piece_ends.append(len(ids))
         slot_ends.append(len(labels))
     return _table(
@@ -239,7 +230,7 @@ def pack(items: Iterable[MaskedExample | Pair]) -> PackedExamples:
         np.frombuffer(piece_ends, dtype=np.int64),
         np.frombuffer(positions, dtype=np.intc),
         np.frombuffer(slot_ends, dtype=np.int64),
-        np.frombuffer(flags_by_piece, dtype=np.uint8),
+        np.frombuffer(chunk, dtype=np.uint8),
         np.frombuffer(labels, dtype=np.intc),
     )
 
@@ -250,32 +241,24 @@ def pack_corpus(corpus: Iterable[TokenizedSequence], config: MaskingConfig) -> P
     The masked positions are those of ``mask_sequences`` on each block of
     ``BLOCK`` sequences. No replacement words are drawn, since the table
     blanks every masked position whatever its replacement, and no example
-    object is built: a block's pieces and flags are flattened once, and the
-    rest is array operations on the block.
+    object is built: a block's pieces are flattened once, each slot's chunk
+    flag is read from the block's flag grid, and the rest is array
+    operations on the block.
     """
     # Each list starts with what an empty corpus needs: no pieces or slots,
     # and the leading 0 of the offsets.
-    ids, flags, positions = [np.zeros(0, np.intc)], [np.zeros(0, bool)], [np.zeros(0, np.intc)]
+    ids, positions, chunk = [np.zeros(0, np.intc)], [np.zeros(0, np.intc)], [np.zeros(0, bool)]
     lengths, counts = [np.zeros(1, np.int64)], [np.zeros(1, np.int64)]
     sequences = (s for s in corpus if s.pieces)
     for index, block in enumerate(iter(lambda: list(islice(sequences, BLOCK)), [])):
-        rows = len(block)
-        pieces, ys = [s.pieces for s in block], [s.y for s in block]
-        block_lengths = np.fromiter(map(len, pieces), np.int64, rows)
-        if not np.array_equal(np.fromiter(map(len, ys), np.int64, rows), block_lengths):
+        pieces = [s.pieces for s in block]
+        grid, block_lengths = flag_grid(block, config)
+        if not np.array_equal(np.fromiter(map(len, pieces), np.int64, len(block)), block_lengths):
             raise ValueError("chunk flags must align with pieces")
-        span, total = int(block_lengths.max()), int(block_lengths.sum())
-        if span > config.max_seq_len:
-            raise ValueError(f"sequence longer than max_seq_len {config.max_seq_len}")
-        block_flags = np.fromiter(chain.from_iterable(ys), bool, total)
-        grid = np.zeros((rows, span), dtype=bool)
-        grid[np.arange(span) < block_lengths[:, None]] = block_flags
-        draws = draw_rows(sequence_rng(config.seed, index), config, 0, rows, span, replacements=False)
-        masked = mask_rows(grid, block_lengths, config, draws)
-        filled = np.arange(masked.positions.shape[1]) < masked.counts[:, None]
-        ids.append(np.fromiter(chain.from_iterable(pieces), np.intc, total))
-        flags.append(block_flags)
-        positions.append(masked.positions[filled].astype(np.intc))
+        masked = mask_rows(grid, block_lengths, config, sequence_rng(config.seed, index), replacements=False)
+        ids.append(np.fromiter(chain.from_iterable(pieces), np.intc, int(block_lengths.sum())))
+        positions.append(masked.positions.astype(np.intc))
+        chunk.append(grid[np.repeat(np.arange(len(block)), masked.counts), masked.positions])
         lengths.append(block_lengths)
         counts.append(masked.counts)
     return _table(
@@ -283,7 +266,7 @@ def pack_corpus(corpus: Iterable[TokenizedSequence], config: MaskingConfig) -> P
         np.concatenate(lengths).cumsum(),
         np.concatenate(positions),
         np.concatenate(counts).cumsum(),
-        np.concatenate(flags),
+        np.concatenate(chunk),
     )
 
 
@@ -350,13 +333,10 @@ def predict(hidden: np.ndarray, params: TinyLmParams) -> np.ndarray:
     return logits
 
 
-def _slot_nll(
-    picked: np.ndarray, weights: np.ndarray, clamp_counter: Counter | None = None
-) -> np.ndarray:
+def _slot_nll(picked: np.ndarray, clamp_counter: Counter | None = None) -> np.ndarray:
     """-log of the slots' label probabilities ``picked``, clamped at 1e-12.
-    Clamps on real (weighted) slots are added to ``clamp_counter``, or logged
-    when there is none."""
-    clamped = (picked < PROB_CLAMP) & (weights > 0)
+    Clamps are added to ``clamp_counter``, or logged when there is none."""
+    clamped = picked < PROB_CLAMP
     if clamped.any():
         count = int(clamped.sum())
         if clamp_counter is None:
@@ -389,21 +369,20 @@ def mlm_loss(
     if total_weight == 0.0:
         raise ValueError("no prediction slots: all weights are zero")
     picked = probs[np.arange(probs.shape[0]), label_arr]
-    nll = _slot_nll(picked, weight_arr, clamp_counter)
+    # A zero-weight slot reads as certain, so it is never counted as clamped.
+    nll = _slot_nll(np.where(weight_arr > 0, picked, 1.0), clamp_counter)
     return float(np.sum(nll * weight_arr) / total_weight)
 
 
-def _class_sums(
-    chunk: np.ndarray, nll: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted NLL sums and weight totals of all, chunk and non-chunk slots,
-    given each slot's chunk flag, NLL and weight."""
-    classes = np.array([weights, weights * chunk, weights * ~chunk])
+def _class_sums(chunk: np.ndarray, nll: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """NLL sums and slot counts of all, chunk and non-chunk slots, given each
+    slot's chunk flag and NLL."""
+    classes = np.array([np.ones(len(nll)), chunk, ~chunk], dtype=float)
     return (classes * nll).sum(axis=1), classes.sum(axis=1)
 
 
 def _means(sums: np.ndarray, totals: np.ndarray) -> list[float]:
-    """Weighted means, nan for a class without weight."""
+    """Means, nan for a class without slots."""
     return [float(s / t) if t > 0 else math.nan for s, t in zip(sums, totals)]
 
 
@@ -414,24 +393,23 @@ def loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Forward and analytic backward pass over a batch, as dense matmuls.
 
-    The loss is ``mlm_loss`` with the examples' weights. With ``dZ`` its
-    gradient at the context rows' logits (a row's softmax times its slots'
-    summed ``w/W``, minus each slot's ``onehot(label) w/W``):
-    ``db = dZ.sum(0)``, ``dW = dZ.T @ H`` and ``dE = C.T @ ((dZ @ W) / n)``.
-    ``grads["chunk"]``, ``grads["nll"]`` and ``grads["weights"]`` also hold
-    the slots' chunk flags, clamped NLL and weights, so callers can split the
-    loss by slot class. A list of examples is packed first. Clamped
+    The loss is the mean clamped NLL over the batch's ``N`` slots, which is
+    ``mlm_loss`` with every weight 1. With ``dZ`` its gradient at the context
+    rows' logits (a row's softmax times its slot count over ``N``, minus each
+    slot's ``onehot(label) / N``): ``db = dZ.sum(0)``, ``dW = dZ.T @ H`` and
+    ``dE = C.T @ ((dZ @ W) / n)``. ``grads["chunk"]`` and ``grads["nll"]``
+    also hold the slots' chunk flags and clamped NLL, so callers can split
+    the loss by slot class. A list of examples is packed first. Clamped
     probabilities are counted as ``_slot_nll`` does.
     """
     batch = _as_batch(batch)
     counts, sizes, hidden, rows, slots = _encode(batch, params)
+    if not len(slots):
+        raise ValueError("no prediction slots in the batch")
     probs = predict(hidden, params)
-    labels, weights = batch.table.labels[slots], batch.table.weights[slots]
-    total_weight = weights.sum()
-    if total_weight == 0.0:
-        raise ValueError("no prediction slots: all weights are zero")
-    nll = _slot_nll(probs[rows, labels], weights, clamp_counter)
-    scale = weights / total_weight
+    labels = batch.table.labels[slots]
+    nll = _slot_nll(probs[rows, labels], clamp_counter)
+    scale = np.full(len(slots), 1.0 / len(slots))
     dlogits = probs * np.bincount(rows, scale, minlength=len(probs))[:, None]
     np.subtract.at(dlogits, (rows, labels), scale)
     grads = {
@@ -440,9 +418,8 @@ def loss_and_grads(
         "b_mlm": dlogits.sum(axis=0),
         "chunk": batch.table.chunk[slots],
         "nll": nll,
-        "weights": weights,
     }
-    return float(np.sum(nll * weights) / total_weight), grads
+    return float(np.sum(nll) / len(slots)), grads
 
 
 def grad_and_step(
@@ -450,14 +427,14 @@ def grad_and_step(
     params: TinyLmParams,
     lr: float,
     clamp_counter: Counter | None = None,
-) -> tuple[TinyLmParams, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[TinyLmParams, float, tuple[np.ndarray, np.ndarray]]:
     """One plain gradient-descent update; returns the pre-step loss and the
-    slots' chunk flags, pre-step NLL and weights. An update that would leave
+    slots' chunk flags and pre-step NLL. An update that would leave
     a parameter non-finite raises ``NonFiniteError`` and changes nothing."""
     if not 0 <= lr < math.inf:
         raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
     loss, grads = loss_and_grads(batch, params, clamp_counter)
-    slots = grads.pop("chunk"), grads.pop("nll"), grads.pop("weights")
+    slots = grads.pop("chunk"), grads.pop("nll")
     updated = {name: getattr(params, name) - lr * grad for name, grad in grads.items()}
     if not all(np.isfinite(value).all() for value in updated.values()):
         raise NonFiniteError("non-finite parameters after the update")
@@ -471,7 +448,7 @@ def evaluate(
     params: TinyLmParams,
     clamp_counter: Counter | None = None,
 ) -> tuple[float, float, float]:
-    """(total, chunk-slot, non-chunk-slot) weighted mean NLL over fixed examples.
+    """(total, chunk-slot, non-chunk-slot) mean NLL over fixed examples.
 
     A class with no slots reports nan. ``EVAL_BLOCK`` examples go through
     each forward pass. A list of (example, chunk flags) pairs is packed first.
@@ -482,9 +459,8 @@ def evaluate(
     for start in range(0, len(batch), EVAL_BLOCK):
         block = PackedBatch(table, batch.index[start : start + EVAL_BLOCK])
         _, _, hidden, rows, slots = _encode(block, params)
-        weights = table.weights[slots]
-        nll = _slot_nll(predict(hidden, params)[rows, table.labels[slots]], weights, clamp_counter)
-        block_sums, block_totals = _class_sums(table.chunk[slots], nll, weights)
+        nll = _slot_nll(predict(hidden, params)[rows, table.labels[slots]], clamp_counter)
+        block_sums, block_totals = _class_sums(table.chunk[slots], nll)
         sums += block_sums
         totals += block_totals
     if not totals[0] > 0:

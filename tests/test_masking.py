@@ -344,13 +344,12 @@ class TestBlockSampler:
         flags = np.zeros((BLOCK, 16), dtype=bool)
         for i, seq in enumerate(corpus):
             flags[i, : len(seq.y)] = seq.y
-        draws = draw_rows(sequence_rng(0, 0), cfg, 0, BLOCK, 16)
-        masked = mask_rows(flags, lengths, cfg, draws)
-        filled = np.arange(masked.positions.shape[1]) < masked.counts[:, None]
-        assert (masked.positions[filled] < np.repeat(lengths, masked.counts)).all()
-        assert (masked.positions[~filled] == 16).all()
-        assert (np.take_along_axis(flags, np.minimum(masked.positions, 15), 1)[filled]
-                == np.repeat(masked.nc, masked.counts)).all()
+        masked = mask_rows(flags, lengths, cfg, sequence_rng(0, 0))
+        assert masked.counts.sum() == len(masked.positions) == len(masked.replacements)
+        owner = np.repeat(np.arange(BLOCK), masked.counts)
+        assert (masked.positions < lengths[owner]).all()
+        # Each position lies in its row's chosen pool.
+        assert (flags[owner, masked.positions] == masked.nc[owner]).all()
 
     def test_nc_share_is_p_nc(self):
         cfg = config(strategy="lim", p_nc=0.3)

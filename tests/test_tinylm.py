@@ -530,7 +530,6 @@ class TestPacked:
         for (ex, flags), slots in zip((pairs[i] for i in index), PackedBatch(table, index)):
             assert slots.masked_positions.tolist() == ex.masked_positions
             assert slots.labels.tolist() == ex.labels
-            assert slots.weights.tolist() == ex.weights[: len(ex.labels)]
             assert slots.chunk.tolist() == [flags[p] for p in ex.masked_positions]
 
     def test_batch_iterates_its_gathered_slots(self):
