@@ -4,9 +4,11 @@ Every subcommand accepts ``--config FILE`` (a JSON object of option values;
 explicit flags win) and, after a successful run, echoes its fully resolved
 configuration to ``<output>.config.json`` so the run can be reproduced from its
 sidecar. A config-file value gets its flag's type and choice checks, so a bad
-value, like a config file that is not JSON, is a usage error. Every output file is written to ``<path>.tmp`` and renamed into place
-only when complete, so a failed run leaves neither a partial output nor a
-sidecar. Diagnostics go to stderr; data goes to the output file or stdout.
+value, like a config file that is not JSON, is a usage error; so is a sidecar
+of another subcommand. Every output file is written to ``<path>.tmp`` and
+renamed into place only when complete, so a failed run leaves neither a
+partial output nor a sidecar. Diagnostics go to stderr; data goes to the
+output file or stdout.
 
 Exit codes: 0 success, 1 validation failure, 2 verify-masking tolerance
 breach, 64 usage error, 74 I/O error.
@@ -525,7 +527,8 @@ def _resolve(parser: _Parser, argv: list[str], args: argparse.Namespace) -> dict
 
     Config-file values are parsed by the subcommand's parser like the flags,
     as if they came before them, so they get the same checks and the flags
-    win. A JSON null leaves an option unset.
+    win. A JSON null leaves an option unset, and a ``"subcommand"`` key must
+    name this subcommand.
     """
     options = _SUBCOMMANDS[args.subcommand][2]
     if args.config:
@@ -536,7 +539,9 @@ def _resolve(parser: _Parser, argv: list[str], args: argparse.Namespace) -> dict
                 parser.error(f"config file is not JSON: {args.config}: {exc}")
         if not isinstance(file_cfg, dict):
             parser.error(f"config file must hold a JSON object: {args.config}")
-        file_cfg.pop("subcommand", None)
+        written_by = file_cfg.pop("subcommand", args.subcommand)
+        if written_by != args.subcommand:
+            parser.error(f"config file {args.config} is for {written_by}, not {args.subcommand}")
         flags = {_dest(flag): flag for flag, *_ in options}
         unknown = sorted(set(file_cfg) - set(flags))
         if unknown:

@@ -22,12 +22,12 @@ slot its position, label and chunk flag, plus per-example offsets into both.
 flattened once, its masked positions come from ``mask_rows``, as
 ``mask_sequences`` draws them, and its rows of the table are written with
 array operations, with no example object and no replacement words, which the
-table would blank anyway. ``pack`` builds the same table from example objects.
-Its memory grows with pieces and slots, not with examples x V. A batch or an
-eval block is gathered from it by index with a few array operations, and its
-count matrix comes from one ``bincount``; no step or eval block loops over its
-examples in Python. The held-out split and the epoch orders are index arrays
-into the table.
+table would blank anyway. Its memory grows with pieces and slots, not with
+examples x V. Every entry point takes a batch of this table: a training batch
+or an eval block is gathered from it by index with a few array operations, and
+its count matrix comes from one ``bincount``; no step or eval block loops over
+its examples in Python. The held-out split and the epoch orders are index
+arrays into the table.
 """
 
 from __future__ import annotations
@@ -36,17 +36,15 @@ import csv
 import logging
 import math
 import random
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count, islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .masking import (
     BLOCK,
-    MaskedExample,
     MaskingConfig,
     Philox,
     TokenizedSequence,
@@ -118,7 +116,6 @@ class TinyLmParams:
 
 
 EVAL_BLOCK = 32  # held-out examples per forward pass; bounds the context-row x V matrices
-Pair = tuple[MaskedExample, Sequence[bool]]  # an example and its sequence's chunk flags
 
 
 class NonFiniteError(ValueError):
@@ -126,7 +123,12 @@ class NonFiniteError(ValueError):
 
 
 class ExampleSlots(NamedTuple):
-    """The prediction slots of one packed example (views into its table)."""
+    """The prediction slots of one packed example (views into its table).
+
+    Only ``PackedBatch.__iter__`` yields these. They exist for the benchmark
+    tracer's ``_batch`` hook, which counts a step's slots by iterating its
+    batch (ROADMAP item 5).
+    """
 
     masked_positions: np.ndarray
     labels: np.ndarray
@@ -141,8 +143,7 @@ class PackedExamples:
     slots ``slot_offsets[k]:slot_offsets[k + 1]``. ``ids`` holds every piece
     id of the input with -1 at the masked positions, so it is the example's
     visible context; per slot there is its position in the example, its
-    label and whether its piece is in a chunk. Every slot weighs 1, as every
-    real slot of a ``MaskedExample`` does.
+    label and whether its piece is in a chunk. Every slot weighs 1.
     """
 
     ids: np.ndarray
@@ -160,8 +161,9 @@ class PackedExamples:
 class PackedBatch:
     """The examples at ``index`` of a packed table, in that order.
 
-    Training steps and eval blocks gather from the table by index; iterating
-    yields each example's slots and serves only inspection.
+    Training steps and eval blocks gather from the table by index. Iterating
+    yields each example's slots; it exists for the benchmark tracer's
+    ``_batch`` hook, which counts a step's slots that way (ROADMAP item 5).
     """
 
     table: PackedExamples
@@ -179,60 +181,6 @@ class PackedBatch:
                 table.labels[start:stop],
                 table.chunk[start:stop],
             )
-
-
-def _table(
-    ids: np.ndarray,
-    piece_offsets: np.ndarray,
-    positions: np.ndarray,
-    slot_offsets: np.ndarray,
-    chunk: np.ndarray,
-    labels: np.ndarray | None = None,
-) -> PackedExamples:
-    """The table of flat piece ids, per-example offsets into pieces and
-    slots, and each slot's position in its example and chunk flag.
-
-    ``ids`` is blanked in place at the masked positions; ``labels`` default
-    to the pieces there.
-    """
-    masked = piece_offsets[:-1].repeat(np.diff(slot_offsets)) + positions
-    if labels is None:
-        labels = ids[masked]
-    ids[masked] = -1
-    return PackedExamples(ids, piece_offsets, positions, labels, chunk.astype(bool), slot_offsets)
-
-
-def pack(items: Iterable[MaskedExample | Pair]) -> PackedExamples:
-    """Pack examples, or (example, chunk flags) pairs, into one table.
-
-    ``items`` is read once and no example is kept. The slots of an example
-    given without flags count as non-chunk.
-    """
-    ids, positions, labels = array("i"), array("i"), array("i")
-    chunk = bytearray()
-    piece_ends, slot_ends = array("q", [0]), array("q", [0])
-    for item in items:
-        example, flags = item if isinstance(item, tuple) else (item, None)
-        n_pieces = len(example.input_ids)
-        if flags is not None and len(flags) != n_pieces:
-            raise ValueError("chunk flags must align with input_ids")
-        ids.extend(example.input_ids)
-        positions.extend(example.masked_positions)
-        labels.extend(example.labels)
-        if flags is None:
-            chunk.extend(bytes(len(example.masked_positions)))
-        else:
-            chunk.extend(flags[p] for p in example.masked_positions)
-        piece_ends.append(len(ids))
-        slot_ends.append(len(labels))
-    return _table(
-        np.frombuffer(ids, dtype=np.intc),
-        np.frombuffer(piece_ends, dtype=np.int64),
-        np.frombuffer(positions, dtype=np.intc),
-        np.frombuffer(slot_ends, dtype=np.int64),
-        np.frombuffer(chunk, dtype=np.uint8),
-        np.frombuffer(labels, dtype=np.intc),
-    )
 
 
 def pack_corpus(corpus: Iterable[TokenizedSequence], config: MaskingConfig) -> PackedExamples:
@@ -261,13 +209,13 @@ def pack_corpus(corpus: Iterable[TokenizedSequence], config: MaskingConfig) -> P
         chunk.append(grid[np.repeat(np.arange(len(block)), masked.counts), masked.positions])
         lengths.append(block_lengths)
         counts.append(masked.counts)
-    return _table(
-        np.concatenate(ids),
-        np.concatenate(lengths).cumsum(),
-        np.concatenate(positions),
-        np.concatenate(counts).cumsum(),
-        np.concatenate(chunk),
-    )
+    flat_ids, flat_positions = np.concatenate(ids), np.concatenate(positions)
+    piece_offsets, slot_offsets = np.concatenate(lengths).cumsum(), np.concatenate(counts).cumsum()
+    masked = piece_offsets[:-1].repeat(np.diff(slot_offsets)) + flat_positions
+    labels = flat_ids[masked]
+    flat_ids[masked] = -1
+    chunk_flags = np.concatenate(chunk)
+    return PackedExamples(flat_ids, piece_offsets, flat_positions, labels, chunk_flags, slot_offsets)
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,14 +225,6 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarr
     owner = np.repeat(np.arange(len(lengths)), lengths)
     ends = np.cumsum(lengths)
     return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + lengths)[owner], owner
-
-
-def _as_batch(items: PackedBatch | Iterable[MaskedExample | Pair]) -> PackedBatch:
-    """``items`` if it is a batch already, else all of them packed."""
-    if isinstance(items, PackedBatch):
-        return items
-    table = pack(items)
-    return PackedBatch(table, np.arange(len(table)))
 
 
 def _encode(
@@ -346,34 +286,6 @@ def _slot_nll(picked: np.ndarray, clamp_counter: Counter | None = None) -> np.nd
     return -np.log(np.maximum(picked, PROB_CLAMP))
 
 
-def mlm_loss(
-    predictions: np.ndarray,
-    labels: Sequence[int],
-    weights: Sequence[float],
-    clamp_counter: Counter | None = None,
-) -> float:
-    """Weighted mean negative log-likelihood over prediction slots.
-
-    sum_ij -log(p_ij[label_ij]) w_ij / sum_ij w_ij. Padding slots carry
-    weight 0 and contribute nothing. Probabilities are clamped at 1e-12;
-    clamps on real slots are counted as ``_slot_nll`` does.
-    """
-    probs = np.asarray(predictions, dtype=float)
-    label_arr = np.asarray(labels, dtype=int)
-    weight_arr = np.asarray(weights, dtype=float)
-    if probs.ndim != 2 or label_arr.shape != (probs.shape[0],) or weight_arr.shape != (
-        probs.shape[0],
-    ):
-        raise ValueError("predictions, labels, and weights must align")
-    total_weight = float(weight_arr.sum())
-    if total_weight == 0.0:
-        raise ValueError("no prediction slots: all weights are zero")
-    picked = probs[np.arange(probs.shape[0]), label_arr]
-    # A zero-weight slot reads as certain, so it is never counted as clamped.
-    nll = _slot_nll(np.where(weight_arr > 0, picked, 1.0), clamp_counter)
-    return float(np.sum(nll * weight_arr) / total_weight)
-
-
 def _class_sums(chunk: np.ndarray, nll: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """NLL sums and slot counts of all, chunk and non-chunk slots, given each
     slot's chunk flag and NLL."""
@@ -387,22 +299,21 @@ def _means(sums: np.ndarray, totals: np.ndarray) -> list[float]:
 
 
 def loss_and_grads(
-    batch: PackedBatch | Sequence[MaskedExample],
+    batch: PackedBatch,
     params: TinyLmParams,
     clamp_counter: Counter | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Forward and analytic backward pass over a batch, as dense matmuls.
 
-    The loss is the mean clamped NLL over the batch's ``N`` slots, which is
-    ``mlm_loss`` with every weight 1. With ``dZ`` its gradient at the context
+    The loss is the mean clamped NLL over the batch's ``N`` slots. With
+    ``dZ`` its gradient at the context
     rows' logits (a row's softmax times its slot count over ``N``, minus each
     slot's ``onehot(label) / N``): ``db = dZ.sum(0)``, ``dW = dZ.T @ H`` and
     ``dE = C.T @ ((dZ @ W) / n)``. ``grads["chunk"]`` and ``grads["nll"]``
     also hold the slots' chunk flags and clamped NLL, so callers can split
-    the loss by slot class. A list of examples is packed first. Clamped
-    probabilities are counted as ``_slot_nll`` does.
+    the loss by slot class. Clamped probabilities are counted as
+    ``_slot_nll`` does.
     """
-    batch = _as_batch(batch)
     counts, sizes, hidden, rows, slots = _encode(batch, params)
     if not len(slots):
         raise ValueError("no prediction slots in the batch")
@@ -423,7 +334,7 @@ def loss_and_grads(
 
 
 def grad_and_step(
-    batch: PackedBatch | Sequence[MaskedExample],
+    batch: PackedBatch,
     params: TinyLmParams,
     lr: float,
     clamp_counter: Counter | None = None,
@@ -444,16 +355,15 @@ def grad_and_step(
 
 
 def evaluate(
-    pairs: PackedBatch | Sequence[Pair],
+    batch: PackedBatch,
     params: TinyLmParams,
     clamp_counter: Counter | None = None,
 ) -> tuple[float, float, float]:
     """(total, chunk-slot, non-chunk-slot) mean NLL over fixed examples.
 
     A class with no slots reports nan. ``EVAL_BLOCK`` examples go through
-    each forward pass. A list of (example, chunk flags) pairs is packed first.
+    each forward pass.
     """
-    batch = _as_batch(pairs)
     table = batch.table
     sums, totals = np.zeros(3), np.zeros(3)
     for start in range(0, len(batch), EVAL_BLOCK):

@@ -18,12 +18,13 @@ import pytest
 
 from lingmask.cli import EX_OK, main
 from lingmask.datasets import build_ipc_examples, build_similarity_pairs, read_patent_records
-from lingmask.masking import MaskedExample, MaskingConfig, TokenizedSequence, sequence_rng
+from lingmask.masking import MaskingConfig, TokenizedSequence, sequence_rng
 from lingmask.stats import empirical_mask_report, flagged_sequences, ks_two_sample, tally_block
 from lingmask.subword import corpus_split_stats, encode_sentence, encode_word, load_vocab
-from lingmask.tinylm import TinyLmParams, TrainingConfig, loss_and_grads, mlm_loss, train
+from lingmask.tinylm import TinyLmParams, TrainingConfig, loss_and_grads, train
 
 from test_datasets import EXPECTED_LABELS, EXPECTED_POSITIVES
+from test_tinylm import Example, packed
 
 
 def _criterion(name: str, ok: bool, detail: str = "") -> None:
@@ -140,30 +141,52 @@ class TestSplitRatioOrdering:
         )
 
 
-def _brute_force_loss(probs, labels, weights):
-    total = 0.0
-    weight_sum = 0.0
-    for row, label, weight in zip(probs, labels, weights):
-        p = max(float(row[label]), 1e-12)
-        total += -math.log(p) * weight
-        weight_sum += weight
-    return total / weight_sum
+def _brute_force_loss(examples, params):
+    """Mean -log p(label) over every slot, in plain Python from E, W and b:
+    each slot's hidden vector is the mean embedding of the unmasked pieces
+    within the radius, and p is the softmax of W h + b, clamped at 1e-12."""
+    e, w, b = params.embeddings.tolist(), params.w_mlm.tolist(), params.b_mlm.tolist()
+    total, slots = 0.0, 0
+    for ex in examples:
+        for position, label in zip(ex.masked_positions, ex.labels):
+            context = [
+                piece
+                for k, piece in enumerate(ex.input_ids)
+                if k not in ex.masked_positions
+                and (params.context_radius == 0 or abs(k - position) <= params.context_radius)
+            ]
+            size = max(len(context), 1)
+            hidden = [sum(e[piece][j] for piece in context) / size for j in range(len(e[0]))]
+            logits = [sum(wj * hj for wj, hj in zip(row, hidden)) + bias for row, bias in zip(w, b)]
+            top = max(logits)
+            p = math.exp(logits[label] - top) / sum(math.exp(z - top) for z in logits)
+            total -= math.log(max(p, 1e-12))
+            slots += 1
+    return total / slots
 
 
 class TestLossExactness:
     def test_against_brute_force(self):
-        rng = np.random.default_rng(12)
+        rng = random.Random(12)
         worst = 0.0
-        for _ in range(1000):
-            n = int(rng.integers(1, 13))
-            v = int(rng.integers(2, 11))
-            probs = rng.dirichlet(np.ones(v), size=n)
-            labels = rng.integers(0, v, size=n)
-            weights = rng.integers(0, 2, size=n).astype(float)
-            if weights.sum() == 0:
-                weights[0] = 1.0
-            fast = mlm_loss(probs, labels, weights)
-            slow = _brute_force_loss(probs, labels, weights)
+        for trial in range(1000):
+            v = rng.randrange(2, 11)
+            radius = rng.choice([0, 1, 2])
+            params = TinyLmParams.init(v, rng.randrange(1, 5), context_radius=radius, seed=trial)
+            # Spread the parameters so label probabilities range far from 1/V.
+            for arr in (params.embeddings, params.w_mlm):
+                arr *= 40.0
+            params.b_mlm[:] = [rng.uniform(-2.0, 2.0) for _ in range(v)]
+            examples = []
+            for _ in range(rng.randrange(1, 5)):
+                length = rng.randrange(1, 9)
+                positions = sorted(rng.sample(range(length), rng.randrange(0, min(length, 6) + 1)))
+                ids = [rng.randrange(v) for _ in range(length)]
+                examples.append(Example(ids, positions, [rng.randrange(v) for _ in positions]))
+            if not any(ex.masked_positions for ex in examples):
+                examples.append(Example([0, 1 % v], [1], [rng.randrange(v)]))
+            fast, _ = loss_and_grads(packed(examples), params)
+            slow = _brute_force_loss(examples, params)
             worst = max(worst, abs(fast - slow) / max(abs(slow), 1e-30))
         _criterion(
             "loss matches brute force on 1000 random batches (rel <= 1e-10)",
@@ -174,8 +197,14 @@ class TestLossExactness:
     def test_uniform_prediction_equals_log_vocab(self):
         worst = 0.0
         for v in (2, 4, 5, 8):
-            probs = np.full((6, v), 1.0 / v)
-            loss = mlm_loss(probs, [i % v for i in range(6)], [1.0] * 6)
+            params = TinyLmParams.init(v, 3, seed=v)
+            for arr in (params.embeddings, params.w_mlm, params.b_mlm):
+                arr[...] = 0.0
+            examples = [
+                Example([i % v for i in range(7)], [0, 3, 5], [i % v for i in range(3)]),
+                Example([1 % v] * 4, [2], [v - 1]),
+            ]
+            loss, _ = loss_and_grads(packed(examples), params)
             worst = max(worst, abs(loss - math.log(v)))
         _criterion(
             "uniform predictions score ln V (abs <= 1e-12)",
@@ -193,21 +222,13 @@ class TestGradientCorrectness:
             v = rng.randrange(4, 21)
             h = rng.randrange(2, 9)
             params = TinyLmParams.init(v, h, context_radius=rng.choice([0, 1, 2]), seed=trial)
-            batch = []
+            examples = []
             for _ in range(rng.randrange(1, 3)):
                 length = rng.randrange(4, 8)
-                n_masked = rng.randrange(1, 4)
-                positions = sorted(rng.sample(range(length), n_masked))
-                batch.append(
-                    MaskedExample(
-                        input_ids=[rng.randrange(v) for _ in range(length)],
-                        masked_positions=positions,
-                        labels=[rng.randrange(v) for _ in positions],
-                        weights=[1.0] * n_masked + [0.0] * (6 - n_masked),
-                        strategy_tag="mlm",
-                        branch="n/a",
-                    )
-                )
+                positions = sorted(rng.sample(range(length), rng.randrange(1, 4)))
+                ids = [rng.randrange(v) for _ in range(length)]
+                examples.append(Example(ids, positions, [rng.randrange(v) for _ in positions]))
+            batch = packed(examples)
             _, grads = loss_and_grads(batch, params)
             for name in ("embeddings", "w_mlm", "b_mlm"):
                 arr = getattr(params, name)

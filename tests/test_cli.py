@@ -259,6 +259,20 @@ class TestMakePretrainingData:
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["make-pretraining-data", "--config", str(cfg)]) == EX_USAGE
 
+    def test_sidecar_of_another_subcommand_rejected(self, tmp_path, annotated_corpus, capsys):
+        # train-tiny takes every option make-pretraining-data's sidecar holds,
+        # so only the sidecar's subcommand key stops it overwriting that output.
+        tsv, vocab = annotated_corpus
+        out = tmp_path / "ex.jsonl"
+        argv = ["make-pretraining-data", "--annotations", tsv, "--vocab", vocab, "--output", str(out)]
+        assert main(argv) == EX_OK
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        sidecar = str(out) + ".config.json"
+        assert main(["train-tiny", "--config", sidecar, "--steps", "5"]) == EX_USAGE
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        assert "is for make-pretraining-data, not train-tiny" in capsys.readouterr().err
+
     def test_workers_is_no_longer_an_option(self, tmp_path, annotated_corpus):
         tsv, vocab = annotated_corpus
         cfg = tmp_path / "run.json"

@@ -9,6 +9,7 @@ import sys
 from collections import Counter
 from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -28,15 +29,13 @@ from lingmask.tinylm import (
     MetricsRow,
     NonFiniteError,
     PackedBatch,
+    PackedExamples,
     TinyLmParams,
     TrainingConfig,
-    _as_batch,
     _encode,
     evaluate,
     grad_and_step,
     loss_and_grads,
-    mlm_loss,
-    pack,
     pack_corpus,
     predict,
     train,
@@ -44,20 +43,43 @@ from lingmask.tinylm import (
 )
 
 
-def example(input_ids, positions, labels, max_pred=6, **kwargs):
-    return MaskedExample(
-        input_ids=input_ids,
-        masked_positions=positions,
-        labels=labels,
-        weights=[1.0] * len(positions) + [0.0] * (max_pred - len(positions)),
-        strategy_tag=kwargs.get("strategy_tag", "mlm"),
-        branch=kwargs.get("branch", "n/a"),
+class Example(NamedTuple):
+    """A hand-made example: its piece ids, its masked positions, their labels
+    (any ids, not necessarily the pieces there), and its sequence's chunk
+    flags (None: every slot is non-chunk)."""
+
+    input_ids: list
+    masked_positions: list
+    labels: list
+    flags: list | None = None
+
+
+def packed(examples) -> PackedBatch:
+    """A batch of all ``examples`` in order, written straight into a table,
+    one example after another: the per-example layout of ``pack_corpus``."""
+    ids, positions, labels, chunk = [], [], [], []
+    piece_offsets, slot_offsets = [0], [0]
+    for ex in examples:
+        ids += [-1 if k in ex.masked_positions else t for k, t in enumerate(ex.input_ids)]
+        positions += ex.masked_positions
+        labels += ex.labels
+        chunk += [ex.flags is not None and ex.flags[p] for p in ex.masked_positions]
+        piece_offsets.append(len(ids))
+        slot_offsets.append(len(labels))
+    table = PackedExamples(
+        np.array(ids, np.intc),
+        np.array(piece_offsets, np.int64),
+        np.array(positions, np.intc),
+        np.array(labels, np.intc),
+        np.array(chunk, bool),
+        np.array(slot_offsets, np.int64),
     )
+    return PackedBatch(table, np.arange(len(table)))
 
 
 def _slot_hidden(example, params):
     """Per-slot hidden vectors of one example, and which slots had an empty context."""
-    counts, _, hidden, rows, _ = _encode(_as_batch([example]), params)
+    counts, _, hidden, rows, _ = _encode(packed([example]), params)
     return hidden[rows], ~counts.any(axis=1)[rows]
 
 
@@ -89,14 +111,14 @@ class TestContextEncode:
     def test_identical_context_embeddings_mean_to_themselves(self):
         params = TinyLmParams.init(5, 3, context_radius=0, seed=0)
         params.embeddings[:] = 0.25
-        ex = example([0, 1, 2, 3], [1], [2])
+        ex = Example([0, 1, 2, 3], [1], [2])
         hidden, empty = _slot_hidden(ex, params)
         assert np.allclose(hidden[0], 0.25)
         assert not empty.any()
 
     def test_empty_window_is_flagged_zero(self):
         params = TinyLmParams.init(5, 3, context_radius=1, seed=0)
-        ex = example([0, 1, 2], [0, 1, 2], [0, 1, 2])  # everything masked
+        ex = Example([0, 1, 2], [0, 1, 2], [0, 1, 2])  # everything masked
         hidden, empty = _slot_hidden(ex, params)
         assert empty.all()
         assert np.all(hidden == 0.0)
@@ -104,14 +126,14 @@ class TestContextEncode:
     def test_hand_computed_mean(self):
         params = TinyLmParams.init(4, 2, context_radius=0, seed=0)
         params.embeddings[:] = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [0.0, 0.0]])
-        ex = example([0, 1, 2], [1], [3])
+        ex = Example([0, 1, 2], [1], [3])
         hidden, _ = _slot_hidden(ex, params)
         assert np.allclose(hidden[0], [(1 + 5) / 2, (2 + 6) / 2])
 
     def test_radius_limits_window(self):
         params = TinyLmParams.init(4, 2, context_radius=1, seed=0)
         params.embeddings[:] = np.array([[1.0, 1.0], [2.0, 2.0], [4.0, 4.0], [8.0, 8.0]])
-        ex = example([0, 1, 2, 3], [2], [0])
+        ex = Example([0, 1, 2, 3], [2], [0])
         hidden, _ = _slot_hidden(ex, params)
         assert np.allclose(hidden[0], [5.0, 5.0])  # mean of positions 1 and 3
 
@@ -148,71 +170,66 @@ class TestPredict:
             predict(np.array([[np.inf, 1.0]]), params)
 
 
+def _bias_only(probs):
+    """Parameters whose every slot predicts ``probs``: zero weights, and
+    biases whose softmax is ``probs`` (a zero probability is a bias of -1000,
+    whose exponential underflows to 0)."""
+    params = TinyLmParams.init(len(probs), 2, seed=0)
+    params.w_mlm[:] = 0.0
+    with np.errstate(divide="ignore"):
+        params.b_mlm[:] = np.maximum(np.log(probs), -1000.0)
+    return params
+
+
 class TestMlmLoss:
     def test_uniform_equals_log_vocab(self):
-        probs = np.full((5, 4), 0.25)
-        loss = mlm_loss(probs, [0, 3, 1, 2, 0], [1.0] * 5)
+        batch = packed([Example([0, 1, 2, 3], [0, 2], [0, 3]), Example([3, 1, 2], [0, 1, 2], [1, 2, 0])])
+        loss, _ = loss_and_grads(batch, _bias_only(np.full(4, 0.25)))
         assert abs(loss - math.log(4)) < 1e-12
 
     def test_perfect_predictions_give_zero(self):
-        probs = np.eye(4)[[0, 1, 2]]
-        assert mlm_loss(probs, [0, 1, 2], [1.0, 1.0, 1.0]) == 0.0
+        batch = packed([Example([0, 1, 2], [0, 2], [1, 1]), Example([2, 2], [1], [1])])
+        loss, _ = loss_and_grads(batch, _bias_only(np.eye(4)[1]))
+        assert loss == 0.0
 
-    def test_hand_summed_weighted_mean(self):
-        probs = np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5], [0.9, 0.1]])
-        labels = [0, 1, 1, 0]
-        weights = [1.0, 1.0, 0.0, 1.0]
-        expected = (-math.log(0.7) - math.log(0.8) - math.log(0.9)) / 3
-        assert mlm_loss(probs, labels, weights) == pytest.approx(expected, rel=1e-12)
-
-    def test_all_zero_weights_rejected(self):
-        with pytest.raises(ValueError, match="no prediction slots"):
-            mlm_loss(np.full((2, 2), 0.5), [0, 1], [0.0, 0.0])
+    def test_batch_without_slots_rejected(self):
+        params = TinyLmParams.init(4, 2, seed=0)
+        for batch in (packed([Example([1, 2, 3], [], [])]), packed([])):
+            with pytest.raises(ValueError, match="no prediction slots"):
+                loss_and_grads(batch, params)
 
     def test_zero_probability_clamped_and_counted(self):
         counter = Counter()
-        probs = np.array([[1.0, 0.0]])
-        loss = mlm_loss(probs, [1], [1.0], clamp_counter=counter)
+        params = _bias_only(np.array([1.0, 0.0]))
+        loss, _ = loss_and_grads(packed([Example([0, 0], [0], [1])]), params, clamp_counter=counter)
         assert loss == pytest.approx(-math.log(1e-12))
         assert counter["clamped_probs"] == 1
 
     def test_batch_permutation_invariance(self):
-        rng = np.random.default_rng(0)
-        probs = rng.dirichlet(np.ones(5), size=6)
-        labels = rng.integers(0, 5, size=6)
-        weights = np.array([1.0, 1.0, 1.0, 0.0, 1.0, 1.0])
-        perm = rng.permutation(6)
-        assert mlm_loss(probs, labels, weights) == pytest.approx(
-            mlm_loss(probs[perm], labels[perm], weights[perm]), rel=1e-12
-        )
+        rng = random.Random(0)
+        params = TinyLmParams.init(5, 3, context_radius=1, seed=2)
+        batch = packed([_random_example(rng, 5) for _ in range(6)])
+        perm = np.array(rng.sample(range(6), 6))
+        permuted = PackedBatch(batch.table, perm)
+        loss, _ = loss_and_grads(batch, params)
+        assert loss_and_grads(permuted, params)[0] == pytest.approx(loss, rel=1e-12)
 
     def test_duplicated_batch_keeps_loss(self):
-        rng = np.random.default_rng(1)
-        probs = rng.dirichlet(np.ones(4), size=3)
-        labels = [0, 2, 1]
-        weights = [1.0, 1.0, 0.0]
-        once = mlm_loss(probs, labels, weights)
-        twice = mlm_loss(
-            np.vstack([probs, probs]), labels * 2, weights * 2
-        )
-        assert twice == pytest.approx(once, rel=1e-12)
-
-    def test_padding_slots_change_nothing(self):
-        rng = np.random.default_rng(2)
-        probs = rng.dirichlet(np.ones(4), size=2)
-        unpadded = mlm_loss(probs, [1, 3], [1.0, 1.0])
-        padded_probs = np.vstack([probs, np.full((3, 4), 0.25)])
-        padded = mlm_loss(padded_probs, [1, 3, 0, 0, 0], [1.0, 1.0, 0.0, 0.0, 0.0])
-        assert padded == unpadded
+        rng = random.Random(1)
+        params = TinyLmParams.init(4, 3, seed=3)
+        batch = packed([_random_example(rng, 4) for _ in range(3)])
+        twice = PackedBatch(batch.table, np.concatenate([batch.index, batch.index]))
+        loss, _ = loss_and_grads(batch, params)
+        assert loss_and_grads(twice, params)[0] == pytest.approx(loss, rel=1e-12)
 
 
 class TestGradients:
     def test_bias_gradient_matches_identity(self):
         params = TinyLmParams.init(4, 3, seed=2)
-        ex = example([0, 1, 2, 3], [1, 2], [3, 0])
+        ex = Example([0, 1, 2, 3], [1, 2], [3, 0])
         hidden, _ = _slot_hidden(ex, params)
         probs = predict(hidden, params)
-        _, grads = loss_and_grads([ex], params)
+        _, grads = loss_and_grads(packed([ex]), params)
         expected = np.zeros(4)
         for i, label in enumerate(ex.labels):
             row = probs[i].copy()
@@ -223,8 +240,8 @@ class TestGradients:
     def test_zero_learning_rate_keeps_params(self):
         params = TinyLmParams.init(5, 3, seed=3)
         before = params.embeddings.copy(), params.w_mlm.copy(), params.b_mlm.copy()
-        ex = example([0, 1, 2, 3, 4], [2], [1])
-        _, loss, _ = grad_and_step([ex], params, lr=0.0)
+        ex = Example([0, 1, 2, 3, 4], [2], [1])
+        _, loss, _ = grad_and_step(packed([ex]), params, lr=0.0)
         assert loss > 0
         assert np.array_equal(params.embeddings, before[0])
         assert np.array_equal(params.w_mlm, before[1])
@@ -237,8 +254,8 @@ class TestGradients:
             params = TinyLmParams.init(7, 3, context_radius=rng.choice([0, 1, 2]), seed=trial)
             batch = [_random_example(rng, 7) for _ in range(rng.randrange(1, 5))]
             # An example without masked positions has a context but no slots.
-            batch.insert(rng.randrange(len(batch) + 1), example([1, 2, 3], [], []))
-            loss, grads = loss_and_grads(batch, params)
+            batch.insert(rng.randrange(len(batch) + 1), Example([1, 2, 3], [], []))
+            loss, grads = loss_and_grads(packed(batch), params)
             ref_loss, ref_grads = _loop_loss_and_grads(batch, params)
             worst = max(worst, abs(loss - ref_loss))
             for name, ref in ref_grads.items():
@@ -249,9 +266,9 @@ class TestGradients:
     def test_negative_learning_rate_rejected(self):
         params = TinyLmParams.init(3, 2, seed=0)
         with pytest.raises(ValueError):
-            grad_and_step([example([0, 1], [0], [1], max_pred=2)], params, lr=-0.1)
+            grad_and_step(packed([Example([0, 1], [0], [1])]), params, lr=-0.1)
         with pytest.raises(ValueError, match="finite"):
-            grad_and_step([example([0, 1], [0], [1], max_pred=2)], params, lr=math.inf)
+            grad_and_step(packed([Example([0, 1], [0], [1])]), params, lr=math.inf)
 
     def test_overflowing_update_raises_and_keeps_params(self):
         # The label's bias gradient is about -0.8, so the update takes its
@@ -261,7 +278,7 @@ class TestGradients:
         before = params.embeddings.copy(), params.w_mlm.copy(), params.b_mlm.copy()
         with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteError, match="non-finite parameters"):
-                grad_and_step([example([0, 1, 2, 3, 4], [2], [1])], params, lr=1e308)
+                grad_and_step(packed([Example([0, 1, 2, 3, 4], [2], [1])]), params, lr=1e308)
         assert np.array_equal(params.embeddings, before[0])
         assert np.array_equal(params.w_mlm, before[1])
         assert np.array_equal(params.b_mlm, before[2])
@@ -271,20 +288,20 @@ class TestGradients:
         cases = []
         for trial in range(5):
             params = TinyLmParams.init(6, 3, context_radius=rng.choice([0, 1]), seed=trial)
-            batch = [
-                example(
+            batch = packed(
+                Example(
                     [rng.randrange(6) for _ in range(5)],
                     sorted(rng.sample(range(5), 2)),
                     [rng.randrange(6), rng.randrange(6)],
                 )
                 for _ in range(2)
-            ]
+            )
             cases.append((params, batch))
         # The second example masks every position, so its context is empty.
         params = TinyLmParams.init(6, 3, context_radius=0, seed=5)
-        batch = [example([0, 1, 2, 3, 4], [1, 3], [2, 0]), example([4, 5], [0, 1], [4, 5])]
+        batch = packed([Example([0, 1, 2, 3, 4], [1, 3], [2, 0]), Example([4, 5], [0, 1], [4, 5])])
         loss, grads = loss_and_grads(batch, params)
-        _, alone = loss_and_grads(batch[:1], params)
+        _, alone = loss_and_grads(PackedBatch(batch.table, batch.index[:1]), params)
         assert math.isfinite(loss)
         # Its slots only reweight the first example's: 2 of the batch's 4 slots.
         assert np.allclose(grads["embeddings"], alone["embeddings"] * 2 / 4, atol=1e-15)
@@ -313,7 +330,7 @@ def _random_example(rng, vocab_size):
     """An example of 1-8 pieces with 1-6 masked positions and random labels."""
     length = rng.randrange(1, 9)
     positions = sorted(rng.sample(range(length), rng.randrange(1, min(length, 6) + 1)))
-    return example(
+    return Example(
         [rng.randrange(vocab_size) for _ in range(length)],
         positions,
         [rng.randrange(vocab_size) for _ in positions],
@@ -338,15 +355,14 @@ def _loop_slots(batch, params):
             yield predict(hidden[None, :], params)[0], label, hidden, context
 
 
-def _loop_evaluate(pairs, params):
+def _loop_evaluate(examples, params):
     """Per-slot reference for ``evaluate``: class means of -log p(label)."""
     sums, totals = [0.0] * 3, [0.0] * 3
-    for ex, flags in pairs:
-        slots = _loop_slots([ex], params)
-        for (probs, label, _, _), position, w in zip(slots, ex.masked_positions, ex.weights):
-            for k in (0, 1 if flags[position] else 2):
-                sums[k] -= math.log(probs[label]) * w
-                totals[k] += w
+    for ex in examples:
+        for (probs, label, _, _), position in zip(_loop_slots([ex], params), ex.masked_positions):
+            for k in (0, 1 if ex.flags[position] else 2):
+                sums[k] -= math.log(probs[label])
+                totals[k] += 1
     return [s / t if t else math.nan for s, t in zip(sums, totals)]
 
 
@@ -473,68 +489,66 @@ class TestTrain:
 class TestEvaluate:
     def test_per_class_split(self):
         params = TinyLmParams.init(6, 3, seed=4)
-        seq_flags = [True, False, True, False]
-        ex = example([0, 1, 2, 3], [0, 1], [2, 3], max_pred=4)
-        total, nc, non = evaluate([(ex, seq_flags)], params)
+        ex = Example([0, 1, 2, 3], [0, 1], [2, 3], [True, False, True, False])
+        total, nc, non = evaluate(packed([ex]), params)
         assert total == pytest.approx((nc + non) / 2)
 
     @pytest.mark.parametrize("radius", [0, 2])
     def test_matches_per_slot_loop(self, radius):
         rng = random.Random(radius)
         params = TinyLmParams.init(9, 4, context_radius=radius, seed=3)
-        pairs = []
+        examples = []
         for i in range(2 * EVAL_BLOCK + 5):
             if i == 3:
                 # Every position masked: the slots' context is empty.
-                pairs.append((example([4, 5, 6], [0, 1, 2], [1, 2, 3]), [True, False, True]))
+                examples.append(Example([4, 5, 6], [0, 1, 2], [1, 2, 3], [True, False, True]))
                 continue
             ex = _random_example(rng, 9)
             flags = [rng.random() < 0.5 for _ in ex.input_ids]
             if EVAL_BLOCK <= i < 2 * EVAL_BLOCK:
                 flags = [True] * len(flags)  # this block has no non-chunk slot
-            pairs.append((ex, flags))
-        for got, want in zip(evaluate(pairs, params), _loop_evaluate(pairs, params)):
+            examples.append(ex._replace(flags=flags))
+        for got, want in zip(evaluate(packed(examples), params), _loop_evaluate(examples, params)):
             assert abs(got - want) < 1e-12
-        chunk_only = [(ex, [True] * len(f)) for ex, f in pairs]
-        got, want = evaluate(chunk_only, params), _loop_evaluate(chunk_only, params)
+        chunk_only = [ex._replace(flags=[True] * len(ex.input_ids)) for ex in examples]
+        got, want = evaluate(packed(chunk_only), params), _loop_evaluate(chunk_only, params)
         assert math.isnan(got[2]) and math.isnan(want[2])
         for g, w in zip(got[:2], want[:2]):
             assert abs(g - w) < 1e-12
 
     def test_missing_class_is_nan(self):
         params = TinyLmParams.init(6, 3, seed=4)
-        ex = example([0, 1, 2, 3], [0], [2], max_pred=4)
-        _, nc, non = evaluate([(ex, [True, True, True, True])], params)
+        ex = Example([0, 1, 2, 3], [0], [2], [True, True, True, True])
+        _, nc, non = evaluate(packed([ex]), params)
         assert math.isnan(non) and not math.isnan(nc)
 
 
 class TestPacked:
-    def _pairs(self, n, seed):
+    def _examples(self, n, seed):
         rng = random.Random(seed)
-        pairs = []
+        examples = []
         for _ in range(n):
             ex = _random_example(rng, 9)
-            pairs.append((ex, [rng.random() < 0.5 for _ in ex.input_ids]))
-        pairs.append((example([1, 2, 3], [], []), [True, True, True]))  # no slots
-        return pairs
+            examples.append(ex._replace(flags=[rng.random() < 0.5 for _ in ex.input_ids]))
+        examples.append(Example([1, 2, 3], [], [], [True, True, True]))  # no slots
+        return examples
 
     def test_table_holds_each_example(self):
-        pairs = self._pairs(12, 0)
-        table = pack(pairs)
-        assert len(table) == len(pairs)
-        for k, (ex, flags) in enumerate(pairs):
+        corpus = _topic_sequences(30, 0)
+        config = MaskingConfig(strategy="lim", p_nc=0.75, max_seq_len=8, seed=3, vocab_size=10)
+        table = pack_corpus(corpus, config)
+        assert len(table) == len(corpus)
+        index = np.array([3, 29, 0, 3, 7])
+        for k, slots in zip(index, PackedBatch(table, index)):
+            seq, positions = corpus[k], slots.masked_positions.tolist()
             pieces = table.ids[table.piece_offsets[k] : table.piece_offsets[k + 1]]
-            context = [-1 if p in ex.masked_positions else t for p, t in enumerate(ex.input_ids)]
-            assert pieces.tolist() == context
-        index = np.array([3, 12, 0, 3, 7])
-        for (ex, flags), slots in zip((pairs[i] for i in index), PackedBatch(table, index)):
-            assert slots.masked_positions.tolist() == ex.masked_positions
-            assert slots.labels.tolist() == ex.labels
-            assert slots.chunk.tolist() == [flags[p] for p in ex.masked_positions]
+            assert pieces.tolist() == [-1 if p in positions else t for p, t in enumerate(seq.pieces)]
+            assert slots.labels.tolist() == [seq.pieces[p] for p in positions]
+            assert slots.chunk.tolist() == [seq.y[p] for p in positions]
 
     def test_batch_iterates_its_gathered_slots(self):
         # The benchmark's tracer counts a step's slots by iterating its batch.
-        table = pack(self._pairs(20, 1))
+        table = packed(self._examples(20, 1)).table
         params = TinyLmParams.init(9, 3, seed=0)
         for index in (np.array([5, 20, 5, 0]), np.arange(len(table)), np.array([20])):
             batch = PackedBatch(table, index)
@@ -544,34 +558,40 @@ class TestPacked:
                 label for ex in batch for label in ex.labels.tolist()
             ]
 
-    def test_examples_without_flags_are_non_chunk(self):
-        table = pack([ex for ex, _ in self._pairs(5, 2)])
+    def test_lim_with_p_nc_one_packs_chunk_slots_only(self):
+        corpus = _topic_sequences(40, 2)
+        config = MaskingConfig(strategy="lim", p_nc=1.0, max_seq_len=8, seed=1, vocab_size=10)
+        table = pack_corpus(corpus, config)
         assert len(table.chunk) == len(table.labels) > 0
-        assert not table.chunk.any()
+        assert table.chunk.all()
 
     def test_flags_must_align(self):
+        seq = TokenizedSequence([1, 2, 3], [True, False, True])
+        seq.pieces.append(4)
         with pytest.raises(ValueError, match="chunk flags must align"):
-            pack([(example([1, 2, 3], [1], [2]), [True, False])])
+            pack_corpus([seq], MaskingConfig(max_seq_len=8, vocab_size=10))
 
     def test_empty_table(self):
-        table = pack([])
+        table = pack_corpus([], MaskingConfig(max_seq_len=8, vocab_size=10))
         assert len(table) == 0
         assert list(PackedBatch(table, np.arange(0))) == []
         with pytest.raises(ValueError, match="no prediction slots"):
-            evaluate([], TinyLmParams.init(3, 2, seed=0))
+            evaluate(PackedBatch(table, np.arange(0)), TinyLmParams.init(3, 2, seed=0))
 
 
 def _per_example_table(corpus, config):
-    """``pack`` over one ``build_example`` per sequence, masked block by block
-    with ``mask_sequences``: what ``pack_corpus`` replaces."""
+    """One ``build_example`` per sequence, masked block by block with
+    ``mask_sequences``, written into a table one example at a time: what
+    ``pack_corpus`` replaces."""
 
-    def pairs():
+    def examples():
         sequences = (s for s in corpus if s.pieces)
         for index, block in enumerate(iter(lambda: list(islice(sequences, BLOCK)), [])):
             for seq, row in zip(block, mask_sequences(block, config, sequence_rng(config.seed, index))):
-                yield build_example(seq, config, row), seq.y
+                ex = build_example(seq, config, row)
+                yield Example(ex.input_ids, ex.masked_positions, ex.labels, seq.y)
 
-    return pack(pairs())
+    return packed(examples()).table
 
 
 class TestPackCorpus:
