@@ -192,6 +192,20 @@ class TestMlmLoss:
         loss, _ = loss_and_grads(batch, _bias_only(np.eye(4)[1]))
         assert loss == 0.0
 
+    def test_hand_summed_weighted_mean(self):
+        # The loss is the mean over slots, so the 3-slot example weighs three
+        # times the 1-slot one: not the mean of the two examples' means.
+        batch = packed([Example([0, 1], [1], [0]), Example([2, 0, 1], [0, 1, 2], [1, 2, 0])])
+        loss, _ = loss_and_grads(batch, _bias_only(np.array([0.7, 0.2, 0.1])))
+        expected = (-math.log(0.7) - math.log(0.2) - math.log(0.1) - math.log(0.7)) / 4
+        assert loss == pytest.approx(expected, rel=1e-12)
+
+    def test_all_zero_weights_rejected(self):
+        # The table has slots, but the batch picks only slot-less examples.
+        table = packed([Example([1, 2, 3], [], []), Example([0, 1], [0], [1]), Example([2], [], [])]).table
+        with pytest.raises(ValueError, match="no prediction slots"):
+            loss_and_grads(PackedBatch(table, np.array([0, 2, 0])), TinyLmParams.init(4, 2, seed=0))
+
     def test_batch_without_slots_rejected(self):
         params = TinyLmParams.init(4, 2, seed=0)
         for batch in (packed([Example([1, 2, 3], [], [])]), packed([])):
@@ -221,6 +235,19 @@ class TestMlmLoss:
         twice = PackedBatch(batch.table, np.concatenate([batch.index, batch.index]))
         loss, _ = loss_and_grads(batch, params)
         assert loss_and_grads(twice, params)[0] == pytest.approx(loss, rel=1e-12)
+
+    def test_padding_slots_change_nothing(self):
+        # Slot-less examples in a batch add a context but no prediction slot.
+        rng = random.Random(2)
+        examples = [_random_example(rng, 4) for _ in range(2)] + [Example([1, 3, 2], [], [])] * 2
+        table = packed(examples).table
+        for radius in (0, 1):
+            params = TinyLmParams.init(4, 3, context_radius=radius, seed=5)
+            unpadded_loss, unpadded = loss_and_grads(PackedBatch(table, np.array([0, 1])), params)
+            padded_loss, padded = loss_and_grads(PackedBatch(table, np.array([2, 0, 3, 1, 2])), params)
+            assert padded_loss == unpadded_loss
+            for name, grad in unpadded.items():
+                assert np.allclose(padded[name], grad, rtol=0, atol=1e-15)
 
 
 class TestGradients:
@@ -564,6 +591,13 @@ class TestPacked:
         table = pack_corpus(corpus, config)
         assert len(table.chunk) == len(table.labels) > 0
         assert table.chunk.all()
+
+    def test_examples_without_flags_are_non_chunk(self):
+        corpus = [TokenizedSequence(s.pieces, [False] * len(s.pieces)) for s in _topic_sequences(20, 4)]
+        config = MaskingConfig(strategy="lim", p_nc=0.75, max_seq_len=8, seed=2, vocab_size=10)
+        table = pack_corpus(corpus, config)
+        assert len(table.chunk) == len(table.labels) > 0
+        assert not table.chunk.any()
 
     def test_flags_must_align(self):
         seq = TokenizedSequence([1, 2, 3], [True, False, True])
