@@ -250,7 +250,7 @@ def _cmd_make_pretraining_data(cfg: dict[str, Any]) -> int:
             if first == 0:
                 rng = sequence_rng(config.seed, index)
             for seq, row in zip(batch, mask_sequences(batch, config, rng, first)):
-                handle.write(example_to_json_line(build_example(seq, config, row)) + "\n")
+                handle.write(example_to_json_line(build_example(seq, config, row), config) + "\n")
             count += len(batch)
     log.info("wrote %d examples", count)
     return EX_OK
@@ -382,13 +382,16 @@ _REQUIRED = object()
 _ANNOTATIONS = ("--annotations", str, _REQUIRED, "annotation TSV: surface, POS tag, chunk id")
 _VOCAB = ("--vocab", str, _REQUIRED, "vocabulary file, one piece per line")
 _REPORT = ("--output", str, None, "report path (default: stdout)")
+_MASK_PROB = ("--mask-prob", float, 0.15, None)
+_MAX_PRED = ("--max-pred", int, 20, "most masked positions per sequence")
+_SEED = ("--seed", int, 0, None)
 _MASKING_OPTIONS = [
     ("--strategy", STRATEGIES, "mlm", "mask uniformly (mlm) or within one chunk pool (lim)"),
     ("--p-nc", float, None, "lim: chance that a sequence masks only chunk tokens"),
-    ("--mask-prob", float, 0.15, None),
-    ("--max-pred", int, 20, "most masked positions per sequence"),
+    _MASK_PROB,
+    _MAX_PRED,
     ("--max-seq-len", int, 128, "pieces kept per sentence"),
-    ("--seed", int, 0, None),
+    _SEED,
     ("--mask-piece", str, "[MASK]", None),
 ]
 
@@ -421,9 +424,9 @@ _SUBCOMMANDS = {
         ("--n", int, 100000, "number of synthetic sequences"),
         ("--seq-len", int, 128, None),
         ("--p-y1", float, 0.507, "token-level chunk probability"),
-        ("--mask-prob", float, 0.15, None),
-        ("--max-pred", int, 20, "most masked positions per sequence"),
-        ("--seed", int, 0, None),
+        _MASK_PROB,
+        _MAX_PRED,
+        _SEED,
         ("--tolerance", float, 0.005, "largest accepted abs_error"),
         _REPORT,
     ]),
@@ -434,7 +437,7 @@ _SUBCOMMANDS = {
     "make-pairs": (_cmd_make_pairs, "build citation similarity pairs", [
         ("--input", str, _REQUIRED, "patent records JSONL"),
         ("--output", str, _REQUIRED, None),
-        ("--seed", int, 0, None),
+        _SEED,
         ("--train-frac", float, None, "also write a train/test split"),
     ]),
     "train-tiny": (_cmd_train_tiny, "train the tiny reference masked LM", [

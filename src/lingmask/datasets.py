@@ -2,11 +2,11 @@
 examples and citation-based similarity pairs.
 
 Input is JSONL with fields ``pub_number``, ``title``, ``abstract``, ``claims``,
-``description``, ``ipc`` (semicolon-joined string or list), and ``citations``
-(list of objects with ``pub`` and ``category``). Classification labels are the
-4-character subclass level of the classification codes; similarity positives
-are X-category citation pairs, the category that marks novelty-defeating
-relatedness.
+``description``, ``ipc`` (semicolon-joined string or list of strings), and
+``citations`` (list of objects with ``pub`` and ``category``). Classification
+labels are the 4-character subclass level of the classification codes;
+similarity positives are X-category citation pairs, the category that marks
+novelty-defeating relatedness.
 """
 
 from __future__ import annotations
@@ -108,10 +108,10 @@ def read_patent_records(path: str) -> Iterator[PatentRecord]:
                 ipc = record.get("ipc", [])
                 if isinstance(ipc, str):
                     tags = [t.strip() for t in ipc.split(";") if t.strip()]
-                elif isinstance(ipc, list):
-                    tags = [str(t).strip() for t in ipc if str(t).strip()]
+                elif isinstance(ipc, list) and all(isinstance(t, str) for t in ipc):
+                    tags = [t.strip() for t in ipc if t.strip()]
                 else:
-                    raise ValueError(f"ipc must be a string or a list: {ipc!r}")
+                    raise ValueError(f"ipc must be a string or a list of strings: {ipc!r}")
                 citations = [_citation(c) for c in record.get("citations", [])]
                 yield PatentRecord(
                     pub_number=record["pub_number"],

@@ -17,7 +17,8 @@ two strategies statistically indistinguishable, which the stats module
 verifies empirically.
 
 Replacement at the selected positions follows the standard 80/10/10 policy
-(mask piece / random piece / keep), applied identically under both strategies.
+(``MASK_FRAC`` mask piece / ``RANDOM_FRAC`` random piece / keep), applied
+identically under both strategies.
 
 Randomness comes in blocks of ``BLOCK`` consecutive sequences (by ordinal).
 Each block has one stream of the Philox4x32-10 counter-based generator,
@@ -68,6 +69,9 @@ FORMAT_VERSION = 2
 # Sequences per random block; part of the example format.
 BLOCK = 256
 
+# Shares of masked positions given the mask piece and a random piece.
+MASK_FRAC, RANDOM_FRAC = 0.8, 0.1
+
 
 @dataclass
 class MaskingConfig:
@@ -79,9 +83,6 @@ class MaskingConfig:
     max_seq_len: int = 128
     strategy: str = "mlm"
     p_nc: float | None = None
-    mask_frac: float = 0.8
-    random_frac: float = 0.1
-    keep_frac: float = 0.1
     seed: int = 0
     mask_piece_id: int = 0
     vocab_size: int = 1
@@ -95,10 +96,6 @@ class MaskingConfig:
             raise ValueError(f"max_seq_len must be >= 1, got {self.max_seq_len}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy: {self.strategy!r}")
-        if abs(self.mask_frac + self.random_frac + self.keep_frac - 1.0) > 1e-9:
-            raise ValueError("replacement fractions must sum to 1")
-        if min(self.mask_frac, self.random_frac, self.keep_frac) < 0:
-            raise ValueError("replacement fractions must be non-negative")
         if self.strategy == "lim":
             if self.p_nc is None:
                 raise ValueError("strategy 'lim' requires p_nc")
@@ -125,23 +122,18 @@ class TokenizedSequence:
 
 @dataclass
 class MaskedExample:
-    """One pre-training instance.
-
-    ``weights`` has length ``max_pred``: 1.0 for each real prediction slot,
-    0.0 for padding, so downstream loss code can consume fixed-width batches.
-    """
+    """One pre-training instance. Its record's ``weights`` and ``strategy``
+    are the same for the whole run and come from the config when it is
+    written (``example_to_json_line``)."""
 
     input_ids: list[int]
     masked_positions: list[int]
     labels: list[int]
-    weights: list[float]
-    strategy_tag: str
     branch: str
     doc_id: str = ""
 
     def __post_init__(self) -> None:
-        n = len(self.masked_positions)
-        if len(self.labels) != n:
+        if len(self.labels) != len(self.masked_positions):
             raise ValueError("labels must align with masked positions")
         if any(b <= a for a, b in zip(self.masked_positions, self.masked_positions[1:])):
             raise ValueError("masked positions must be strictly increasing")
@@ -149,12 +141,8 @@ class MaskedExample:
             0 <= self.masked_positions[0] and self.masked_positions[-1] < len(self.input_ids)
         ):
             raise ValueError("masked position out of bounds")
-        if self.strategy_tag not in STRATEGIES:
-            raise ValueError(f"unknown strategy tag: {self.strategy_tag!r}")
         if self.branch not in BRANCHES:
             raise ValueError(f"unknown branch tag: {self.branch!r}")
-        if self.weights != [1.0] * n + [0.0] * (len(self.weights) - n):
-            raise ValueError("weights must be 1.0 per real slot then 0.0 padding")
 
 
 _U64 = np.uint64
@@ -314,9 +302,9 @@ def mask_rows(
     replace = draws.replace[filled]
     random_ids = ((draws.ids[filled] * _U64(config.vocab_size)) >> _U64(32)).astype(np.int64)
     ids = np.where(
-        replace < config.mask_frac * 2**32,
+        replace < MASK_FRAC * 2**32,
         config.mask_piece_id,
-        np.where(replace < (config.mask_frac + config.random_frac) * 2**32, random_ids, -1),
+        np.where(replace < (MASK_FRAC + RANDOM_FRAC) * 2**32, random_ids, -1),
     )
     return MaskedRows(positions, counts, nc, ids)
 
@@ -364,10 +352,6 @@ def mask_sequences(
     )
 
 
-def _pad_weights(n_masked: int, max_pred: int) -> list[float]:
-    return [1.0] * n_masked + [0.0] * (max_pred - n_masked)
-
-
 def build_example(seq: TokenizedSequence, config: MaskingConfig, row: MaskRow) -> MaskedExample:
     """Apply one sequence's row of ``mask_sequences`` to it."""
     input_ids = list(seq.pieces)
@@ -378,8 +362,6 @@ def build_example(seq: TokenizedSequence, config: MaskingConfig, row: MaskRow) -
         input_ids=input_ids,
         masked_positions=row.positions,
         labels=[seq.pieces[p] for p in row.positions],
-        weights=_pad_weights(len(row.positions), config.max_pred),
-        strategy_tag=config.strategy,
         branch=row.branch,
         doc_id=seq.doc_id,
     )
@@ -409,11 +391,13 @@ _INT = {int}
 
 @lru_cache(maxsize=256)
 def _weights_text(n_masked: int, max_pred: int) -> str:
-    return repr(_pad_weights(n_masked, max_pred))
+    return repr([1.0] * n_masked + [0.0] * (max_pred - n_masked))
 
 
-def example_to_json_line(example: MaskedExample) -> str:
-    """Serialize one example to its JSONL record (stable key order).
+def example_to_json_line(example: MaskedExample, config: MaskingConfig) -> str:
+    """Serialize one example of a run with ``config`` to its JSONL record
+    (stable key order). ``weights`` is 1.0 per masked position then 0.0 up
+    to ``max_pred``, and ``strategy`` is the config's.
 
     The bytes are those of ``json.dumps(record, ensure_ascii=False)``: an int
     list's ``repr`` is its JSON text, the strategy and branch tags are ASCII
@@ -428,9 +412,9 @@ def example_to_json_line(example: MaskedExample) -> str:
         and {*map(type, ids), *map(type, positions), *map(type, labels)} <= _INT
     ):
         raise TypeError("input_ids, masked_positions and labels must be lists of int")
-    weights = _weights_text(len(positions), len(example.weights))
+    weights = _weights_text(len(positions), config.max_pred)
     return (
         f'{{"input_ids": {ids!r}, "masked_positions": {positions!r}, '
-        f'"labels": {labels!r}, "weights": {weights}, "strategy": "{example.strategy_tag}", '
+        f'"labels": {labels!r}, "weights": {weights}, "strategy": "{config.strategy}", '
         f'"branch": "{example.branch}", "doc_id": {encode_basestring(example.doc_id)}}}'
     )

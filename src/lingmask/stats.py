@@ -22,19 +22,23 @@ import numpy as np
 from .masking import BLOCK, MaskingConfig, Philox, mask_rows
 
 
-def expected_conditional_mask_prob(mask_prob: float, p_nc: float, p_y1: float) -> float:
-    """Analytic p(masked | flagged) = mask_prob * p_nc / p_y1.
-
-    All arguments must lie in (0, 1]. ``p_nc == p_y1`` returns ``mask_prob``
+def _law(mask_prob: float, p_nc: float, p_y1: float) -> float:
+    """mask_prob * p_nc / p_y1; ``p_nc == p_y1`` returns ``mask_prob``
     exactly (the reduction to the plain strategy is an algebraic identity and
-    must not pick up float round-off).
+    must not pick up float round-off)."""
+    return mask_prob if p_nc == p_y1 else mask_prob * p_nc / p_y1
+
+
+def expected_conditional_mask_prob(mask_prob: float, p_nc: float, p_y1: float) -> float:
+    """Analytic p(masked | flagged) = mask_prob * p_nc / p_y1, exactly
+    ``mask_prob`` when ``p_nc == p_y1``.
+
+    All arguments must lie in (0, 1], and so must the result.
     """
     for name, value in (("mask_prob", mask_prob), ("p_nc", p_nc), ("p_y1", p_y1)):
         if not 0.0 < value <= 1.0:
             raise ValueError(f"{name} must be in (0, 1], got {value}")
-    if p_nc == p_y1:
-        return mask_prob
-    result = mask_prob * p_nc / p_y1
+    result = _law(mask_prob, p_nc, p_y1)
     if result > 1.0:
         raise ValueError(
             f"inconsistent parameterization: mask_prob * p_nc / p_y1 = {result:.4f} > 1"
@@ -135,7 +139,7 @@ def empirical_mask_report(
     if p_nc is None:
         expected: float | None = mask_prob
     elif p_y1 > 0:
-        expected = mask_prob if p_nc == p_y1 else mask_prob * p_nc / p_y1
+        expected = _law(mask_prob, p_nc, p_y1)
     else:
         expected = None
     abs_error = abs(p1 - expected) if p1 is not None and expected is not None else None

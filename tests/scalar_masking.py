@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 
-from lingmask.masking import MaskedExample, MaskingConfig, TokenizedSequence
+from lingmask.masking import MASK_FRAC, RANDOM_FRAC, MaskedExample, MaskingConfig, TokenizedSequence
 from lingmask.stats import MaskTally
 
 
@@ -40,16 +40,14 @@ def build_example(seq: TokenizedSequence, config: MaskingConfig, rng: random.Ran
     input_ids = list(seq.pieces)
     for position in positions:
         draw = rng.random()
-        if draw < config.mask_frac:
+        if draw < MASK_FRAC:
             input_ids[position] = config.mask_piece_id
-        elif draw < config.mask_frac + config.random_frac:
+        elif draw < MASK_FRAC + RANDOM_FRAC:
             input_ids[position] = rng.randrange(config.vocab_size)
     return MaskedExample(
         input_ids=input_ids,
         masked_positions=positions,
         labels=[seq.pieces[p] for p in positions],
-        weights=[1.0] * count + [0.0] * (config.max_pred - count),
-        strategy_tag=config.strategy,
         branch=branch,
         doc_id=seq.doc_id,
     )

@@ -235,6 +235,23 @@ class TestMakePretrainingData:
         )
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_records_take_weights_and_strategy_from_the_run(self, tmp_path, annotated_corpus):
+        # No golden digest pins a --max-pred other than the default 20.
+        tsv, vocab = annotated_corpus
+        out = tmp_path / "ex.jsonl"
+        argv = [
+            "make-pretraining-data", "--annotations", tsv, "--vocab", vocab,
+            "--strategy", "lim", "--p-nc", "0.75", "--max-pred", "5", "--output", str(out),
+        ]
+        assert main(argv) == EX_OK
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(records) == 120
+        for record in records:
+            n = len(record["masked_positions"])
+            assert 1 <= n <= 5
+            assert record["weights"] == [1.0] * n + [0.0] * (5 - n)
+            assert record["strategy"] == "lim"
+
     def test_flags_override_config_file(self, tmp_path, annotated_corpus):
         tsv, vocab = annotated_corpus
         cfg = tmp_path / "run.json"

@@ -115,9 +115,10 @@ class TestReadRecords:
             {"pub_number": "P1", "citations": [{"pub": "P2", "category": 5}]},
             {"pub_number": "P1", "citations": [{"pub": "P2"}]},
             {"pub_number": "P1", "ipc": {"A61K 31/00": 1}},
+            {"pub_number": "P1", "ipc": [7, ["A61K 31/00"]]},
         ],
         ids=["array", "null-title", "list-abstract", "int-claims", "object-description",
-             "array-citation", "int-category", "no-category", "object-ipc"],
+             "array-citation", "int-category", "no-category", "object-ipc", "list-element-ipc"],
     )
     def test_wrongly_typed_fields_fail_on_their_line(self, tmp_path, capsys, subcommand, record):
         path = tmp_path / "bad.jsonl"

@@ -10,6 +10,8 @@ from lingmask.chunker import AnnotatedSentence, AnnotatedToken
 from lingmask.masking import (
     BLOCK,
     BRANCHES,
+    MASK_FRAC,
+    RANDOM_FRAC,
     STRATEGIES,
     MaskedExample,
     MaskingConfig,
@@ -45,6 +47,11 @@ def config(**kwargs):
     return MaskingConfig(**kwargs)
 
 
+def record_of(example, cfg):
+    """The JSONL record the writer makes of ``example``, as a dict."""
+    return json.loads(example_to_json_line(example, cfg))
+
+
 def mask_one(seq, cfg, block=0):
     """The example of ``seq`` as the first sequence of block ``block``."""
     [row] = mask_sequences([seq], cfg, sequence_rng(cfg.seed, block))
@@ -70,8 +77,7 @@ class TestConfig:
         assert cfg.mask_prob == 0.15
         assert cfg.max_pred == 20
         assert cfg.max_seq_len == 128
-        with pytest.raises(ValueError):
-            config(mask_frac=0.9, random_frac=0.2, keep_frac=0.1)
+        assert (MASK_FRAC, RANDOM_FRAC) == (0.8, 0.1)
 
     def test_lim_requires_p_nc(self):
         with pytest.raises(ValueError, match="requires p_nc"):
@@ -104,21 +110,11 @@ class TestBuildMlm:
     def test_counts_and_padding(self):
         example = mask_one(make_seq(10), config())
         assert len(example.masked_positions) == 2
-        assert example.weights == [1.0, 1.0] + [0.0] * 18
-        assert example.strategy_tag == "mlm" and example.branch == "n/a"
+        assert example.branch == "n/a"
+        record = record_of(example, config())
+        assert record["weights"] == [1.0, 1.0] + [0.0] * 18
+        assert record["strategy"] == "mlm"
         assert example.labels == [make_seq(10).pieces[p] for p in example.masked_positions]
-
-    def test_pure_mask_policy(self):
-        cfg = config(mask_frac=1.0, random_frac=0.0, keep_frac=0.0)
-        example = mask_one(make_seq(10), cfg, block=1)
-        for position in example.masked_positions:
-            assert example.input_ids[position] == cfg.mask_piece_id
-
-    def test_keep_policy_preserves_ids(self):
-        cfg = config(mask_frac=0.0, random_frac=0.0, keep_frac=1.0)
-        seq = make_seq(10)
-        example = mask_one(seq, cfg, block=1)
-        assert example.input_ids == seq.pieces
 
     def test_deterministic(self):
         a = mask_one(make_seq(12), config(seed=42))
@@ -169,36 +165,38 @@ class TestBuildLim:
         assert values == {example.branch == "nc"}
 
     def test_weight_sum_matches_positions(self):
+        cfg = config(strategy="lim", p_nc=0.5, max_pred=4)
         for trial in range(20):
             seq = make_seq(15, flagged=(1, 2, 3))
-            example = mask_one(seq, config(strategy="lim", p_nc=0.5), block=trial)
-            assert sum(example.weights) == len(example.masked_positions)
+            example = mask_one(seq, cfg, block=trial)
+            record = record_of(example, cfg)
+            assert len(record["weights"]) == cfg.max_pred
+            assert sum(record["weights"]) == len(example.masked_positions)
+            assert record["strategy"] == "lim"
 
 
 class TestExampleValidation:
     def test_positions_strictly_increasing(self):
         with pytest.raises(ValueError):
-            MaskedExample([1, 2, 3], [1, 1], [2, 3], [1.0, 1.0], "mlm", "n/a")
+            MaskedExample([1, 2, 3], [1, 1], [2, 3], "n/a")
 
     def test_position_bounds(self):
         with pytest.raises(ValueError):
-            MaskedExample([1, 2, 3], [5], [2], [1.0], "mlm", "n/a")
-
-    def test_weight_pattern(self):
-        with pytest.raises(ValueError):
-            MaskedExample([1, 2, 3], [0], [1], [0.0, 1.0], "mlm", "n/a")
+            MaskedExample([1, 2, 3], [5], [2], "n/a")
 
 
 # Reference form of an example record: the dict the record holds, through
-# json.dumps. The writer builds the same bytes from pieces.
-def _oracle_example_line(example):
+# json.dumps, with the run's weights and strategy from its config. The writer
+# builds the same bytes from pieces.
+def _oracle_example_line(example, cfg):
+    n = len(example.masked_positions)
     return json.dumps(
         {
             "input_ids": example.input_ids,
             "masked_positions": example.masked_positions,
             "labels": example.labels,
-            "weights": example.weights,
-            "strategy": example.strategy_tag,
+            "weights": [1.0] * n + [0.0] * (cfg.max_pred - n),
+            "strategy": cfg.strategy,
             "branch": example.branch,
             "doc_id": example.doc_id,
         },
@@ -211,24 +209,31 @@ BIG_INTS = st.one_of(st.integers(-(2**70), 2**70), st.integers(0, 40))
 
 @st.composite
 def examples(draw):
+    """An example and the config of its run: ``max_pred`` at least its slot
+    count, and either strategy."""
     input_ids = draw(st.lists(BIG_INTS, min_size=1, max_size=40))
     positions = sorted(draw(st.sets(st.integers(0, len(input_ids) - 1), max_size=len(input_ids))))
-    max_pred = len(positions) + draw(st.integers(0, 25))
-    return MaskedExample(
+    example = MaskedExample(
         input_ids=input_ids,
         masked_positions=positions,
         labels=draw(st.lists(BIG_INTS, min_size=len(positions), max_size=len(positions))),
-        weights=[1.0] * len(positions) + [0.0] * (max_pred - len(positions)),
-        strategy_tag=draw(st.sampled_from(STRATEGIES)),
         branch=draw(st.sampled_from(BRANCHES)),
         doc_id=draw(JSON_TEXT),
     )
+    strategy = draw(st.sampled_from(STRATEGIES))
+    cfg = config(
+        max_pred=draw(st.integers(max(1, len(positions)), len(positions) + 25)),
+        strategy=strategy,
+        p_nc=0.5 if strategy == "lim" else None,
+    )
+    return example, cfg
 
 
 class TestExampleJsonLine:
     @given(examples())
-    def test_equals_json_dumps(self, example):
-        assert example_to_json_line(example) == _oracle_example_line(example)
+    def test_equals_json_dumps(self, example_and_config):
+        example, cfg = example_and_config
+        assert example_to_json_line(example, cfg) == _oracle_example_line(example, cfg)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -244,10 +249,10 @@ class TestExampleJsonLine:
         ids=["numpy-id", "numpy-label", "bool-position", "bool-id", "tuple", "int-doc-id", "none-doc-id"],
     )
     def test_rejects_non_json_values(self, field, value):
-        example = MaskedExample([3, 4, 5], [1], [4], [1.0, 0.0], "mlm", "n/a", "d")
+        example = MaskedExample([3, 4, 5], [1], [4], "n/a", "d")
         setattr(example, field, value)
         with pytest.raises(TypeError):
-            example_to_json_line(example)
+            example_to_json_line(example, config(max_pred=2))
 
 
 class TestSequenceFromAnnotated:
