@@ -16,6 +16,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator
 
 log = logging.getLogger(__name__)
@@ -33,7 +34,7 @@ _CHUNK_BODY = frozenset({"ADJ", "NUM", "NOUN", "PROPN"})
 DEFAULT_MAX_CHUNK_LEN = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedToken:
     surface: str
     pos: str
@@ -127,9 +128,9 @@ def sentence_from_tokens(tokens: list[AnnotatedToken]) -> AnnotatedSentence:
     return AnnotatedSentence(tokens=tokens, chunk_spans=extract_noun_chunks(tokens))
 
 
-# One validated annotation line: token, chunk id, and the unknown POS tag it
-# carried (None when the tag is a known one).
-_LineEntry = tuple[AnnotatedToken, int | None, str | None]
+# Each POS tag as one shared string, so every token of a tag holds the same one.
+_POS = {tag: tag for tag in UPOS_TAGS}
+_UNSEEN = object()  # a chunk column not yet seen; None is the chunk id of "-"
 
 
 def parse_annotations(
@@ -142,79 +143,92 @@ def parse_annotations(
     contiguous. Unknown POS tags are mapped to X and counted in
     ``warn_counter`` when given; without a counter, each is logged.
 
-    Each distinct raw line is split, validated and converted once per call;
-    later occurrences reuse its (frozen) token and chunk id, so sentences share
-    token objects and a repeated line costs one dictionary lookup. Lines that
-    differ only in their chunk id share one token too, so the memo holds one
-    token per distinct (surface, POS) and one small entry per distinct line.
-    Errors still name the first offending line, and unknown tags are counted
-    or logged on every occurrence.
+    A line is looked up by its two parts, split at its last tab: the head
+    (``surface<TAB>pos``) maps to its shared, frozen token and the chunk
+    column to its chunk id. Only a valid line caches its parts, so a line
+    whose parts are both cached is valid, and costs one split and two
+    dictionary lookups; any other line is validated in full. The memo holds
+    one token per distinct (surface, POS) and one id per distinct chunk
+    column, so it grows with the vocabulary, not with the lines. Tokens,
+    flags and spans are built in the same pass. Errors still name the first
+    offending line, and unknown tags are counted or logged on every
+    occurrence.
     """
-    memo: dict[str, _LineEntry] = {}  # raw line -> its entry
-    tokens: dict[tuple[str, str], AnnotatedToken] = {}  # (surface, POS) -> token
-    entries: list[_LineEntry] = []
-    lineno = 0
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            entry = memo.get(line)
-            if entry is None:
-                if not line.strip():
-                    if entries:
-                        yield _sentence(entries, lineno)
-                        entries = []
-                    continue
-                entry = memo[line] = _parse_line(line, lineno, tokens)
-            if entry[2] is not None:
-                if warn_counter is not None:
-                    warn_counter[entry[2]] += 1
-                else:
-                    log.warning("unknown POS tag %r at line %d mapped to X", entry[2], lineno)
-            entries.append(entry)
-    if entries:
-        yield _sentence(entries, lineno + 1)
-
-
-def _sentence(entries: list[_LineEntry], lineno: int) -> AnnotatedSentence:
-    """Build one sentence from its line entries; ``lineno`` is the line after it."""
+    heads: dict[str, AnnotatedToken] = {}  # "surface\tPOS" -> token
+    unknown_tags: dict[str, str] = {}  # head whose POS tag is unknown -> that tag
+    chunk_ids: dict[str, int | None] = {}  # chunk column, newline kept -> chunk id
+    tokens: list[AnnotatedToken] = []
+    flags: list[bool] = []
     spans: list[tuple[int, int]] = []
-    open_id: int | None = None
-    start = 0
-    seen: set[int] = set()
-    for k, (_, cid, _) in enumerate(entries):
-        if cid != open_id:
-            if open_id is not None:
-                spans.append((start, k))
-            if cid is not None:
-                if cid in seen:
-                    raise ValueError(
-                        f"chunk id {cid} not contiguous in sentence ending at line {lineno}"
+    seen: set[int] = set()  # chunk ids opened in this sentence
+    open_id: int | None = None  # chunk of the previous line
+    start = 0  # where the open chunk starts
+    broken: int | None = None  # first chunk id found not contiguous
+    with open(path, encoding="utf-8") as handle:
+        # One more blank line ends the last sentence at the line after the file.
+        for lineno, line in enumerate(chain(handle, ["\n"]), start=1):
+            head, _, column = line.rpartition("\t")
+            token = heads.get(head)
+            cid = chunk_ids.get(column, _UNSEEN)
+            if token is None or cid is _UNSEEN:
+                if line.strip():
+                    token, cid = _parse_line(line, lineno, heads, unknown_tags, chunk_ids)
+                else:
+                    token = cid = None
+            if cid != open_id:
+                if open_id is not None:
+                    spans.append((start, len(tokens)))
+                if cid is not None:
+                    if cid in seen and broken is None:
+                        broken = cid
+                    seen.add(cid)
+                    start = len(tokens)
+                open_id = cid
+            if token is None:
+                if tokens:
+                    if broken is not None:
+                        raise ValueError(
+                            f"chunk id {broken} not contiguous in sentence ending at line {lineno}"
+                        )
+                    # The spans were built in order from contiguous chunks and
+                    # flags is their expansion, so skip re-checking them.
+                    sentence = object.__new__(AnnotatedSentence)
+                    sentence.tokens, sentence.chunk_spans, sentence.y = tokens, spans, flags
+                    yield sentence
+                    tokens, flags, spans, seen = [], [], [], set()
+                continue
+            if token.pos == "X" and head in unknown_tags:
+                if warn_counter is not None:
+                    warn_counter[unknown_tags[head]] += 1
+                else:
+                    log.warning(
+                        "unknown POS tag %r at line %d mapped to X", unknown_tags[head], lineno
                     )
-                seen.add(cid)
-                start = k
-            open_id = cid
-    if open_id is not None:
-        spans.append((start, len(entries)))
-    return AnnotatedSentence(tokens=[entry[0] for entry in entries], chunk_spans=spans)
+            tokens.append(token)
+            flags.append(cid is not None)
 
 
 def _parse_line(
-    line: str, lineno: int, tokens: dict[tuple[str, str], AnnotatedToken]
-) -> _LineEntry:
-    """Validate one non-blank annotation line into (token, chunk id, unknown tag).
+    line: str,
+    lineno: int,
+    heads: dict[str, AnnotatedToken],
+    unknown_tags: dict[str, str],
+    chunk_ids: dict[str, int | None],
+) -> tuple[AnnotatedToken, int | None]:
+    """Validate one non-blank annotation line into its token and chunk id,
+    and cache its head and chunk column for the lines that repeat them.
 
-    The token is taken from ``tokens`` by (surface, POS), or made and added.
+    The token is the one cached under ``surface<TAB>pos`` (pos after mapping
+    an unknown tag to X), or is made and cached there.
     """
     columns = line.rstrip("\n").split("\t")
     if len(columns) != 3:
         raise ValueError(
             f"expected 3 tab-separated columns at line {lineno}, got {len(columns)}"
         )
-    surface, pos, chunk_field = columns
+    surface, tag, chunk_field = columns
     if not surface:
         raise ValueError(f"empty token surface at line {lineno}")
-    unknown = None
-    if pos not in UPOS_TAGS:
-        unknown, pos = pos, "X"
     if chunk_field == "-":
         cid: int | None = None
     else:
@@ -224,10 +238,18 @@ def _parse_line(
             raise ValueError(
                 f"invalid chunk id {chunk_field!r} at line {lineno}"
             ) from exc
-    token = tokens.get((surface, pos))
+    head, _, column = line.rpartition("\t")
+    pos = _POS.get(tag)
+    if pos is None:
+        unknown_tags[head] = tag
+        pos = _POS["X"]
+    key = f"{surface}\t{pos}"
+    token = heads.get(key)
     if token is None:
-        token = tokens[surface, pos] = AnnotatedToken(surface, pos)
-    return token, cid, unknown
+        token = heads[key] = AnnotatedToken(surface, pos)
+    heads[head] = token
+    chunk_ids[column] = cid
+    return token, cid
 
 
 @dataclass

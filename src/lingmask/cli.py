@@ -385,9 +385,11 @@ _REPORT = ("--output", str, None, "report path (default: stdout)")
 _MASK_PROB = ("--mask-prob", float, 0.15, None)
 _MAX_PRED = ("--max-pred", int, 20, "most masked positions per sequence")
 _SEED = ("--seed", int, 0, None)
+# Unset by default: masking reads it only under lim, so mlm rejects it.
+_LIM_P_NC = ("--p-nc", float, None, "lim: chance that a sequence masks only chunk tokens")
 _MASKING_OPTIONS = [
     ("--strategy", STRATEGIES, "mlm", "mask uniformly (mlm) or within one chunk pool (lim)"),
-    ("--p-nc", float, None, "lim: chance that a sequence masks only chunk tokens"),
+    _LIM_P_NC,
     _MASK_PROB,
     _MAX_PRED,
     ("--max-seq-len", int, 128, "pieces kept per sentence"),
@@ -531,7 +533,8 @@ def _resolve(parser: _Parser, argv: list[str], args: argparse.Namespace) -> dict
     Config-file values are parsed by the subcommand's parser like the flags,
     as if they came before them, so they get the same checks and the flags
     win. A JSON null leaves an option unset, and a ``"subcommand"`` key must
-    name this subcommand.
+    name this subcommand. Where ``--p-nc`` has no default, setting it under
+    ``--strategy mlm``, which ignores it, is a usage error.
     """
     options = _SUBCOMMANDS[args.subcommand][2]
     if args.config:
@@ -564,6 +567,8 @@ def _resolve(parser: _Parser, argv: list[str], args: argparse.Namespace) -> dict
                 parser.error(f"missing required option {flag}")
             value = default
         resolved[key] = value
+    if _LIM_P_NC in options and resolved["strategy"] == "mlm" and resolved["p_nc"] is not None:
+        parser.error("--p-nc applies only to --strategy lim")
     return resolved
 
 

@@ -85,7 +85,9 @@ def encode_word(word: str, vocab: Vocabulary) -> list[str]:
     The pieces of each distinct word are memoized on ``vocab`` (the memo
     grows with the number of distinct words encoded), so the lookup and the
     whitespace check run once per distinct word; every call returns a fresh
-    list. A rejected word is not memoized and raises on every call.
+    list. The memo holds the vocabulary's own piece strings, so it adds one
+    tuple per distinct word and no piece text. A rejected word is not
+    memoized and raises on every call.
     """
     pieces = vocab._word_pieces.get(word)
     if pieces is None:
@@ -102,16 +104,15 @@ def _greedy_pieces(word: str, vocab: Vocabulary) -> list[str]:
     while start < n:
         prefix = vocab.continuation_prefix if start else ""
         end = min(n, start + vocab._max_body_chars)
-        match = None
+        piece_id = None
         while end > start:
-            candidate = prefix + word[start:end]
-            if candidate in vocab:
-                match = candidate
+            piece_id = vocab._piece_to_id.get(prefix + word[start:end])
+            if piece_id is not None:
                 break
             end -= 1
-        if match is None:
+        if piece_id is None:
             return [vocab.unk_piece]
-        pieces.append(match)
+        pieces.append(vocab.pieces[piece_id])  # the vocabulary's own string
         start = end
     return pieces
 

@@ -206,6 +206,76 @@ class TestParseAnnotations:
         assert all(t is nouns[0] for t in nouns)
         assert counter == Counter({"NOUNX": 1})
 
+    def test_line_of_parts_seen_on_other_lines(self, tmp_path):
+        # Its head and its chunk column were each cached from other lines.
+        path = self._write(
+            tmp_path / "ann.tsv",
+            "valve\tNOUN\t-\npump\tNOUN\t0\n\npump\tNOUN\t-\nvalve\tNOUN\t0\n",
+        )
+        first, second = parse_annotations(path)
+        assert [(t.surface, t.pos) for t in second.tokens] == [("pump", "NOUN"), ("valve", "NOUN")]
+        assert second.chunk_spans == [(1, 2)]
+        assert second.y == [False, True]
+        assert second.tokens[0] is first.tokens[1] and second.tokens[1] is first.tokens[0]
+
+    def test_bad_chunk_id_after_its_head_names_its_own_line(self, tmp_path):
+        path = self._write(tmp_path / "ann.tsv", "valve\tNOUN\t0\n\nvalve\tNOUN\tx\n")
+        with pytest.raises(ValueError, match="invalid chunk id 'x' at line 3$"):
+            list(parse_annotations(path))
+
+    @pytest.mark.parametrize("line", ["valve\tNOUN\tNOUN\t0\n", "a\tvalve\tNOUN\t0\n"])
+    def test_four_columns_ending_in_a_seen_chunk_column_name_their_line(self, tmp_path, line):
+        path = self._write(tmp_path / "ann.tsv", "valve\tNOUN\t0\n\n" + line)
+        with pytest.raises(ValueError, match="columns at line 3, got 4$"):
+            list(parse_annotations(path))
+
+    @pytest.mark.parametrize(
+        "text,ending",
+        [
+            ("a\tNOUN\t0\nb\tVERB\t-\nc\tNOUN\t0\n\nd\tNOUN\t-\n", 4),
+            ("d\tNOUN\t-\n\na\tNOUN\t0\nb\tVERB\t-\nc\tNOUN\t0\n", 6),
+            ("d\tNOUN\t-\n\na\tNOUN\t0\nb\tVERB\t-\nc\tNOUN\t0", 6),
+        ],
+        ids=["mid-file", "last-sentence", "no-final-newline"],
+    )
+    def test_non_contiguous_chunk_names_where_its_sentence_ends(self, tmp_path, text, ending):
+        path = self._write(tmp_path / "ann.tsv", text)
+        with pytest.raises(
+            ValueError, match=f"^chunk id 0 not contiguous in sentence ending at line {ending}$"
+        ):
+            list(parse_annotations(path))
+
+    def test_bad_line_after_a_broken_chunk_is_reported_first(self, tmp_path):
+        # The whole sentence is read before its chunks are checked.
+        path = self._write(tmp_path / "ann.tsv", "a\tNOUN\t0\nb\tVERB\t-\nc\tNOUN\t0\nd\tNOUN\n")
+        with pytest.raises(ValueError, match="columns at line 4, got 2$"):
+            list(parse_annotations(path))
+
+    def test_unknown_tag_shares_the_token_of_its_x_line(self, tmp_path):
+        path = self._write(tmp_path / "ann.tsv", "w\tNOUNX\t0\n\nw\tX\t-\nw\tNOUNX\t-\n")
+        counter = Counter()
+        first, second = parse_annotations(path, warn_counter=counter)
+        assert counter == Counter({"NOUNX": 2})
+        assert first.tokens[0] is second.tokens[0] is second.tokens[1]
+        assert first.tokens[0] == AnnotatedToken("w", "X")
+
+    def test_tokens_of_one_tag_share_one_pos_string(self, tmp_path):
+        path = self._write(tmp_path / "ann.tsv", "valve\tNOUN\t0\npump\tNOUN\t-\nw\tNOUNX\t-\n")
+        valve, pump, w = next(parse_annotations(path, warn_counter=Counter())).tokens
+        assert valve.pos is pump.pos
+        assert w.pos is next(parse_annotations(self._write(tmp_path / "x.tsv", "v\tX\t-\n"))).tokens[0].pos
+        assert not hasattr(valve, "__dict__")
+
+    def test_sentences_equal_validated_ones(self, annotated_corpus):
+        # Parsed sentences are built without re-running the span checks;
+        # the validating constructor must agree with every one of them.
+        sentences = list(parse_annotations(annotated_corpus[0]))
+        assert len(sentences) == 120
+        for sentence in sentences:
+            validated = AnnotatedSentence(list(sentence.tokens), list(sentence.chunk_spans))
+            assert sentence == validated
+            assert sentence.y == validated.y
+
 
 class TestChunkStats:
     def _sentence(self, n_tokens, span_lengths):

@@ -333,6 +333,38 @@ class TestMakePretrainingData:
         assert "error: --p-nc is required with --strategy lim" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("subcommand", ["make-pretraining-data", "train-tiny"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_p_nc_under_mlm_names_the_flag(self, tmp_path, annotated_corpus, capsys, subcommand, source):
+        # mlm masking ignores p_nc, so a set value would only be recorded in
+        # the sidecar as if it applied.
+        tsv, vocab = annotated_corpus
+        argv = [subcommand, "--annotations", tsv, "--vocab", vocab, "--strategy", "mlm"]
+        if source == "flag":
+            argv += ["--p-nc", "0.3"]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"p_nc": 0.3}), encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert main([*argv, "--output", str(tmp_path / "out")]) == EX_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: lingmask {subcommand} [-h]")
+        assert "error: --p-nc applies only to --strategy lim" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand", ["make-pretraining-data", "train-tiny"])
+    def test_mlm_sidecar_records_no_p_nc_and_replays(self, tmp_path, annotated_corpus, subcommand):
+        tsv, vocab = annotated_corpus
+        argv = [subcommand, "--annotations", tsv, "--vocab", vocab, "--strategy", "mlm"]
+        if subcommand == "train-tiny":
+            argv += ["--steps", "2", "--batch-size", "4", "--eval-every", "2"]
+        first, replay = tmp_path / "first.out", tmp_path / "replay.out"
+        assert main([*argv, "--output", str(first)]) == EX_OK
+        sidecar = f"{first}.config.json"
+        assert json.loads(Path(sidecar).read_text(encoding="utf-8"))["p_nc"] is None
+        assert main([subcommand, "--config", sidecar, "--output", str(replay)]) == EX_OK
+        assert replay.read_bytes() == first.read_bytes()
+
     def test_late_bad_line_leaves_no_output_or_sidecar(self, tmp_path, annotated_corpus):
         tsv, vocab = annotated_corpus
         bad = tmp_path / "bad.tsv"
@@ -384,6 +416,20 @@ class TestMakePretrainingData:
         assert main(argv) == EX_IOERR
         assert list(tmp_path.iterdir()) == []
 
+    @staticmethod
+    def _traced_peak(annotations, vocab, out):
+        """Peak traced memory of one lim run over ``annotations``."""
+        argv = [
+            "make-pretraining-data", "--annotations", annotations, "--vocab", vocab,
+            "--strategy", "lim", "--p-nc", "0.75", "--output", str(out),
+        ]
+        tracemalloc.start()
+        try:
+            assert main(argv) == EX_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_peak_memory_flat_in_repeated_sentences(self, tmp_path, annotated_corpus):
         # Repeating the corpus adds sentences but no distinct lines or words,
         # so a streaming run needs no more memory for it.
@@ -391,21 +437,30 @@ class TestMakePretrainingData:
         text = Path(tsv).read_text(encoding="utf-8")
         repeated = tmp_path / "repeated.tsv"
         repeated.write_text(text * 4, encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        self._traced_peak(tsv, vocab, out)  # warm-up: one-time allocations of the first run
+        assert self._traced_peak(str(repeated), vocab, out) <= 1.25 * self._traced_peak(tsv, vocab, out)
 
-        def peak(annotations):
-            argv = [
-                "make-pretraining-data", "--annotations", annotations, "--vocab", vocab,
-                "--strategy", "lim", "--p-nc", "0.75", "--output", str(tmp_path / "out.jsonl"),
-            ]
-            tracemalloc.start()
-            try:
-                assert main(argv) == EX_OK
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    def test_peak_memory_flat_when_chunk_ids_renumbered(self, tmp_path, annotated_corpus):
+        # Copy k adds 100 * k to every chunk id: its lines are new, but its
+        # (surface, POS) pairs and words are not, and the parse memo is keyed
+        # by those and by the few distinct chunk columns.
+        tsv, vocab = annotated_corpus
+        lines = Path(tsv).read_text(encoding="utf-8").splitlines(keepends=True)
 
-        peak(tsv)  # warm-up: one-time allocations of the first run
-        assert peak(str(repeated)) <= 1.25 * peak(tsv)
+        def renumbered(line, k):
+            head, tab, cid = line.rstrip("\n").rpartition("\t")
+            if not tab or cid == "-":
+                return line
+            return f"{head}\t{int(cid) + 100 * k}\n"
+
+        copies = tmp_path / "renumbered.tsv"
+        copies.write_text(
+            "".join(renumbered(line, k) for k in range(16) for line in lines), encoding="utf-8"
+        )
+        out = tmp_path / "out.jsonl"
+        self._traced_peak(tsv, vocab, out)  # warm-up: one-time allocations of the first run
+        assert self._traced_peak(str(copies), vocab, out) <= 1.25 * self._traced_peak(tsv, vocab, out)
 
 
 class TestVerifyMasking:

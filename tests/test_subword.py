@@ -65,6 +65,14 @@ class TestEncodeWord:
         first[0] = "[UNK]"
         assert encode_word("femto", general_vocab) == ["f", "##em", "##to"]
 
+    def test_pieces_are_the_vocabulary_strings(self):
+        # The memo keeps the vocabulary's own strings, not copies of them.
+        vocab = Vocabulary(pieces=["[UNK]", "fe", "##m", "##to"])
+        for _ in range(2):
+            pieces = encode_word("femto", vocab)
+            assert pieces == ["fe", "##m", "##to"]
+            assert all(any(p is q for q in vocab.pieces) for p in pieces)
+
     def test_spaced_word_rejected_on_every_call(self, patent_vocab):
         for _ in range(3):
             with pytest.raises(ValueError, match="whitespace-free"):
