@@ -12,13 +12,12 @@ __version__ = "0.1.0"
 
 from .chunker import AnnotatedSentence, AnnotatedToken, ChunkStats, chunk_stats, extract_noun_chunks
 from .corpus import CleanDocument, RawDocument, clean_document, normalize_text, split_sentences
-from .masking import BLOCK, MaskedExample, MaskingConfig, TokenizedSequence, build_example, mask_sequences, sequence_rng
-from .stats import KsResult, MaskProbReport, empirical_mask_report, expected_conditional_mask_prob, ks_from_counts, ks_two_sample, tally_block
+from .masking import MaskedExample, MaskingConfig, TokenizedSequence, build_example, mask_batches, mask_sequences
+from .stats import KsResult, MaskProbReport, empirical_mask_report, expected_conditional_mask_prob, ks_from_counts, ks_two_sample, tally_blocks
 from .subword import Encoding, Vocabulary, encode_sentence, encode_word, load_vocab
 
 __all__ = [
     "__version__",
-    "BLOCK",
     "AnnotatedSentence",
     "AnnotatedToken",
     "ChunkStats",
@@ -42,9 +41,9 @@ __all__ = [
     "ks_from_counts",
     "ks_two_sample",
     "load_vocab",
+    "mask_batches",
     "mask_sequences",
     "normalize_text",
-    "sequence_rng",
     "split_sentences",
-    "tally_block",
+    "tally_blocks",
 ]

@@ -27,7 +27,6 @@ import re
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from itertools import islice
 from json.encoder import encode_basestring
 from typing import Any, Iterator, NoReturn
 
@@ -43,7 +42,6 @@ from .datasets import (
     split_dataset,
 )
 from .masking import (
-    BLOCK,
     FORMAT_VERSION,
     STRATEGIES,
     MaskingConfig,
@@ -52,11 +50,13 @@ from .masking import (
     example_to_json_line,
     mask_sequences,
     sequence_from_annotated,
-    sequence_rng,
 )
-from .stats import empirical_mask_report, flagged_sequences, ks_from_counts, tally_block
+from .stats import empirical_mask_report, flagged_sequences, ks_from_counts, tally_blocks
 from .subword import Vocabulary, corpus_split_stats, load_vocab
 from .tinylm import TrainingConfig, train, write_metrics_csv
+
+# Not called here: the benchmark's tracer (perfbench/tracer.py) wraps it.
+from .masking import sequence_rng  # noqa: F401
 
 log = logging.getLogger("lingmask")
 
@@ -234,24 +234,13 @@ def _annotated_sequences(cfg: dict[str, Any], vocab: Vocabulary) -> Iterator[Tok
         log.warning("unknown POS tags mapped to X: %s", dict(warnings))
 
 
-# make-pretraining-data parses, encodes, masks and writes this many sequences
-# at a time (a divisor of BLOCK, so a batch is rows of one block). Small
-# batches keep each stage's working set warm and memory low and flat.
-_BATCH = 64
-
-
 def _cmd_make_pretraining_data(cfg: dict[str, Any]) -> int:
     vocab, config = _load_masking_vocab(cfg)
-    sequences = _annotated_sequences(cfg, vocab)
     count = 0
     with _atomic_output(cfg["output"]) as tmp, _open_text(tmp) as handle:
-        for batch in iter(lambda: list(islice(sequences, _BATCH)), []):
-            index, first = divmod(count, BLOCK)
-            if first == 0:
-                rng = sequence_rng(config.seed, index)
-            for seq, row in zip(batch, mask_sequences(batch, config, rng, first)):
-                handle.write(example_to_json_line(build_example(seq, config, row), config) + "\n")
-            count += len(batch)
+        for seq, row in mask_sequences(_annotated_sequences(cfg, vocab), config):
+            handle.write(example_to_json_line(build_example(seq, config, row), config) + "\n")
+            count += 1
     log.info("wrote %d examples", count)
     return EX_OK
 
@@ -261,12 +250,10 @@ def _cmd_verify_masking(cfg: dict[str, Any]) -> int:
     blocks = flagged_sequences(
         cfg["n"], seq_len=cfg["seq_len"], p_y1=cfg["p_y1"], seed=cfg["seed"]
     )
-    tallies = (
-        tally_block(flags, config, sequence_rng(cfg["seed"], index))
-        for index, flags in enumerate(blocks)
-    )
     report = empirical_mask_report(
-        tallies, cfg["mask_prob"], cfg["p_nc"] if cfg["strategy"] == "lim" else None
+        tally_blocks(blocks, config),
+        cfg["mask_prob"],
+        cfg["p_nc"] if cfg["strategy"] == "lim" else None,
     )
     _emit_json(dataclasses.asdict(report), cfg["output"])
     if report.abs_error is None:

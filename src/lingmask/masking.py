@@ -42,18 +42,20 @@ the whole corpus, and how the work is batched does not matter.
 ``draw_rows`` is the one function that knows this layout, and ``mask_rows``
 its one caller: for a batch of rows of a block it returns the masked
 positions of all rows as one flat array, with per-row counts, branches and
-the aligned replacement ids. ``mask_sequences`` (pre-training examples),
-``stats.tally_block`` (the law check) and ``tinylm.pack_corpus`` (the tiny
-LM's table) all mask through it.
+the aligned chunk flags and replacement ids. ``mask_batches`` numbers a
+stream of sequences into blocks and masks it ``_BATCH`` rows at a time;
+``mask_sequences`` (pre-training examples) and ``tinylm.pack_corpus`` (the
+tiny LM's table) read it, and ``stats.tally_blocks`` (the law check) masks
+whole synthetic blocks with the same streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -248,16 +250,18 @@ class MaskedRows(NamedTuple):
     """Masked positions chosen for some rows of a block, as flat arrays.
 
     ``positions`` holds each row's masked positions in ascending order, the
-    rows one after another: row ``i`` owns ``counts[i]`` of them.
-    ``replacements`` is aligned with ``positions``: the piece id written
-    there, the mask piece, a random piece or -1 to keep the piece (80/10/10);
-    it is None when not drawn. ``nc`` says whether each row's pool is its
-    chunk-flagged positions; it is None under ``mlm``.
+    rows one after another: row ``i`` owns ``counts[i]`` of them. ``chunk``
+    and ``replacements`` are aligned with ``positions``: the chunk flag
+    there, and the piece id written there, the mask piece, a random piece or
+    -1 to keep the piece (80/10/10); ``replacements`` is None when not
+    drawn. ``nc`` says whether each row's pool is its chunk-flagged
+    positions; it is None under ``mlm``.
     """
 
     positions: np.ndarray
     counts: np.ndarray
     nc: np.ndarray | None
+    chunk: np.ndarray
     replacements: np.ndarray | None
 
 
@@ -274,9 +278,10 @@ def mask_rows(
     is replaced by.
 
     ``flags`` is a (rows, span) boolean array of chunk flags, False past
-    each row's length, where ``span`` is the longest length (``flag_grid``).
+    each row's length, where ``span`` is the longest length.
     """
     rows, span = flags.shape
+    budget = mask_budget(lengths, config)  # rejects an empty row before any draw
     draws = draw_rows(rng, config, first, rows, span, replacements)
     pool = np.arange(span) < lengths[:, None]
     nc = None
@@ -285,7 +290,7 @@ def mask_rows(
         # An empty chosen pool falls back to the other one.
         nc = np.where(draws.coins[:, 0] < config.p_nc * 2**32, n_chunk > 0, n_chunk == lengths)
         pool &= flags == nc[:, None]
-    counts = np.minimum(mask_budget(lengths, config), np.count_nonzero(pool, axis=1))
+    counts = np.minimum(budget, np.count_nonzero(pool, axis=1))
 
     # The count smallest keys within the pool are a uniform sample of it. A
     # key is a 32-bit word above its position, so keys never tie.
@@ -297,8 +302,9 @@ def mask_rows(
     # Sorting each row with the unused columns past any position leaves its
     # own positions first, in ascending order.
     positions = np.sort(np.where(filled, (smallest & _LOW).astype(np.int64), span), axis=1)[filled]
+    chunk = flags[np.repeat(np.arange(rows), counts), positions]
     if not replacements:
-        return MaskedRows(positions, counts, nc, None)
+        return MaskedRows(positions, counts, nc, chunk, None)
     replace = draws.replace[filled]
     random_ids = ((draws.ids[filled] * _U64(config.vocab_size)) >> _U64(32)).astype(np.int64)
     ids = np.where(
@@ -306,22 +312,39 @@ def mask_rows(
         config.mask_piece_id,
         np.where(replace < (MASK_FRAC + RANDOM_FRAC) * 2**32, random_ids, -1),
     )
-    return MaskedRows(positions, counts, nc, ids)
+    return MaskedRows(positions, counts, nc, chunk, ids)
 
 
-def flag_grid(seqs: Sequence[TokenizedSequence], config: MaskingConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The chunk flags of ``seqs`` as ``mask_rows`` takes them: a (rows,
-    longest length) boolean grid, False past each row's length, and the
-    lengths. A sequence longer than ``max_seq_len`` raises ``ValueError``."""
-    lengths = np.fromiter((len(seq.y) for seq in seqs), np.int64, len(seqs))
-    span = int(lengths.max())
-    if span > config.max_seq_len:
-        raise ValueError(f"sequence longer than max_seq_len {config.max_seq_len}")
-    flags = np.zeros((len(seqs), span), dtype=bool)
-    flags[np.arange(span) < lengths[:, None]] = np.fromiter(
-        chain.from_iterable(seq.y for seq in seqs), bool, int(lengths.sum())
-    )
-    return flags, lengths
+# Sequences masked at a time: a divisor of BLOCK, so a batch is rows of one
+# block. Small batches keep each stage's working set warm and memory low and
+# flat when a caller parses and encodes its sequences as they are masked.
+_BATCH = 64
+
+
+def mask_batches(
+    sequences: Iterable[TokenizedSequence], config: MaskingConfig, replacements: bool = True
+) -> Iterator[tuple[list[TokenizedSequence], MaskedRows]]:
+    """Mask ``sequences`` in order, ``_BATCH`` at a time; yields each batch
+    with its ``MaskedRows``.
+
+    Sequence ``n`` is row ``n % BLOCK`` of block ``n // BLOCK``. A sequence
+    whose flags do not align with its pieces, or that is longer than
+    ``max_seq_len``, raises ``ValueError``.
+    """
+    sequences = iter(sequences)
+    for index, batch in enumerate(iter(lambda: list(islice(sequences, _BATCH)), [])):
+        if any(len(seq.y) != len(seq.pieces) for seq in batch):
+            raise ValueError("chunk flags must align with pieces")
+        lengths = np.fromiter((len(seq.y) for seq in batch), np.int64, len(batch))
+        span = int(lengths.max())
+        if span > config.max_seq_len:
+            raise ValueError(f"sequence longer than max_seq_len {config.max_seq_len}")
+        flags = np.zeros((len(batch), span), dtype=bool)
+        flags[np.arange(span) < lengths[:, None]] = np.fromiter(
+            chain.from_iterable(seq.y for seq in batch), bool, int(lengths.sum())
+        )
+        block, first = divmod(index * _BATCH, BLOCK)
+        yield batch, mask_rows(flags, lengths, config, sequence_rng(config.seed, block), first, replacements)
 
 
 class MaskRow(NamedTuple):
@@ -333,23 +356,20 @@ class MaskRow(NamedTuple):
 
 
 def mask_sequences(
-    seqs: Sequence[TokenizedSequence], config: MaskingConfig, rng: Philox, first: int = 0
-) -> Iterator[MaskRow]:
-    """Masks of the sequences that are rows ``first``, ``first + 1``, ... of
-    the block whose stream is ``rng``; yields one row per sequence."""
-    masked = mask_rows(*flag_grid(seqs, config), config, rng, first)
-    branches = (
-        ["n/a"] * len(seqs)
-        if masked.nc is None
-        else ["nc" if nc else "non_nc" for nc in masked.nc.tolist()]
-    )
-    # One flat list per field, sliced row by row as the rows are consumed.
-    positions, replacements = masked.positions.tolist(), masked.replacements.tolist()
-    ends = masked.counts.cumsum().tolist()
-    return (
-        MaskRow(branch, positions[start:end], replacements[start:end])
-        for branch, start, end in zip(branches, [0, *ends], ends)
-    )
+    sequences: Iterable[TokenizedSequence], config: MaskingConfig
+) -> Iterator[tuple[TokenizedSequence, MaskRow]]:
+    """The rows of ``mask_batches``: yields each sequence with its masks."""
+    for batch, masked in mask_batches(sequences, config):
+        branches = (
+            ["n/a"] * len(batch)
+            if masked.nc is None
+            else ["nc" if nc else "non_nc" for nc in masked.nc.tolist()]
+        )
+        # One flat list per field, sliced row by row as the rows are consumed.
+        positions, replacements = masked.positions.tolist(), masked.replacements.tolist()
+        ends = masked.counts.cumsum().tolist()
+        for seq, branch, start, end in zip(batch, branches, [0, *ends], ends):
+            yield seq, MaskRow(branch, positions[start:end], replacements[start:end])
 
 
 def build_example(seq: TokenizedSequence, config: MaskingConfig, row: MaskRow) -> MaskedExample:

@@ -5,8 +5,8 @@ The conditional masking law says that when masking is restricted to
 chunk-flagged positions with branch probability p_nc, the chance that a given
 flagged token gets masked is mask_prob * p_nc / p(y=1); choosing
 p_nc = p(y=1) recovers the plain strategy's mask_prob. The empirical report
-estimates both conditionals from per-sequence mask counts (``tally_block``
-counts them for a block of synthetic sequences, masked by the sampler that
+estimates both conditionals from per-sequence mask counts (``tally_blocks``
+counts them for blocks of synthetic sequences, masked by the sampler that
 writes pre-training data), so the law can be checked end to end.
 """
 
@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .masking import BLOCK, MaskingConfig, Philox, mask_rows
+from .masking import BLOCK, MaskingConfig, mask_rows, sequence_rng
 
 
 def _law(mask_prob: float, p_nc: float, p_y1: float) -> float:
@@ -87,14 +87,17 @@ class MaskTally(NamedTuple):
     masked_chunk: np.ndarray
 
 
-def tally_block(flags: np.ndarray, config: MaskingConfig, rng: Philox) -> MaskTally:
-    """Mask a block of full-length flag rows and count it."""
-    rows, seq_len = flags.shape
-    lengths = np.full(rows, seq_len)
-    masked = mask_rows(flags, lengths, config, rng, replacements=False)
-    owner = np.repeat(np.arange(rows), masked.counts)
-    masked_chunk = np.bincount(owner[flags[owner, masked.positions]], minlength=rows)
-    return MaskTally(lengths, np.count_nonzero(flags, axis=1), masked.counts, masked_chunk)
+def tally_blocks(blocks: Iterable[np.ndarray], config: MaskingConfig) -> Iterator[MaskTally]:
+    """Mask and count blocks of full-length flag rows: block ``i`` takes the
+    stream ``sequence_rng(config.seed, i)``. When every block but the last
+    holds ``BLOCK`` rows, as ``flagged_sequences`` yields them, the rows are
+    masked as ``mask_sequences`` masks the same sequences."""
+    for index, flags in enumerate(blocks):
+        rows, seq_len = flags.shape
+        lengths = np.full(rows, seq_len)
+        masked = mask_rows(flags, lengths, config, sequence_rng(config.seed, index), replacements=False)
+        masked_chunk = np.bincount(np.repeat(np.arange(rows), masked.counts)[masked.chunk], minlength=rows)
+        yield MaskTally(lengths, np.count_nonzero(flags, axis=1), masked.counts, masked_chunk)
 
 
 def empirical_mask_report(

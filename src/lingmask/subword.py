@@ -2,10 +2,11 @@
 
 Words are encoded with greedy longest-match-first lookup: the first piece of a
 word carries no marker, every following piece carries the continuation prefix
-(conventionally ``##``), and a word with no complete decomposition becomes the
-unknown piece. The split ratio of a sentence is the number of emitted pieces
-divided by the number of whitespace-separated words; 1.0 means the vocabulary
-covers every word in full.
+``##`` (``CONTINUATION_PREFIX``), and a word with no complete decomposition
+becomes the unknown piece ``[UNK]`` (``UNK_PIECE``). The split ratio of a
+sentence is the number of emitted pieces divided by the number of
+whitespace-separated words; 1.0 means the vocabulary covers every word in
+full.
 """
 
 from __future__ import annotations
@@ -15,13 +16,16 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 
+CONTINUATION_PREFIX = "##"
+UNK_PIECE = "[UNK]"
+
+
 @dataclass
 class Vocabulary:
     """An ordered piece inventory; piece ids are list positions."""
 
     pieces: list[str]
-    continuation_prefix: str = "##"
-    unk_piece: str = "[UNK]"
+    unk_piece = UNK_PIECE  # not a field; perfbench/tracer.py reads it
     _piece_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
     _max_body_chars: int = field(init=False, repr=False, compare=False)
     _word_pieces: dict[str, tuple[str, ...]] = field(
@@ -36,9 +40,9 @@ class Vocabulary:
             if piece in self._piece_to_id:
                 raise ValueError(f"duplicate piece: {piece}")
             self._piece_to_id[piece] = i
-        if self.unk_piece not in self._piece_to_id:
-            raise ValueError(f"vocabulary has no unknown piece {self.unk_piece!r}")
-        cp = self.continuation_prefix
+        if UNK_PIECE not in self._piece_to_id:
+            raise ValueError(f"vocabulary has no unknown piece {UNK_PIECE!r}")
+        cp = CONTINUATION_PREFIX
         self._max_body_chars = max(
             len(p) - len(cp) if p.startswith(cp) and len(p) > len(cp) else len(p)
             for p in self.pieces
@@ -58,9 +62,7 @@ class Vocabulary:
             raise ValueError(f"piece not in vocabulary: {piece!r}") from None
 
 
-def load_vocab(
-    path: str, continuation_prefix: str = "##", unk_piece: str = "[UNK]"
-) -> Vocabulary:
+def load_vocab(path: str) -> Vocabulary:
     """Load a one-piece-per-line vocabulary file; line order assigns ids."""
     pieces: list[str] = []
     with open(path, encoding="utf-8") as handle:
@@ -71,15 +73,13 @@ def load_vocab(
             pieces.append(piece)
     if not pieces:
         raise ValueError(f"empty vocabulary file: {path}")
-    return Vocabulary(
-        pieces=pieces, continuation_prefix=continuation_prefix, unk_piece=unk_piece
-    )
+    return Vocabulary(pieces)
 
 
 def encode_word(word: str, vocab: Vocabulary) -> list[str]:
     """Encode one word with greedy longest-match-first lookup.
 
-    Returns ``[unk_piece]`` when no complete decomposition exists; otherwise
+    Returns ``[UNK_PIECE]`` when no complete decomposition exists; otherwise
     stripping continuation prefixes and concatenating reproduces the word.
 
     The pieces of each distinct word are memoized on ``vocab`` (the memo
@@ -102,7 +102,7 @@ def _greedy_pieces(word: str, vocab: Vocabulary) -> list[str]:
     start = 0
     n = len(word)
     while start < n:
-        prefix = vocab.continuation_prefix if start else ""
+        prefix = CONTINUATION_PREFIX if start else ""
         end = min(n, start + vocab._max_body_chars)
         piece_id = None
         while end > start:
@@ -111,7 +111,7 @@ def _greedy_pieces(word: str, vocab: Vocabulary) -> list[str]:
                 break
             end -= 1
         if piece_id is None:
-            return [vocab.unk_piece]
+            return [UNK_PIECE]
         pieces.append(vocab.pieces[piece_id])  # the vocabulary's own string
         start = end
     return pieces

@@ -18,16 +18,16 @@ and eval rows report the held-out set.
 The corpus is masked once and packed into one table of flat arrays
 (``PackedExamples``): every piece id with -1 at the masked positions, and per
 slot its position, label and chunk flag, plus per-example offsets into both.
-``train`` builds it block by block (``pack_corpus``): a block's pieces are
-flattened once, its masked positions come from ``mask_rows``, as
-``mask_sequences`` draws them, and its rows of the table are written with
-array operations, with no example object and no replacement words, which the
-table would blank anyway. Its memory grows with pieces and slots, not with
-examples x V. Every entry point takes a batch of this table: a training batch
-or an eval block is gathered from it by index with a few array operations, and
-its count matrix comes from one ``bincount``; no step or eval block loops over
-its examples in Python. The held-out split and the epoch orders are index
-arrays into the table.
+``train`` builds it batch by batch (``pack_corpus``): a batch's pieces are
+flattened once, its masked positions and their chunk flags come from
+``masking.mask_batches``, as ``mask_sequences`` draws them, and its rows of
+the table are written with array operations, with no example object and no
+replacement words, which the table would blank anyway. Its memory grows with
+pieces and slots, not with examples x V. Every entry point takes a batch of
+this table: a training batch or an eval block is gathered from it by index
+with a few array operations, and its count matrix comes from one
+``bincount``; no step or eval block loops over its examples in Python. The
+held-out split and the epoch orders are index arrays into the table.
 """
 
 from __future__ import annotations
@@ -38,24 +38,16 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, count, islice
+from itertools import chain, count
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .masking import (
-    BLOCK,
-    MaskingConfig,
-    Philox,
-    TokenizedSequence,
-    flag_grid,
-    mask_rows,
-    sequence_rng,
-)
+from .masking import MaskingConfig, Philox, TokenizedSequence, mask_batches
 
-# Not called here: the benchmark's tracer (perfbench/tracer.py) lists this
-# name among the attributes it wraps.
-from .masking import build_example  # noqa: F401
+# Not called here: the benchmark's tracer (perfbench/tracer.py) lists these
+# names among the attributes it wraps.
+from .masking import build_example, sequence_rng  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -186,28 +178,23 @@ class PackedBatch:
 def pack_corpus(corpus: Iterable[TokenizedSequence], config: MaskingConfig) -> PackedExamples:
     """Mask the non-empty sequences of ``corpus`` and pack them into one table.
 
-    The masked positions are those of ``mask_sequences`` on each block of
-    ``BLOCK`` sequences. No replacement words are drawn, since the table
-    blanks every masked position whatever its replacement, and no example
-    object is built: a block's pieces are flattened once, each slot's chunk
-    flag is read from the block's flag grid, and the rest is array
-    operations on the block.
+    The masked positions and their chunk flags are those of ``mask_batches``.
+    No replacement words are drawn, since the table blanks every masked
+    position whatever its replacement, and no example object is built: a
+    batch's pieces are flattened once, and the rest is array operations on
+    the batch.
     """
     # Each list starts with what an empty corpus needs: no pieces or slots,
     # and the leading 0 of the offsets.
     ids, positions, chunk = [np.zeros(0, np.intc)], [np.zeros(0, np.intc)], [np.zeros(0, bool)]
     lengths, counts = [np.zeros(1, np.int64)], [np.zeros(1, np.int64)]
     sequences = (s for s in corpus if s.pieces)
-    for index, block in enumerate(iter(lambda: list(islice(sequences, BLOCK)), [])):
-        pieces = [s.pieces for s in block]
-        grid, block_lengths = flag_grid(block, config)
-        if not np.array_equal(np.fromiter(map(len, pieces), np.int64, len(block)), block_lengths):
-            raise ValueError("chunk flags must align with pieces")
-        masked = mask_rows(grid, block_lengths, config, sequence_rng(config.seed, index), replacements=False)
-        ids.append(np.fromiter(chain.from_iterable(pieces), np.intc, int(block_lengths.sum())))
+    for batch, masked in mask_batches(sequences, config, replacements=False):
+        batch_lengths = np.fromiter((len(s.pieces) for s in batch), np.int64, len(batch))
+        ids.append(np.fromiter(chain.from_iterable(s.pieces for s in batch), np.intc, int(batch_lengths.sum())))
         positions.append(masked.positions.astype(np.intc))
-        chunk.append(grid[np.repeat(np.arange(len(block)), masked.counts), masked.positions])
-        lengths.append(block_lengths)
+        chunk.append(masked.chunk)
+        lengths.append(batch_lengths)
         counts.append(masked.counts)
     flat_ids, flat_positions = np.concatenate(ids), np.concatenate(positions)
     piece_offsets, slot_offsets = np.concatenate(lengths).cumsum(), np.concatenate(counts).cumsum()

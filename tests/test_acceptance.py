@@ -18,8 +18,8 @@ import pytest
 
 from lingmask.cli import EX_OK, main
 from lingmask.datasets import build_ipc_examples, build_similarity_pairs, read_patent_records
-from lingmask.masking import MaskingConfig, TokenizedSequence, sequence_rng
-from lingmask.stats import empirical_mask_report, flagged_sequences, ks_two_sample, tally_block
+from lingmask.masking import MaskingConfig, TokenizedSequence
+from lingmask.stats import empirical_mask_report, flagged_sequences, ks_two_sample, tally_blocks
 from lingmask.subword import corpus_split_stats, encode_sentence, encode_word, load_vocab
 from lingmask.tinylm import TinyLmParams, TrainingConfig, loss_and_grads, train
 
@@ -35,8 +35,7 @@ def _criterion(name: str, ok: bool, detail: str = "") -> None:
 def _masking_report(strategy, p_nc, n=100_000, seed=7):
     config = MaskingConfig(strategy=strategy, p_nc=p_nc, seed=seed, max_seq_len=128)
     blocks = flagged_sequences(n, seq_len=128, p_y1=0.507, seed=seed)
-    tallies = (tally_block(flags, config, sequence_rng(seed, i)) for i, flags in enumerate(blocks))
-    return empirical_mask_report(tallies, 0.15, p_nc if strategy == "lim" else None)
+    return empirical_mask_report(tally_blocks(blocks, config), 0.15, p_nc if strategy == "lim" else None)
 
 
 class TestConditionalMaskingLaw:

@@ -15,11 +15,13 @@ from lingmask.masking import (
     STRATEGIES,
     MaskedExample,
     MaskingConfig,
+    MaskRow,
     TokenizedSequence,
     Philox,
     build_example,
     draw_rows,
     example_to_json_line,
+    mask_batches,
     mask_budget,
     mask_rows,
     mask_sequences,
@@ -52,18 +54,35 @@ def record_of(example, cfg):
     return json.loads(example_to_json_line(example, cfg))
 
 
+def grid(seqs):
+    """The chunk flags of ``seqs`` as ``mask_rows`` takes them: a (rows,
+    longest length) grid, False past each row's length, and the lengths."""
+    lengths = np.array([len(seq.y) for seq in seqs])
+    flags = np.zeros((len(seqs), lengths.max()), dtype=bool)
+    for i, seq in enumerate(seqs):
+        flags[i, : len(seq.y)] = seq.y
+    return flags, lengths
+
+
+def rows_of(masked):
+    """The ``MaskRow`` of each row of a ``mask_rows`` result."""
+    ends = masked.counts.cumsum().tolist()
+    branches = ["n/a"] * len(ends) if masked.nc is None else ["nc" if nc else "non_nc" for nc in masked.nc]
+    return [
+        MaskRow(branch, masked.positions[start:end].tolist(), masked.replacements[start:end].tolist())
+        for branch, start, end in zip(branches, [0, *ends], ends)
+    ]
+
+
 def mask_one(seq, cfg, block=0):
     """The example of ``seq`` as the first sequence of block ``block``."""
-    [row] = mask_sequences([seq], cfg, sequence_rng(cfg.seed, block))
+    [row] = rows_of(mask_rows(*grid([seq]), cfg, sequence_rng(cfg.seed, block)))
     return build_example(seq, cfg, row)
 
 
 def mask_many(seqs, cfg):
-    """Rows of ``seqs`` masked in consecutive blocks, as the CLI does."""
-    rows = []
-    for index in range(0, len(seqs), BLOCK):
-        rows += mask_sequences(seqs[index : index + BLOCK], cfg, sequence_rng(cfg.seed, index // BLOCK))
-    return rows
+    """The rows of ``seqs``, as the CLI masks them."""
+    return [row for _, row in mask_sequences(seqs, cfg)]
 
 
 def chi_square_limit(df, z=3.72):
@@ -122,8 +141,10 @@ class TestBuildMlm:
         assert a == b
 
     def test_empty_sequence_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot mask an empty sequence"):
             mask_one(make_seq(0), config())
+        with pytest.raises(ValueError, match="cannot mask an empty sequence"):
+            list(mask_sequences([make_seq(0)], config()))
 
 
 class TestBuildLim:
@@ -290,7 +311,7 @@ class TestDeterminism:
     def test_different_ordinals_differ(self):
         cfg = config(seed=11)
         seq = make_seq(30)
-        first, second = mask_sequences([seq, seq], cfg, sequence_rng(11, 0))
+        (_, first), (_, second) = mask_sequences([seq, seq], cfg)
         assert first != second
         assert mask_one(seq, cfg, block=0) != mask_one(seq, cfg, block=1)
         assert mask_one(seq, cfg) != mask_one(seq, config(seed=12))
@@ -341,14 +362,15 @@ class TestBlockSampler:
             if strategy == "lim":
                 # The chosen pool is never empty while the sequence is not.
                 assert pool
+        for batch, masked in mask_batches(corpus, cfg):
+            flags, _ = grid(batch)
+            owner = np.repeat(np.arange(len(batch)), masked.counts)
+            assert np.array_equal(masked.chunk, flags[owner, masked.positions])
 
     def test_padding_never_leaks_past_a_row_length(self):
         cfg = config(strategy="lim", p_nc=0.5, max_seq_len=16, max_pred=20)
         corpus = self._mixed_block(cfg, seed=9)
-        lengths = np.array([len(seq.y) for seq in corpus])
-        flags = np.zeros((BLOCK, 16), dtype=bool)
-        for i, seq in enumerate(corpus):
-            flags[i, : len(seq.y)] = seq.y
+        flags, lengths = grid(corpus)
         masked = mask_rows(flags, lengths, cfg, sequence_rng(0, 0))
         assert masked.counts.sum() == len(masked.positions) == len(masked.replacements)
         owner = np.repeat(np.arange(BLOCK), masked.counts)
@@ -427,11 +449,23 @@ class TestBlockSampler:
     def test_rejects_oversized_blocks(self):
         cfg = config(max_seq_len=8)
         with pytest.raises(ValueError, match="longer than max_seq_len"):
-            mask_sequences([make_seq(9)], cfg, sequence_rng(0, 0))
+            list(mask_sequences([make_seq(9)], cfg))
+        flags, lengths = grid([make_seq(4)] * (BLOCK + 1))
         with pytest.raises(ValueError, match="at most"):
-            mask_sequences([make_seq(4)] * (BLOCK + 1), cfg, sequence_rng(0, 0))
+            mask_rows(flags, lengths, cfg, sequence_rng(0, 0))
         with pytest.raises(ValueError, match="at most"):
-            mask_sequences([make_seq(4)] * 2, cfg, sequence_rng(0, 0), first=BLOCK - 1)
+            mask_rows(flags[:2], lengths[:2], cfg, sequence_rng(0, 0), first=BLOCK - 1)
+
+    @pytest.mark.parametrize("change", ["grown", "shrunk"])
+    def test_rejects_pieces_changed_after_construction(self, change):
+        # TokenizedSequence checks alignment only when it is built.
+        seq = make_seq(3, flagged=(0,))
+        if change == "grown":
+            seq.pieces.append(5)
+        else:
+            seq.pieces.pop()
+        with pytest.raises(ValueError, match="chunk flags must align with pieces"):
+            list(mask_sequences([make_seq(4), seq], config()))
 
 
 class TestPhilox:
@@ -482,14 +516,12 @@ class TestPhilox:
         assert np.array_equal(bare.keys, whole.keys)
 
     def test_batched_cli_rows_equal_whole_block_rows(self):
-        cfg = config(strategy="lim", p_nc=0.5, max_seq_len=16)
+        # mask_sequences masks a block in batches of 64 rows.
+        cfg = config(strategy="lim", p_nc=0.5, max_seq_len=16, seed=2)
         rng = random.Random(1)
         corpus = [
             make_seq(rng.randrange(1, 17), flagged=set(rng.sample(range(16), 6)))
             for _ in range(BLOCK)
         ]
-        whole = list(mask_sequences(corpus, cfg, sequence_rng(2, 0)))
-        batched = []
-        for first in range(0, BLOCK, 64):
-            batched += mask_sequences(corpus[first : first + 64], cfg, sequence_rng(2, 0), first)
-        assert batched == whole
+        whole = rows_of(mask_rows(*grid(corpus), cfg, sequence_rng(2, 0)))
+        assert mask_many(corpus, cfg) == whole

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lingmask.masking import MaskingConfig, TokenizedSequence, build_example, mask_sequences, sequence_rng
+from lingmask.masking import MaskingConfig, TokenizedSequence, build_example, mask_rows, mask_sequences, sequence_rng
 from lingmask.stats import (
     MaskTally,
     _splitmix64,
@@ -13,7 +13,7 @@ from lingmask.stats import (
     flagged_sequences,
     ks_from_counts,
     ks_two_sample,
-    tally_block,
+    tally_blocks,
 )
 
 from scalar_masking import tally_pairs
@@ -49,8 +49,7 @@ class TestExpectedConditional:
 def _report(strategy, p_nc, n, seed=3, seq_len=64, p_y1=0.5):
     cfg = MaskingConfig(strategy=strategy, p_nc=p_nc, seed=seed, max_seq_len=seq_len)
     blocks = flagged_sequences(n, seq_len=seq_len, p_y1=p_y1, seed=seed)
-    tallies = (tally_block(flags, cfg, sequence_rng(seed, i)) for i, flags in enumerate(blocks))
-    return empirical_mask_report(tallies, cfg.mask_prob, p_nc if strategy == "lim" else None)
+    return empirical_mask_report(tally_blocks(blocks, cfg), cfg.mask_prob, p_nc if strategy == "lim" else None)
 
 
 class TestEmpiricalReport:
@@ -79,7 +78,7 @@ class TestEmpiricalReport:
     def test_misaligned_flags_rejected(self):
         cfg = MaskingConfig(seed=0, max_seq_len=8)
         seq = TokenizedSequence([0] * 8, [True] * 8)
-        [row] = mask_sequences([seq], cfg, sequence_rng(0, 0))
+        [(_, row)] = mask_sequences([seq], cfg)
         with pytest.raises(ValueError):
             empirical_mask_report(tally_pairs([(build_example(seq, cfg, row), [True])]), 0.15, None)
 
@@ -92,15 +91,30 @@ class TestEmpiricalReport:
 
     @pytest.mark.parametrize("strategy,p_nc", [("mlm", None), ("lim", 0.75)])
     def test_block_tallies_equal_example_tallies(self, strategy, p_nc):
-        # tally_block counts exactly what the examples of the same draws hold.
+        # tally_blocks counts exactly what the examples of the same sequences hold.
         cfg = MaskingConfig(strategy=strategy, p_nc=p_nc, seed=5, max_seq_len=32)
-        tallies, pairs = [], []
-        for i, flags in enumerate(flagged_sequences(600, seq_len=32, p_y1=0.4, seed=5)):
-            tallies.append(tally_block(flags, cfg, sequence_rng(5, i)))
-            seqs = [TokenizedSequence([0] * 32, row) for row in flags.tolist()]
-            rows = mask_sequences(seqs, cfg, sequence_rng(5, i))
-            pairs += [(build_example(seq, cfg, row), seq.y) for seq, row in zip(seqs, rows)]
+        blocks = list(flagged_sequences(600, seq_len=32, p_y1=0.4, seed=5))
+        seqs = [TokenizedSequence([0] * 32, row) for flags in blocks for row in flags.tolist()]
+        pairs = [(build_example(seq, cfg, row), seq.y) for seq, row in mask_sequences(seqs, cfg)]
+        tallies = tally_blocks(blocks, cfg)
         assert empirical_mask_report(tallies, 0.15, p_nc) == empirical_mask_report(tally_pairs(pairs), 0.15, p_nc)
+
+    @pytest.mark.parametrize("strategy,p_nc", [("mlm", None), ("lim", 0.75)])
+    def test_tally_blocks_mask_block_i_with_stream_i(self, strategy, p_nc):
+        cfg = MaskingConfig(strategy=strategy, p_nc=p_nc, seed=5, max_seq_len=32)
+        blocks = list(flagged_sequences(600, seq_len=32, p_y1=0.4, seed=5))
+        tallies = list(tally_blocks(blocks, cfg))
+        assert len(tallies) == len(blocks) == 3
+        for i, (flags, tally) in enumerate(zip(blocks, tallies)):
+            lengths = np.full(len(flags), 32)
+            masked = mask_rows(flags, lengths, cfg, sequence_rng(5, i), replacements=False)
+            owner = np.repeat(np.arange(len(flags)), masked.counts)
+            assert tally.lengths.tolist() == lengths.tolist()
+            assert tally.chunk.tolist() == flags.sum(axis=1).tolist()
+            assert tally.masked.tolist() == masked.counts.tolist()
+            assert tally.masked_chunk.tolist() == np.bincount(
+                owner[flags[owner, masked.positions]], minlength=len(flags)
+            ).tolist()
 
     def test_counts(self):
         report = _report("mlm", None, 100, seq_len=32)

@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -21,7 +20,7 @@ from lingmask.masking import (
     MaskingConfig,
     TokenizedSequence,
     build_example,
-    mask_sequences,
+    mask_rows,
     sequence_rng,
 )
 from lingmask.tinylm import (
@@ -41,6 +40,8 @@ from lingmask.tinylm import (
     train,
     write_metrics_csv,
 )
+
+from test_masking import grid, rows_of
 
 
 class Example(NamedTuple):
@@ -614,14 +615,16 @@ class TestPacked:
 
 
 def _per_example_table(corpus, config):
-    """One ``build_example`` per sequence, masked block by block with
-    ``mask_sequences``, written into a table one example at a time: what
-    ``pack_corpus`` replaces."""
+    """One ``build_example`` per sequence, masked a whole block at a time
+    with ``mask_rows`` and the block's stream, written into a table one
+    example at a time: what ``pack_corpus`` replaces."""
 
     def examples():
-        sequences = (s for s in corpus if s.pieces)
-        for index, block in enumerate(iter(lambda: list(islice(sequences, BLOCK)), [])):
-            for seq, row in zip(block, mask_sequences(block, config, sequence_rng(config.seed, index))):
+        sequences = [s for s in corpus if s.pieces]
+        for index in range(0, len(sequences), BLOCK):
+            block = sequences[index : index + BLOCK]
+            masked = mask_rows(*grid(block), config, sequence_rng(config.seed, index // BLOCK))
+            for seq, row in zip(block, rows_of(masked)):
                 ex = build_example(seq, config, row)
                 yield Example(ex.input_ids, ex.masked_positions, ex.labels, seq.y)
 
