@@ -222,12 +222,14 @@ def _splitmix64(states: np.ndarray) -> np.ndarray:
     splittable pseudorandom number generators"), applied in place to a uint64
     array of states. The generator seeded with ``seed`` outputs the hash of
     ``seed + k * 0x9E3779B97F4A7C15`` (mod 2**64) as its ``k``-th value.
-    Array arithmetic wraps silently, where numpy scalars would warn."""
-    states ^= states >> np.uint64(30)
+    Array arithmetic wraps silently, where numpy scalars would warn. The
+    three shifts share one scratch array."""
+    shifted = np.empty_like(states)
+    states ^= np.right_shift(states, np.uint64(30), out=shifted)
     states *= _SPLITMIX_M1
-    states ^= states >> np.uint64(27)
+    states ^= np.right_shift(states, np.uint64(27), out=shifted)
     states *= _SPLITMIX_M2
-    states ^= states >> np.uint64(31)
+    states ^= np.right_shift(states, np.uint64(31), out=shifted)
     return states
 
 
@@ -254,8 +256,10 @@ def flagged_sequences(
     threshold = round(p_y1 * 2**32)
     # k * gamma for the k of one block's flags; each block adds its own start.
     steps = np.arange(1, min(BLOCK, n_sequences) * seq_len + 1, dtype=np.uint64) * np.uint64(_SPLITMIX_GAMMA)
+    # One buffer holds each block's states, hashed in place.
+    states = np.empty_like(steps)
     for emitted in range(0, n_sequences, BLOCK):
-        rows = min(BLOCK, n_sequences - emitted)
+        size = min(BLOCK, n_sequences - emitted) * seq_len
         start = np.uint64((seed + emitted * seq_len * _SPLITMIX_GAMMA) % 2**64)
-        hashes = _splitmix64(steps[: rows * seq_len] + start)
-        yield (hashes >> np.uint64(32) < threshold).reshape(rows, seq_len)
+        hashes = _splitmix64(np.add(steps[:size], start, out=states[:size]))
+        yield (np.right_shift(hashes, np.uint64(32), out=hashes) < threshold).reshape(-1, seq_len)

@@ -206,6 +206,27 @@ class TestTokenizeStats:
         assert report["mean_split_ratio"] == pytest.approx((5 / 3 + 1.0) / 2)
         assert report["word_hist"] == {"2": 1, "3": 1}
 
+    def test_peak_memory_flat_in_repeated_sentences(self, tmp_path, data_dir):
+        # Repeating the input adds sentences but no distinct words, so a
+        # streaming run needs no more memory for it.
+        text = "".join(f"femto access point {'access ' * (i % 7)}point\n" for i in range(1000))
+        once, repeated = tmp_path / "once.txt", tmp_path / "repeated.txt"
+        once.write_text(text, encoding="utf-8")
+        repeated.write_text(text * 4, encoding="utf-8")
+        vocab = str(data_dir / "vocab_general.txt")
+
+        def traced_peak(sentences):
+            argv = ["tokenize-stats", "--input", str(sentences), "--vocab", vocab, "--output", str(tmp_path / "o.json")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EX_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(once)  # warm-up: one-time allocations of the first run
+        assert traced_peak(repeated) <= 1.25 * traced_peak(once)
+
 
 class TestMakePretrainingData:
     def test_generates_and_reruns_from_sidecar(self, tmp_path, annotated_corpus):
@@ -480,6 +501,21 @@ class TestVerifyMasking:
         assert code == EX_OK
         report = json.loads(report_path.read_text())
         assert report["p_mask_given_y1"] == pytest.approx(0.222, abs=0.02)
+
+    def test_peak_memory_flat_in_n(self, tmp_path):
+        # Blocks of synthetic flags are drawn, masked and counted one at a
+        # time, so ten times the sequences need no more memory.
+        def traced_peak(n):
+            argv = ["verify-masking", "--n", str(n), "--tolerance", "1", "--output", str(tmp_path / "o.json")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EX_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(10 * BLOCK)  # warm-up: one-time allocations of the first run
+        assert traced_peak(100 * BLOCK) <= 1.25 * traced_peak(10 * BLOCK)
 
     def test_tolerance_breach_exits_2(self):
         code = main(

@@ -494,6 +494,58 @@ class TestPhilox:
             one = philox4x32((int(group), 9, 2, 0), ((2**40 + 3) % 2**32, 2**8)).ravel()
             assert words[i, 4 * j : 4 * j + 4].tolist() == one.tolist()
 
+    def test_counters_are_left_unchanged(self):
+        # The rounds run in place on a copy of the counters: uint64 arrays,
+        # which need no conversion, must not be written either.
+        counters = [np.arange(6, dtype=np.uint64) + k for k in (0, 2**31, 7)] + [np.arange(6) + 2**32 - 6]
+        before = [c.copy() for c in counters]
+        philox4x32(counters, (3, 4))
+        for c, copy in zip(counters, before):
+            assert c.dtype == copy.dtype and np.array_equal(c, copy)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_scalar_counters_broadcast_with_an_array_counter(self, index):
+        column = np.array([0, 1, 2**32 - 1, 12345, 7], dtype=np.uint64)
+        scalars = [9, 2**31, 0, 2**32 - 1]
+
+        def counter(value):
+            return tuple(value if k == index else scalars[k] for k in range(4))
+
+        words = philox4x32(counter(column), (5, 2**32 - 6))
+        assert words.shape == (4, len(column))
+        for j, value in enumerate(column.tolist()):
+            assert words[:, j].tolist() == philox4x32(counter(value), (5, 2**32 - 6)).ravel().tolist()
+
+    @pytest.mark.parametrize("first,rows", [(0, 13), (5, 13), (250, 6)])
+    @pytest.mark.parametrize("strategy,p_nc,replacements", [("lim", 0.5, True), ("mlm", None, False)])
+    def test_draw_rows_follow_the_stream_layout(self, strategy, p_nc, replacements, first, rows):
+        # Column c of a region is BLOCK consecutive stream words, one per row:
+        # row r takes word (region start + c) * BLOCK + first + r, and word i
+        # is word i % 4 of the cipher at counter (i // 4, block, 0, 0) under
+        # the seed's two halves.
+        seed, block, max_seq_len, max_pred, span = 2**40 + 7, 3, 12, 4, 9
+        cfg = config(strategy=strategy, p_nc=p_nc, max_seq_len=max_seq_len, max_pred=max_pred, seed=seed)
+        draws = draw_rows(sequence_rng(seed, block), cfg, first, rows, span, replacements)
+
+        def word(i):
+            return int(philox4x32((i // 4, block, 0, 0), (seed % 2**32, seed >> 32))[i % 4, 0])
+
+        regions = {
+            "coins": (0, int(strategy == "lim")),
+            "keys": (1, span),
+            "replace": (1 + max_seq_len, max_pred * replacements),
+            "ids": (1 + max_seq_len + max_pred, max_pred * replacements),
+        }
+        for name, (start, width) in regions.items():
+            got = getattr(draws, name)
+            if not width:
+                assert got is None
+                continue
+            expected = [[word((start + c) * BLOCK + first + r) for c in range(width)] for r in range(rows)]
+            assert got.tolist() == expected
+            # Rows are contiguous, which the key passes of mask_rows rely on.
+            assert got.strides[1] == got.itemsize
+
     def test_blocks_and_seeds_get_distinct_streams(self):
         groups = np.arange(4)[None, :]
         streams = [sequence_rng(seed, block).words(groups).tolist() for seed in (0, 1, -1) for block in (0, 1)]
