@@ -31,7 +31,7 @@ from json.encoder import encode_basestring
 from typing import Any, Iterator, NoReturn
 
 from . import __version__
-from .chunker import chunk_stats, parse_annotations
+from .chunker import AnnotatedSentence, chunk_stats, parse_annotations
 from .corpus import CleanDocument, clean_document, ingest_documents
 from .datasets import (
     IpcExample,
@@ -161,14 +161,18 @@ def _cmd_normalize(cfg: dict[str, Any]) -> int:
     return EX_OK
 
 
-def _cmd_chunk_stats(cfg: dict[str, Any]) -> int:
+def _annotated_sentences(path: str) -> Iterator[AnnotatedSentence]:
+    """Stream the sentences of an annotation file; the unknown POS tags
+    mapped to X are logged in one warning, with their counts, once the stream
+    ends."""
     warnings: Counter = Counter()
-    stats = chunk_stats(
-        parse_annotations(cfg["annotations"], warn_counter=warnings),
-        max_chunk_len=cfg["max_chunk_len"],
-    )
+    yield from parse_annotations(path, warn_counter=warnings)
     if warnings:
         log.warning("unknown POS tags mapped to X: %s", dict(warnings))
+
+
+def _cmd_chunk_stats(cfg: dict[str, Any]) -> int:
+    stats = chunk_stats(_annotated_sentences(cfg["annotations"]), max_chunk_len=cfg["max_chunk_len"])
     _emit_json(
         {
             "histogram": {str(k): v for k, v in stats.histogram.items()},
@@ -222,16 +226,12 @@ def _load_masking_vocab(cfg: dict[str, Any]) -> tuple[Vocabulary, MaskingConfig]
 def _annotated_sequences(cfg: dict[str, Any], vocab: Vocabulary) -> Iterator[TokenizedSequence]:
     """Stream the non-empty encoded sentences of the annotation file.
 
-    ``doc_id`` numbers all sentences, empty ones included; the unknown-POS
-    total is logged once the stream ends.
+    ``doc_id`` numbers all sentences, empty ones included.
     """
-    warnings: Counter = Counter()
-    for i, sent in enumerate(parse_annotations(cfg["annotations"], warn_counter=warnings)):
+    for i, sent in enumerate(_annotated_sentences(cfg["annotations"])):
         seq = sequence_from_annotated(sent, vocab, cfg["max_seq_len"], doc_id=f"sent-{i}")
         if seq.pieces:
             yield seq
-    if warnings:
-        log.warning("unknown POS tags mapped to X: %s", dict(warnings))
 
 
 def _cmd_make_pretraining_data(cfg: dict[str, Any]) -> int:
@@ -350,15 +350,7 @@ def _load_histogram(path: str) -> Counter:
 
 def _cmd_ks_compare(cfg: dict[str, Any]) -> int:
     result = ks_from_counts(_load_histogram(cfg["a"]), _load_histogram(cfg["b"]))
-    _emit_json(
-        {
-            "d_statistic": result.d_statistic,
-            "p_value": result.p_value,
-            "n1": result.n1,
-            "n2": result.n2,
-        },
-        cfg["output"],
-    )
+    _emit_json(dataclasses.asdict(result), cfg["output"])
     return EX_OK
 
 

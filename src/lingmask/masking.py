@@ -22,9 +22,10 @@ identically under both strategies.
 
 Randomness comes in blocks of ``BLOCK`` consecutive sequences (by ordinal).
 Each block has one stream of the Philox4x32-10 counter-based generator,
-keyed by ``(seed, block index)`` (``sequence_rng``). The stream is laid out
-in the same four regions for every block, however many rows it holds, in
-this order:
+keyed by ``(seed, block index)`` (``sequence_rng``). Callers number rows:
+row ``n`` of a stream of sequences is row ``n % BLOCK`` of block
+``n // BLOCK``'s stream, and only ``draw_rows`` applies this rule. Every
+block's stream has the same layout, in this order:
 
 1. ``BLOCK`` branch coins, one per row (reserved under ``mlm`` too);
 2. ``max_seq_len x BLOCK`` position keys, position-major;
@@ -40,13 +41,14 @@ own sequence: the output for a corpus prefix is a prefix of the output for
 the whole corpus, and how the work is batched does not matter.
 
 ``draw_rows`` is the one function that knows this layout, and ``mask_rows``
-its one caller: for a batch of rows of a block it returns the masked
-positions of all rows as one flat array, with per-row counts, branches and
-the aligned chunk flags and replacement ids. ``mask_batches`` numbers a
-stream of sequences into blocks and masks it ``_BATCH`` rows at a time;
-``mask_sequences`` (pre-training examples) and ``tinylm.pack_corpus`` (the
-tiny LM's table) read it, and ``stats.tally_blocks`` (the law check) masks
-whole synthetic blocks with the same streams.
+its one caller: for a grid of rows within one block, from a given row of
+the stream on, it returns the masked positions of all rows as one flat
+array, with per-row counts, branches and the aligned chunk flags and
+replacement ids. ``mask_batches`` masks a stream of sequences ``_BATCH``
+rows at a time; ``mask_sequences`` (pre-training examples) and
+``tinylm.pack_corpus`` (the tiny LM's table) read it, and
+``stats.tally_blocks`` (the law check) masks grids of synthetic rows
+numbered the same way.
 
 The kernel is laid out for numpy. ``philox4x32`` runs its rounds in place on
 one (4, n) array, so a round allocates nothing. ``draw_rows`` lays a batch's
@@ -226,46 +228,46 @@ def sequence_rng(seed: int, block: int) -> Philox:
     return Philox(seed % 2**64, block)
 
 
-class Draws(NamedTuple):
-    """Words of some rows of a block, each a (rows, columns) array; the
-    leading columns of a region, or None where not drawn."""
-
-    coins: np.ndarray | None
-    keys: np.ndarray
-    replace: np.ndarray | None
-    ids: np.ndarray | None
-
-
 def draw_rows(
-    rng: Philox, config: MaskingConfig, first: int, rows: int, span: int, replacements: bool = True
-) -> Draws:
-    """The words of rows ``first`` to ``first + rows - 1`` of a block.
+    config: MaskingConfig, start: int, rows: int, span: int, replacements: bool = True
+) -> tuple[np.ndarray | None, ...]:
+    """The words of rows ``start`` to ``start + rows - 1`` of the stream, which
+    must lie in one block: coins, keys, replacement and random-id words, each
+    the leading columns of its region as a (rows, columns) array, or None.
 
-    A block's stream holds four regions, one after the other: branch coins
-    (1 column), position keys (max_seq_len columns), replacement words and
-    random-id words (max_pred columns each). Column ``j`` of a region is
-    ``BLOCK`` consecutive words, one per row. Only what is asked for is
-    computed: the coins under ``lim``, the first ``span`` key columns and,
-    with ``replacements``, the first ``min(max_pred, span)`` columns of the
-    last two regions.
-
-    The cipher's words are laid out row-major with one copy: each region is
-    a column slice of one C-contiguous (rows, columns) array.
+    A block's stream holds the four regions one after the other: coins (1
+    column), keys (max_seq_len columns) and the last two (max_pred columns
+    each). Column ``j`` of a region is ``BLOCK`` consecutive words, one per
+    row. Only what is asked for is computed: the coins under ``lim``, the
+    first ``span`` key columns and, with ``replacements``, the first
+    ``min(max_pred, span)`` columns of the last two regions. The words are
+    laid out row-major with one copy: each region is a column slice of one
+    C-contiguous (rows, columns) array.
     """
-    if first < 0 or rows < 1 or first + rows > BLOCK or span > config.max_seq_len:
-        raise ValueError(f"a block holds at most {BLOCK} rows of at most max_seq_len positions")
+    if start < 0:
+        raise ValueError(f"rows are numbered from 0, got start {start}")
+    if rows < 1:
+        raise ValueError("no rows to draw")
+    if span > config.max_seq_len:
+        raise ValueError(f"span {span} exceeds max_seq_len {config.max_seq_len}")
+    block, first = divmod(start, BLOCK)
+    if first + rows > BLOCK:
+        raise ValueError(
+            f"rows {start} to {start + rows - 1} cross the block boundary at row {start - first + BLOCK}"
+        )
     width = min(config.max_pred, span)
     starts = (0, 1, 1 + config.max_seq_len, 1 + config.max_seq_len + config.max_pred)
     wanted = (int(config.strategy == "lim"), span, width * replacements, width * replacements)
-    columns = np.concatenate([start + np.arange(n) for start, n in zip(starts, wanted)])
+    columns = np.concatenate([at + np.arange(n) for at, n in zip(starts, wanted)])
     skip = first % 4
     per_column = (skip + rows + 3) // 4
     groups = ((columns * BLOCK + first - skip) // 4)[:, None] + np.arange(per_column)[:, None, None]
     # The words of group g of column c come out as a (per_column, columns, 4)
     # view; the copy puts word 4 g + w of each column in row 4 g + w - skip.
+    rng = sequence_rng(config.seed, block)
     words = rng.words(groups).transpose(0, 2, 1).reshape(4 * per_column, -1)[skip : skip + rows]
     parts = np.split(words, np.cumsum(wanted)[:-1], axis=1)
-    return Draws(*(part if n else None for part, n in zip(parts, wanted)))
+    return tuple(part if n else None for part, n in zip(parts, wanted))
 
 
 def mask_budget(lengths: np.ndarray, config: MaskingConfig) -> np.ndarray:
@@ -299,20 +301,19 @@ def mask_rows(
     flags: np.ndarray,
     lengths: np.ndarray,
     config: MaskingConfig,
-    rng: Philox,
-    first: int = 0,
+    start: int = 0,
     replacements: bool = True,
 ) -> MaskedRows:
-    """Choose the masked positions of rows ``first``, ``first + 1``, ... of
-    the block whose stream is ``rng``, and with ``replacements`` what each
-    is replaced by.
+    """Choose the masked positions of rows ``start``, ``start + 1``, ... of
+    the stream, and with ``replacements`` what each is replaced by. The rows
+    must lie in one block (``draw_rows``).
 
     ``flags`` is a (rows, span) boolean array of chunk flags, False past
     each row's length, where ``span`` is the longest length.
     """
     rows, span = flags.shape
     budget = mask_budget(lengths, config)  # rejects an empty row before any draw
-    draws = draw_rows(rng, config, first, rows, span, replacements)
+    coins, key_words, replace, id_words = draw_rows(config, start, rows, span, replacements)
     # Positions outside each row's pool: past its length (a block of full
     # rows has none) and, under lim, of the other flag value.
     outside = np.arange(span) >= lengths[:, None] if lengths.min() < span else None
@@ -320,7 +321,7 @@ def mask_rows(
     if config.strategy == "lim":
         n_chunk = np.count_nonzero(flags, axis=1)
         # An empty chosen pool falls back to the other one.
-        nc = np.where(draws.coins[:, 0] < config.p_nc * 2**32, n_chunk > 0, n_chunk == lengths)
+        nc = np.where(coins[:, 0] < config.p_nc * 2**32, n_chunk > 0, n_chunk == lengths)
         sizes = np.where(nc, n_chunk, lengths - n_chunk)
         other = flags != nc[:, None]
         outside = other if outside is None else outside | other
@@ -330,7 +331,7 @@ def mask_rows(
     # key is a 32-bit word above its position, so keys never tie; outside the
     # pool every bit is set. Built in place: a masked assignment costs more
     # than the rest of the key pass together.
-    keys = np.left_shift(draws.keys, _U64(32))
+    keys = np.left_shift(key_words, _U64(32))
     keys |= np.arange(span, dtype=_U64)
     if outside is not None:
         keys |= np.negative(outside, dtype=_U64)
@@ -345,8 +346,8 @@ def mask_rows(
     chunk = flags[np.repeat(np.arange(rows), counts), positions] if nc is None else np.repeat(nc, counts)
     if not replacements:
         return MaskedRows(positions, counts, nc, chunk, None)
-    replace = draws.replace[filled]
-    random_ids = ((draws.ids[filled] * _U64(config.vocab_size)) >> _U64(32)).astype(np.int64)
+    replace = replace[filled]
+    random_ids = ((id_words[filled] * _U64(config.vocab_size)) >> _U64(32)).astype(np.int64)
     ids = np.where(
         replace < MASK_FRAC * 2**32,
         config.mask_piece_id,
@@ -367,9 +368,9 @@ def mask_batches(
     """Mask ``sequences`` in order, ``_BATCH`` at a time; yields each batch
     with its ``MaskedRows``.
 
-    Sequence ``n`` is row ``n % BLOCK`` of block ``n // BLOCK``. A sequence
-    whose flags do not align with its pieces, or that is longer than
-    ``max_seq_len``, raises ``ValueError``.
+    Sequence ``n`` is row ``n`` of the stream. A sequence whose flags do not
+    align with its pieces, or that is longer than ``max_seq_len``, raises
+    ``ValueError``.
     """
     sequences = iter(sequences)
     for index, batch in enumerate(iter(lambda: list(islice(sequences, _BATCH)), [])):
@@ -383,8 +384,7 @@ def mask_batches(
         flags[np.arange(span) < lengths[:, None]] = np.fromiter(
             chain.from_iterable(seq.y for seq in batch), bool, int(lengths.sum())
         )
-        block, first = divmod(index * _BATCH, BLOCK)
-        yield batch, mask_rows(flags, lengths, config, sequence_rng(config.seed, block), first, replacements)
+        yield batch, mask_rows(flags, lengths, config, index * _BATCH, replacements)
 
 
 class MaskRow(NamedTuple):

@@ -6,7 +6,7 @@ chunk-flagged positions with branch probability p_nc, the chance that a given
 flagged token gets masked is mask_prob * p_nc / p(y=1); choosing
 p_nc = p(y=1) recovers the plain strategy's mask_prob. The empirical report
 estimates both conditionals from per-sequence mask counts (``tally_blocks``
-counts them for blocks of synthetic sequences, masked by the sampler that
+counts them for grids of synthetic sequences, masked by the sampler that
 writes pre-training data), so the law can be checked end to end.
 """
 
@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .masking import BLOCK, MaskingConfig, mask_rows, sequence_rng
+from .masking import BLOCK, MaskingConfig, mask_rows
 
 
 def _law(mask_prob: float, p_nc: float, p_y1: float) -> float:
@@ -78,8 +78,8 @@ def _ratio_and_se(
 
 
 class MaskTally(NamedTuple):
-    """Per-sequence counts of one block: length, chunk-flagged tokens, masked
-    tokens and masked chunk-flagged tokens (one array entry per sequence)."""
+    """Per-sequence counts of one grid of rows: length, chunk-flagged tokens,
+    masked tokens and masked chunk-flagged tokens, one entry per sequence."""
 
     lengths: np.ndarray
     chunk: np.ndarray
@@ -88,14 +88,16 @@ class MaskTally(NamedTuple):
 
 
 def tally_blocks(blocks: Iterable[np.ndarray], config: MaskingConfig) -> Iterator[MaskTally]:
-    """Mask and count blocks of full-length flag rows: block ``i`` takes the
-    stream ``sequence_rng(config.seed, i)``. When every block but the last
-    holds ``BLOCK`` rows, as ``flagged_sequences`` yields them, the rows are
-    masked as ``mask_sequences`` masks the same sequences."""
-    for index, flags in enumerate(blocks):
+    """Mask and count grids of full-length flag rows, numbered as one stream
+    (each grid's rows follow the rows before it), so they are masked as
+    ``mask_sequences`` masks the same sequences whatever the grid sizes. A
+    grid that crosses a multiple of ``BLOCK`` rows raises ``ValueError``."""
+    start = 0
+    for flags in blocks:
         rows, seq_len = flags.shape
         lengths = np.full(rows, seq_len)
-        masked = mask_rows(flags, lengths, config, sequence_rng(config.seed, index), replacements=False)
+        masked = mask_rows(flags, lengths, config, start, replacements=False)
+        start += rows
         masked_chunk = np.bincount(np.repeat(np.arange(rows), masked.counts)[masked.chunk], minlength=rows)
         yield MaskTally(lengths, np.count_nonzero(flags, axis=1), masked.counts, masked_chunk)
 

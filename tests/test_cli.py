@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -188,6 +189,22 @@ class TestChunkStats:
         report = json.loads(capsys.readouterr().out)
         assert report["histogram"] == {"2": 1}
         assert report["token_nc_prob"] == pytest.approx(2 / 3)
+
+
+class TestUnknownPosWarning:
+    @pytest.mark.parametrize("subcommand", ["chunk-stats", "make-pretraining-data"])
+    def test_one_warning_with_the_counts(self, tmp_path, caplog, subcommand):
+        ann, vocab = tmp_path / "ann.tsv", tmp_path / "vocab.txt"
+        ann.write_text("the\tDET\t0\nvalve\tFOO\t0\nturns\tFOO\t-\n\nvalve\tBAR\t-\n\n", encoding="utf-8")
+        vocab.write_text("[UNK]\n[MASK]\nthe\nvalve\nturns\n", encoding="utf-8")
+        argv = [subcommand, "--annotations", str(ann), "--output", str(tmp_path / "out")]
+        if subcommand == "make-pretraining-data":
+            argv += ["--vocab", str(vocab)]
+        with caplog.at_level(logging.WARNING, logger="lingmask"):
+            assert main(argv) == EX_OK
+        assert [r.getMessage() for r in caplog.records if "unknown POS" in r.getMessage()] == [
+            "unknown POS tags mapped to X: {'FOO': 2, 'BAR': 1}"
+        ]
 
 
 class TestTokenizeStats:

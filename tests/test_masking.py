@@ -76,7 +76,7 @@ def rows_of(masked):
 
 def mask_one(seq, cfg, block=0):
     """The example of ``seq`` as the first sequence of block ``block``."""
-    [row] = rows_of(mask_rows(*grid([seq]), cfg, sequence_rng(cfg.seed, block)))
+    [row] = rows_of(mask_rows(*grid([seq]), cfg, block * BLOCK))
     return build_example(seq, cfg, row)
 
 
@@ -371,7 +371,7 @@ class TestBlockSampler:
         cfg = config(strategy="lim", p_nc=0.5, max_seq_len=16, max_pred=20)
         corpus = self._mixed_block(cfg, seed=9)
         flags, lengths = grid(corpus)
-        masked = mask_rows(flags, lengths, cfg, sequence_rng(0, 0))
+        masked = mask_rows(flags, lengths, cfg)
         assert masked.counts.sum() == len(masked.positions) == len(masked.replacements)
         owner = np.repeat(np.arange(BLOCK), masked.counts)
         assert (masked.positions < lengths[owner]).all()
@@ -450,11 +450,20 @@ class TestBlockSampler:
         cfg = config(max_seq_len=8)
         with pytest.raises(ValueError, match="longer than max_seq_len"):
             list(mask_sequences([make_seq(9)], cfg))
+        with pytest.raises(ValueError, match="numbered from 0, got start -1"):
+            draw_rows(cfg, -1, 2, 4)
+        with pytest.raises(ValueError, match="no rows to draw"):
+            draw_rows(cfg, 0, 0, 4)
+        with pytest.raises(ValueError, match="span 9 exceeds max_seq_len 8"):
+            draw_rows(cfg, 0, 2, 9)
         flags, lengths = grid([make_seq(4)] * (BLOCK + 1))
-        with pytest.raises(ValueError, match="at most"):
-            mask_rows(flags, lengths, cfg, sequence_rng(0, 0))
-        with pytest.raises(ValueError, match="at most"):
-            mask_rows(flags[:2], lengths[:2], cfg, sequence_rng(0, 0), first=BLOCK - 1)
+        with pytest.raises(ValueError, match="rows 0 to 256 cross the block boundary at row 256"):
+            mask_rows(flags, lengths, cfg)
+        with pytest.raises(ValueError, match="rows 511 to 512 cross the block boundary at row 512"):
+            mask_rows(flags[:2], lengths[:2], cfg, start=2 * BLOCK - 1)
+        # A grid that ends at a block boundary, or starts at one, is drawn.
+        assert mask_rows(flags[:2], lengths[:2], cfg, start=2 * BLOCK - 2).counts.tolist() == [1, 1]
+        assert mask_rows(flags[:2], lengths[:2], cfg, start=2 * BLOCK).counts.tolist() == [1, 1]
 
     @pytest.mark.parametrize("change", ["grown", "shrunk"])
     def test_rejects_pieces_changed_after_construction(self, change):
@@ -525,7 +534,7 @@ class TestPhilox:
         # the seed's two halves.
         seed, block, max_seq_len, max_pred, span = 2**40 + 7, 3, 12, 4, 9
         cfg = config(strategy=strategy, p_nc=p_nc, max_seq_len=max_seq_len, max_pred=max_pred, seed=seed)
-        draws = draw_rows(sequence_rng(seed, block), cfg, first, rows, span, replacements)
+        draws = draw_rows(cfg, block * BLOCK + first, rows, span, replacements)
 
         def word(i):
             return int(philox4x32((i // 4, block, 0, 0), (seed % 2**32, seed >> 32))[i % 4, 0])
@@ -536,8 +545,7 @@ class TestPhilox:
             "replace": (1 + max_seq_len, max_pred * replacements),
             "ids": (1 + max_seq_len + max_pred, max_pred * replacements),
         }
-        for name, (start, width) in regions.items():
-            got = getattr(draws, name)
+        for (start, width), got in zip(regions.values(), draws):
             if not width:
                 assert got is None
                 continue
@@ -553,19 +561,18 @@ class TestPhilox:
 
     @pytest.mark.parametrize("strategy,p_nc", [("mlm", None), ("lim", 0.5)])
     def test_rows_drawn_in_batches_equal_rows_drawn_whole(self, strategy, p_nc):
-        cfg = config(strategy=strategy, p_nc=p_nc, max_seq_len=12, max_pred=4)
-        rng = sequence_rng(7, 3)
-        whole = draw_rows(rng, cfg, 0, BLOCK, 12)
+        cfg = config(strategy=strategy, p_nc=p_nc, max_seq_len=12, max_pred=4, seed=7)
+        whole = draw_rows(cfg, 3 * BLOCK, BLOCK, 12)
         for first, rows in ((0, 64), (64, 64), (5, 3), (250, 6)):
-            part = draw_rows(rng, cfg, first, rows, 9)
+            part = draw_rows(cfg, 3 * BLOCK + first, rows, 9)
             for got, full in zip(part, whole):
                 if full is None:
                     assert got is None
                 else:
                     assert np.array_equal(got, full[first : first + rows, : got.shape[1]])
-        bare = draw_rows(rng, cfg, 0, BLOCK, 12, replacements=False)
-        assert bare.replace is None and bare.ids is None
-        assert np.array_equal(bare.keys, whole.keys)
+        _, bare_keys, bare_replace, bare_ids = draw_rows(cfg, 3 * BLOCK, BLOCK, 12, replacements=False)
+        assert bare_replace is None and bare_ids is None
+        assert np.array_equal(bare_keys, whole[1])
 
     def test_batched_cli_rows_equal_whole_block_rows(self):
         # mask_sequences masks a block in batches of 64 rows.
@@ -575,5 +582,5 @@ class TestPhilox:
             make_seq(rng.randrange(1, 17), flagged=set(rng.sample(range(16), 6)))
             for _ in range(BLOCK)
         ]
-        whole = rows_of(mask_rows(*grid(corpus), cfg, sequence_rng(2, 0)))
+        whole = rows_of(mask_rows(*grid(corpus), cfg))
         assert mask_many(corpus, cfg) == whole

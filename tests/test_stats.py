@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lingmask.masking import MaskingConfig, TokenizedSequence, build_example, mask_rows, mask_sequences, sequence_rng
+from lingmask.masking import MaskingConfig, TokenizedSequence, build_example, mask_batches, mask_rows, mask_sequences
 from lingmask.stats import (
     MaskTally,
     _splitmix64,
@@ -100,21 +100,48 @@ class TestEmpiricalReport:
         assert empirical_mask_report(tallies, 0.15, p_nc) == empirical_mask_report(tally_pairs(pairs), 0.15, p_nc)
 
     @pytest.mark.parametrize("strategy,p_nc", [("mlm", None), ("lim", 0.75)])
-    def test_tally_blocks_mask_block_i_with_stream_i(self, strategy, p_nc):
+    def test_tally_blocks_mask_row_n_as_row_n_of_the_stream(self, strategy, p_nc):
+        # Grids of uneven sizes: each starts at the row after the last one of
+        # the grids before it.
         cfg = MaskingConfig(strategy=strategy, p_nc=p_nc, seed=5, max_seq_len=32)
-        blocks = list(flagged_sequences(600, seq_len=32, p_y1=0.4, seed=5))
-        tallies = list(tally_blocks(blocks, cfg))
-        assert len(tallies) == len(blocks) == 3
-        for i, (flags, tally) in enumerate(zip(blocks, tallies)):
-            lengths = np.full(len(flags), 32)
-            masked = mask_rows(flags, lengths, cfg, sequence_rng(5, i), replacements=False)
-            owner = np.repeat(np.arange(len(flags)), masked.counts)
+        flags = np.concatenate(list(flagged_sequences(600, seq_len=32, p_y1=0.4, seed=5)))
+        starts = [0, 100, 256, 300, 512]
+        grids = np.split(flags, starts[1:])
+        tallies = list(tally_blocks(grids, cfg))
+        assert len(tallies) == len(grids) == 5
+        for start, rows, tally in zip(starts, grids, tallies):
+            lengths = np.full(len(rows), 32)
+            masked = mask_rows(rows, lengths, cfg, start, replacements=False)
+            owner = np.repeat(np.arange(len(rows)), masked.counts)
             assert tally.lengths.tolist() == lengths.tolist()
-            assert tally.chunk.tolist() == flags.sum(axis=1).tolist()
+            assert tally.chunk.tolist() == rows.sum(axis=1).tolist()
             assert tally.masked.tolist() == masked.counts.tolist()
             assert tally.masked_chunk.tolist() == np.bincount(
-                owner[flags[owner, masked.positions]], minlength=len(flags)
+                owner[rows[owner, masked.positions]], minlength=len(rows)
             ).tolist()
+
+    @pytest.mark.parametrize("grid_rows", [64, 128])
+    @pytest.mark.parametrize("strategy,p_nc", [("mlm", None), ("lim", 0.75)])
+    def test_tally_blocks_equal_mask_batches_for_any_grid_size(self, strategy, p_nc, grid_rows):
+        cfg = MaskingConfig(strategy=strategy, p_nc=p_nc, seed=5, max_seq_len=16)
+        flags = np.concatenate(list(flagged_sequences(512, seq_len=16, seed=3)))
+        tallies = list(tally_blocks(np.split(flags, len(flags) // grid_rows), cfg))
+        seqs = [TokenizedSequence([0] * 16, row) for row in flags.tolist()]
+        masked, masked_chunk = [], []
+        for batch, rows in mask_batches(seqs, cfg, replacements=False):
+            owner = np.repeat(np.arange(len(batch)), rows.counts)
+            masked += rows.counts.tolist()
+            masked_chunk += np.bincount(owner[rows.chunk], minlength=len(batch)).tolist()
+        assert np.concatenate([tally.masked for tally in tallies]).tolist() == masked
+        assert np.concatenate([tally.masked_chunk for tally in tallies]).tolist() == masked_chunk
+
+    def test_tally_blocks_reject_a_grid_across_a_block(self):
+        cfg = MaskingConfig(seed=5, max_seq_len=16)
+        flags = np.concatenate(list(flagged_sequences(300, seq_len=16, seed=3)))
+        tallies = tally_blocks(np.split(flags, 3), cfg)
+        assert [len(next(tallies).masked) for _ in range(2)] == [100, 100]
+        with pytest.raises(ValueError, match="rows 200 to 299 cross the block boundary at row 256"):
+            next(tallies)
 
     def test_counts(self):
         report = _report("mlm", None, 100, seq_len=32)

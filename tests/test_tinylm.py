@@ -21,7 +21,6 @@ from lingmask.masking import (
     TokenizedSequence,
     build_example,
     mask_rows,
-    sequence_rng,
 )
 from lingmask.tinylm import (
     EVAL_BLOCK,
@@ -616,14 +615,14 @@ class TestPacked:
 
 def _per_example_table(corpus, config):
     """One ``build_example`` per sequence, masked a whole block at a time
-    with ``mask_rows`` and the block's stream, written into a table one
+    with ``mask_rows`` from the block's first row, written into a table one
     example at a time: what ``pack_corpus`` replaces."""
 
     def examples():
         sequences = [s for s in corpus if s.pieces]
         for index in range(0, len(sequences), BLOCK):
             block = sequences[index : index + BLOCK]
-            masked = mask_rows(*grid(block), config, sequence_rng(config.seed, index // BLOCK))
+            masked = mask_rows(*grid(block), config, index)
             for seq, row in zip(block, rows_of(masked)):
                 ex = build_example(seq, config, row)
                 yield Example(ex.input_ids, ex.masked_positions, ex.labels, seq.y)
