@@ -325,15 +325,20 @@ def _cmd_train_tiny(cfg: dict[str, Any]) -> int:
 _INTEGER_KEY = re.compile(r"-?[0-9]+")
 
 
-def _load_histogram(path: str) -> Counter:
+def _load_histogram(path: str, key: str | None) -> Counter:
     """The value -> count table of a JSON object of integer values and their
-    counts; keys naming the same integer add up. A count must be a
-    non-negative JSON integer."""
+    counts, the whole file or, with ``key``, that key of a report object
+    (``chunk-stats``, ``tokenize-stats``); keys naming the same integer add
+    up. A count must be a non-negative JSON integer."""
     with open(path, encoding="utf-8") as handle:
         try:
             histogram = json.load(handle)
         except ValueError as exc:
             raise ValueError(f"{path}: histogram file is not JSON: {exc}") from exc
+    if key is not None:
+        if not isinstance(histogram, dict) or key not in histogram:
+            raise ValueError(f"{path}: report has no {key!r} histogram")
+        histogram = histogram[key]
     if not isinstance(histogram, dict):
         raise ValueError(f"histogram file must hold a JSON object: {path}")
     counts: Counter = Counter()
@@ -349,7 +354,8 @@ def _load_histogram(path: str) -> Counter:
 
 
 def _cmd_ks_compare(cfg: dict[str, Any]) -> int:
-    result = ks_from_counts(_load_histogram(cfg["a"]), _load_histogram(cfg["b"]))
+    key = cfg["histogram"]
+    result = ks_from_counts(_load_histogram(cfg["a"], key), _load_histogram(cfg["b"], key))
     _emit_json(dataclasses.asdict(result), cfg["output"])
     return EX_OK
 
@@ -437,6 +443,8 @@ _SUBCOMMANDS = {
     "ks-compare": (_cmd_ks_compare, "two-sample KS test over two histogram files", [
         ("--a", str, _REQUIRED, "first histogram JSON file (length -> count)"),
         ("--b", str, _REQUIRED, "second histogram JSON file"),
+        ("--histogram", ("histogram", "encoding_hist", "word_hist"), None,
+         "compare this histogram of two chunk-stats or tokenize-stats reports"),
         _REPORT,
     ]),
 }

@@ -40,15 +40,19 @@ are computed, and an example depends only on the seed, its ordinal and its
 own sequence: the output for a corpus prefix is a prefix of the output for
 the whole corpus, and how the work is batched does not matter.
 
-``draw_rows`` is the one function that knows this layout, and ``mask_rows``
-its one caller: for a grid of rows within one block, from a given row of
-the stream on, it returns the masked positions of all rows as one flat
+``draw_rows`` is the one function that knows this layout. It has two
+callers. ``mask_rows``, for a grid of rows within one block, from a given
+row of the stream on, returns the masked positions of all rows as one flat
 array, with per-row counts, branches and the aligned chunk flags and
-replacement ids. ``mask_batches`` masks a stream of sequences ``_BATCH``
-rows at a time; ``mask_sequences`` (pre-training examples) and
-``tinylm.pack_corpus`` (the tiny LM's table) read it, and
-``stats.tally_blocks`` (the law check) masks grids of synthetic rows
-numbered the same way.
+replacement ids. ``mask_counts`` returns only each row's masked and masked
+chunk-flagged counts, which is all the law check reads: under ``lim`` it
+draws the coins alone, because every masked position of a row has the flag
+of its pool, so a row's counts follow from its coin and its flags. Both
+apply one pool rule (``_lim_pools``). ``mask_batches`` masks a stream of
+sequences ``_BATCH`` rows at a time; ``mask_sequences`` (pre-training
+examples) and ``tinylm.pack_corpus`` (the tiny LM's table) read it, and
+``stats.tally_blocks`` (the law check) counts grids of synthetic rows
+numbered the same way with ``mask_counts``.
 
 The kernel is laid out for numpy. ``philox4x32`` runs its rounds in place on
 one (4, n) array, so a round allocates nothing. ``draw_rows`` lays a batch's
@@ -278,6 +282,20 @@ def mask_budget(lengths: np.ndarray, config: MaskingConfig) -> np.ndarray:
     return np.clip(np.rint(config.mask_prob * lengths), 1, config.max_pred).astype(np.int64)
 
 
+def _lim_pools(
+    coins: np.ndarray, n_chunk: np.ndarray, lengths: np.ndarray, budget: np.ndarray, config: MaskingConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pool rule of ``lim``: each row's branch (True for its
+    chunk-flagged positions) and how many positions it masks.
+
+    A coin below ``p_nc * 2**32`` chooses the chunk-flagged pool, any other
+    coin the unflagged one; an empty chosen pool falls back to the other one.
+    A row masks its budget, or its whole pool when that is smaller.
+    """
+    nc = np.where(coins < config.p_nc * 2**32, n_chunk > 0, n_chunk == lengths)
+    return nc, np.minimum(budget, np.where(nc, n_chunk, lengths - n_chunk))
+
+
 class MaskedRows(NamedTuple):
     """Masked positions chosen for some rows of a block, as flat arrays.
 
@@ -317,15 +335,12 @@ def mask_rows(
     # Positions outside each row's pool: past its length (a block of full
     # rows has none) and, under lim, of the other flag value.
     outside = np.arange(span) >= lengths[:, None] if lengths.min() < span else None
-    nc, sizes = None, lengths
+    # Under mlm the pool is the whole row, which a budget never exceeds.
+    nc, counts = None, budget
     if config.strategy == "lim":
-        n_chunk = np.count_nonzero(flags, axis=1)
-        # An empty chosen pool falls back to the other one.
-        nc = np.where(coins[:, 0] < config.p_nc * 2**32, n_chunk > 0, n_chunk == lengths)
-        sizes = np.where(nc, n_chunk, lengths - n_chunk)
+        nc, counts = _lim_pools(coins[:, 0], np.count_nonzero(flags, axis=1), lengths, budget, config)
         other = flags != nc[:, None]
         outside = other if outside is None else outside | other
-    counts = np.minimum(budget, sizes)
 
     # The count smallest keys within the pool are a uniform sample of it. A
     # key is a 32-bit word above its position, so keys never tie; outside the
@@ -354,6 +369,31 @@ def mask_rows(
         np.where(replace < (MASK_FRAC + RANDOM_FRAC) * 2**32, random_ids, -1),
     )
     return MaskedRows(positions, counts, nc, chunk, ids)
+
+
+def mask_counts(
+    flags: np.ndarray, lengths: np.ndarray, config: MaskingConfig, start: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """How many positions ``mask_rows`` masks in each of rows ``start``,
+    ``start + 1``, ... of the stream, and how many of those are
+    chunk-flagged, as two arrays with one entry per row. The arguments are
+    those of ``mask_rows``.
+
+    Under ``lim`` a row's masked positions all have the flag of its pool, so
+    its counts follow from its coin and its flags: only the coins are drawn.
+    Under ``mlm`` the positions are chosen and their flags counted.
+    """
+    rows, span = flags.shape
+    if config.strategy == "mlm":
+        masked = mask_rows(flags, lengths, config, start, replacements=False)
+        owner = np.repeat(np.arange(rows), masked.counts)
+        return masked.counts, np.bincount(owner[masked.chunk], minlength=rows)
+    if span > config.max_seq_len:
+        raise ValueError(f"span {span} exceeds max_seq_len {config.max_seq_len}")
+    budget = mask_budget(lengths, config)
+    coins, *_ = draw_rows(config, start, rows, 0, replacements=False)
+    nc, counts = _lim_pools(coins[:, 0], np.count_nonzero(flags, axis=1), lengths, budget, config)
+    return counts, np.where(nc, counts, 0)
 
 
 # Sequences masked at a time: a divisor of BLOCK, so a batch is rows of one

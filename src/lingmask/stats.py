@@ -5,9 +5,12 @@ The conditional masking law says that when masking is restricted to
 chunk-flagged positions with branch probability p_nc, the chance that a given
 flagged token gets masked is mask_prob * p_nc / p(y=1); choosing
 p_nc = p(y=1) recovers the plain strategy's mask_prob. The empirical report
-estimates both conditionals from per-sequence mask counts (``tally_blocks``
-counts them for grids of synthetic sequences, masked by the sampler that
-writes pre-training data), so the law can be checked end to end.
+estimates both conditionals from per-sequence mask counts, so the law can
+be checked end to end. ``tally_blocks`` counts them for grids of synthetic
+sequences with ``masking.mask_counts``, which applies the rules of the
+sampler that writes pre-training data: under ``lim`` it reads only each
+sequence's branch coin, since every masked position has its pool's flag,
+and under ``mlm`` it draws the positions.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .masking import BLOCK, MaskingConfig, mask_rows
+from .masking import BLOCK, MaskingConfig, mask_counts
 
 
 def _law(mask_prob: float, p_nc: float, p_y1: float) -> float:
@@ -88,18 +91,18 @@ class MaskTally(NamedTuple):
 
 
 def tally_blocks(blocks: Iterable[np.ndarray], config: MaskingConfig) -> Iterator[MaskTally]:
-    """Mask and count grids of full-length flag rows, numbered as one stream
-    (each grid's rows follow the rows before it), so they are masked as
-    ``mask_sequences`` masks the same sequences whatever the grid sizes. A
-    grid that crosses a multiple of ``BLOCK`` rows raises ``ValueError``."""
+    """Count the masks of grids of full-length flag rows, numbered as one
+    stream (each grid's rows follow the rows before it), so the counts are
+    those of the masks ``mask_sequences`` gives the same sequences whatever
+    the grid sizes. A grid that crosses a multiple of ``BLOCK`` rows raises
+    ``ValueError``."""
     start = 0
     for flags in blocks:
         rows, seq_len = flags.shape
         lengths = np.full(rows, seq_len)
-        masked = mask_rows(flags, lengths, config, start, replacements=False)
+        masked, masked_chunk = mask_counts(flags, lengths, config, start)
         start += rows
-        masked_chunk = np.bincount(np.repeat(np.arange(rows), masked.counts)[masked.chunk], minlength=rows)
-        yield MaskTally(lengths, np.count_nonzero(flags, axis=1), masked.counts, masked_chunk)
+        yield MaskTally(lengths, np.count_nonzero(flags, axis=1), masked, masked_chunk)
 
 
 def empirical_mask_report(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -5,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from lingmask.cli import EX_FAIL, EX_IOERR, EX_OK, EX_TOLERANCE, EX_USAGE, main
 from lingmask.corpus import CleanDocument
 from lingmask.datasets import IpcExample, SimilarityPair
 from lingmask.masking import BLOCK
+from lingmask.stats import ks_from_counts, ks_two_sample
 
 from conftest import JSON_TEXT, make_annotated_corpus
 
@@ -715,6 +718,41 @@ class TestKsCompare:
         b.write_text("1: 2\n")
         assert main(["ks-compare", "--a", str(a), "--b", str(b)]) == EX_FAIL
         assert f"error: {b}: histogram file is not JSON" in capsys.readouterr().err
+
+    def test_chains_chunk_stats_reports(self, tmp_path, capsys):
+        # Two corpora of the same pattern mix, drawn with different seeds.
+        reports = []
+        for seed, n_sentences in ((1, 40), (2, 60)):
+            tsv, vocab = tmp_path / f"c{seed}.tsv", tmp_path / f"v{seed}.txt"
+            make_annotated_corpus(tsv, vocab, n_sentences, seed)
+            reports.append(tmp_path / f"cs{seed}.json")
+            assert main(["chunk-stats", "--annotations", str(tsv), "--output", str(reports[-1])]) == EX_OK
+        argv = ["ks-compare", "--a", str(reports[0]), "--b", str(reports[1]), "--histogram", "histogram"]
+        assert main(argv) == EX_OK
+        expanded = [
+            [int(length) for length, count in json.loads(r.read_text())["histogram"].items() for _ in range(count)]
+            for r in reports
+        ]
+        assert json.loads(capsys.readouterr().out) == dataclasses.asdict(ks_two_sample(*expanded))
+
+    def test_tokenize_stats_report_histograms(self, tmp_path, data_dir, capsys):
+        sentences = tmp_path / "sentences.txt"
+        sentences.write_text("femto access point\naccess point\n", encoding="utf-8")
+        reports = [tmp_path / "general.json", tmp_path / "scientific.json"]
+        for name, report in zip(("general", "scientific"), reports):
+            vocab = str(data_dir / f"vocab_{name}.txt")
+            assert main(["tokenize-stats", "--input", str(sentences), "--vocab", vocab, "--output", str(report)]) == EX_OK
+        for key in ("encoding_hist", "word_hist"):
+            assert main(["ks-compare", "--a", str(reports[0]), "--b", str(reports[1]), "--histogram", key]) == EX_OK
+            counts = [Counter({int(k): v for k, v in json.loads(r.read_text())[key].items()}) for r in reports]
+            assert json.loads(capsys.readouterr().out) == dataclasses.asdict(ks_from_counts(*counts))
+
+    def test_missing_report_histogram_is_named(self, tmp_path, annotated_corpus, capsys):
+        report = tmp_path / "report.json"
+        assert main(["chunk-stats", "--annotations", annotated_corpus[0], "--output", str(report)]) == EX_OK
+        argv = ["ks-compare", "--a", str(report), "--b", str(report), "--histogram", "word_hist"]
+        assert main(argv) == EX_FAIL
+        assert f"error: {report}: report has no 'word_hist' histogram" in capsys.readouterr().err
 
 
 def test_no_subcommand_imports_numpy_random(tmp_path, annotated_corpus):

@@ -20,6 +20,11 @@ GOLDEN = {
     "make-pretraining-data-mlm": "fac45905c378431d8aaee9f0fcac216924c2e775f1f47277cefe7d4ec162d2b6",
     "make-pretraining-data-lim": "f261557c896ac1ec55993ca519f66b4452eb228f8543c7a26e3796bb2d332746",
     "verify-masking": "0ba69e8e9f0601aadc9a6d08d773c9cedbbc8d747103a7175a9d82a2fb5a17d0",
+    # Under mlm the law check chooses positions; under lim it reads only the
+    # branch coins. With p_y1 0.97 and 7-piece rows the unflagged pool is
+    # often empty, so the fallback fires.
+    "verify-masking-mlm": "b24e1de7161b280c066cb65d771c3bdd59f669455d72d78aa07fab2c86ed86ca",
+    "verify-masking-lim-fallback": "bcbbac1917e6ee91ddddf676976041a9403ec76a6a7676ccd86d32779589ff59",
     "make-ipc": "cf3cee2be23442165060a2d5ed16f9317c47caf1d557fe4c189260e3bd24feb9",
     "make-pairs": "c740f45d92d7ad65e29a12ac960e1129477c10eca324c9f0079ea4067dd9cabb",
     # documents.jsonl holds formula spans, operator tokens, abbreviations and
@@ -56,6 +61,14 @@ def _argv(name, annotations, vocab, patents, documents, out):
         "verify-masking": [
             "verify-masking", "--strategy", "lim", "--p-nc", "0.75",
             "--n", "2000", "--seed", "3", "--tolerance", "0.05",
+        ],
+        "verify-masking-mlm": [
+            "verify-masking", "--strategy", "mlm",
+            "--n", "2000", "--seed", "3", "--tolerance", "0.05",
+        ],
+        "verify-masking-lim-fallback": [
+            "verify-masking", "--strategy", "lim", "--p-nc", "0.3", "--p-y1", "0.97",
+            "--seq-len", "7", "--n", "2000", "--seed", "3", "--tolerance", "1",
         ],
         "make-ipc": ["make-ipc", "--input", patents],
         "make-pairs": ["make-pairs", "--input", patents, "--seed", "5"],

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lingmask.masking import MaskingConfig, TokenizedSequence, build_example, mask_batches, mask_rows, mask_sequences
+from lingmask import masking
+from lingmask.masking import (
+    BLOCK,
+    MaskingConfig,
+    TokenizedSequence,
+    build_example,
+    mask_batches,
+    mask_rows,
+    mask_sequences,
+    philox4x32,
+)
 from lingmask.stats import (
     MaskTally,
     _splitmix64,
@@ -99,18 +109,24 @@ class TestEmpiricalReport:
         tallies = tally_blocks(blocks, cfg)
         assert empirical_mask_report(tallies, 0.15, p_nc) == empirical_mask_report(tally_pairs(pairs), 0.15, p_nc)
 
-    @pytest.mark.parametrize("strategy,p_nc", [("mlm", None), ("lim", 0.75)])
-    def test_tally_blocks_mask_row_n_as_row_n_of_the_stream(self, strategy, p_nc):
-        # Grids of uneven sizes: each starts at the row after the last one of
-        # the grids before it.
-        cfg = MaskingConfig(strategy=strategy, p_nc=p_nc, seed=5, max_seq_len=32)
-        flags = np.concatenate(list(flagged_sequences(600, seq_len=32, p_y1=0.4, seed=5)))
-        starts = [0, 100, 256, 300, 512]
+    @pytest.mark.parametrize("seq_len,max_pred", [(3, 2), (7, 20), (32, 20)])
+    @pytest.mark.parametrize("p_y1", [0.0, 0.02, 0.4, 0.97, 1.0])
+    @pytest.mark.parametrize("strategy,p_nc", [("mlm", None), ("lim", 0.0), ("lim", 0.3), ("lim", 0.75), ("lim", 1.0)])
+    def test_tally_blocks_mask_row_n_as_row_n_of_the_stream(self, strategy, p_nc, p_y1, seq_len, max_pred):
+        # Grids of 100, 156, 256 and 100 rows, then the 88 rows of a partial
+        # last block: each starts at the row after the last one of the grids
+        # before it. The counts are read off the positions mask_rows chooses,
+        # which under lim tally_blocks never draws. p_y1 0 and 1 empty one
+        # pool of every row, so the fallback fires both ways, and short rows
+        # saturate their pools.
+        cfg = MaskingConfig(strategy=strategy, p_nc=p_nc, seed=5, max_seq_len=seq_len, max_pred=max_pred)
+        flags = np.concatenate(list(flagged_sequences(700, seq_len=seq_len, p_y1=p_y1, seed=5)))
+        starts = [0, 100, 256, 512, 612]
         grids = np.split(flags, starts[1:])
         tallies = list(tally_blocks(grids, cfg))
         assert len(tallies) == len(grids) == 5
         for start, rows, tally in zip(starts, grids, tallies):
-            lengths = np.full(len(rows), 32)
+            lengths = np.full(len(rows), seq_len)
             masked = mask_rows(rows, lengths, cfg, start, replacements=False)
             owner = np.repeat(np.arange(len(rows)), masked.counts)
             assert tally.lengths.tolist() == lengths.tolist()
@@ -134,6 +150,29 @@ class TestEmpiricalReport:
             masked_chunk += np.bincount(owner[rows.chunk], minlength=len(batch)).tolist()
         assert np.concatenate([tally.masked for tally in tallies]).tolist() == masked
         assert np.concatenate([tally.masked_chunk for tally in tallies]).tolist() == masked_chunk
+
+    @pytest.mark.parametrize("strategy,p_nc,columns", [("lim", 0.75, 1), ("mlm", None, 128)])
+    def test_tally_blocks_compute_only_the_words_they_read(self, monkeypatch, strategy, p_nc, columns):
+        # Each 256-row grid of 128-piece rows: under lim only the coin column
+        # (BLOCK // 4 Philox counters), under mlm the 128 key columns.
+        computed = []
+
+        def counting(counter, key):
+            words = philox4x32(counter, key)
+            computed.append(words.shape[1])
+            return words
+
+        monkeypatch.setattr(masking, "philox4x32", counting)
+        cfg = MaskingConfig(strategy=strategy, p_nc=p_nc, seed=5)
+        tallies = list(tally_blocks(flagged_sequences(3 * BLOCK, seed=3), cfg))
+        assert len(tallies) == 3
+        assert computed == [columns * BLOCK // 4] * 3
+
+    @pytest.mark.parametrize("strategy,p_nc", [("mlm", None), ("lim", 0.75)])
+    def test_tally_blocks_reject_rows_longer_than_max_seq_len(self, strategy, p_nc):
+        cfg = MaskingConfig(strategy=strategy, p_nc=p_nc, seed=5, max_seq_len=8)
+        with pytest.raises(ValueError, match="span 9 exceeds max_seq_len 8"):
+            next(tally_blocks(flagged_sequences(10, seq_len=9, seed=3), cfg))
 
     def test_tally_blocks_reject_a_grid_across_a_block(self):
         cfg = MaskingConfig(seed=5, max_seq_len=16)
