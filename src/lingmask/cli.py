@@ -5,10 +5,11 @@ explicit flags win) and, after a successful run, echoes its fully resolved
 configuration to ``<output>.config.json`` so the run can be reproduced from its
 sidecar. A config-file value gets its flag's type and choice checks, so a bad
 value, like a config file that is not JSON, is a usage error; so is a sidecar
-of another subcommand. Every output file is written to ``<path>.tmp`` and
-renamed into place only when complete, so a failed run leaves neither a
-partial output nor a sidecar. Diagnostics go to stderr; data goes to the
-output file or stdout.
+of another subcommand. A run's outputs and its sidecar are written to new
+temporary files and renamed into place together when the command returns, so
+a failed run leaves neither a partial output nor a sidecar. Renaming several
+files is not atomic as a group, and a killed run leaves its temporary file
+behind. Diagnostics go to stderr; data goes to the output file or stdout.
 
 Exit codes: 0 success, 1 validation failure, 2 verify-masking tolerance
 breach, 64 usage error, 74 I/O error.
@@ -26,9 +27,9 @@ import random
 import re
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import suppress
 from json.encoder import encode_basestring
-from typing import Any, Iterator, NoReturn
+from typing import Any, Iterator, NoReturn, TextIO
 
 from . import __version__
 from .chunker import AnnotatedSentence, chunk_stats, parse_annotations
@@ -79,43 +80,50 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
-@contextmanager
-def _atomic_output(path: str) -> Iterator[str]:
-    """Yield ``<path>.tmp`` to write; rename it onto ``path`` only if the block
-    completes, and remove it if the block raises."""
-    tmp = f"{path}.tmp"
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except FileNotFoundError:
-            pass
-        raise
+class _Outputs(dict):
+    """The files one run writes, by path. Each is written to a new file next
+    to it, created exclusively under a name of its own; ``commit`` renames
+    them into place in the order opened, and ``discard`` removes the rest."""
 
+    def open(self, path: str) -> TextIO:
+        key = os.path.abspath(path)
+        if key in self:
+            raise ValueError(f"{path} is written twice in one run")
+        tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+        handle = self[key] = open(tmp, "x", encoding="utf-8", newline="\n")
+        return handle
 
-def _open_text(path: str):
-    return open(path, "w", encoding="utf-8", newline="\n")
+    def commit(self) -> None:
+        for path, handle in list(self.items()):
+            handle.close()
+            os.replace(handle.name, path)
+            del self[path]
+
+    def discard(self) -> None:
+        for handle in self.values():
+            with suppress(OSError):
+                handle.close()
+            with suppress(OSError):
+                os.remove(handle.name)
 
 
 def _write_sidecar(
-    subcommand: str, resolved: dict[str, Any], sidecar: str | None
+    subcommand: str, resolved: dict[str, Any], sidecar: str | None, outputs: _Outputs
 ) -> None:
     path = sidecar or (
         f"{resolved['output']}.config.json" if resolved.get("output") else None
     )
     if path is None:
         return
-    with _atomic_output(path) as tmp, _open_text(tmp) as handle:
+    with outputs.open(path) as handle:
         json.dump({"subcommand": subcommand, **resolved}, handle, sort_keys=True)
         handle.write("\n")
 
 
-def _emit_json(payload: dict, output: str | None) -> None:
+def _emit_json(payload: dict, output: str | None, outputs: _Outputs) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if output:
-        with _atomic_output(output) as tmp, _open_text(tmp) as handle:
+        with outputs.open(output) as handle:
             handle.write(text + "\n")
     else:
         print(text)
@@ -151,8 +159,8 @@ def _pair_record(pair: SimilarityPair, quoted: _Quoted) -> str:
     )
 
 
-def _cmd_normalize(cfg: dict[str, Any]) -> int:
-    with _atomic_output(cfg["output"]) as tmp, _open_text(tmp) as handle:
+def _cmd_normalize(cfg: dict[str, Any], outputs: _Outputs) -> int:
+    with outputs.open(cfg["output"]) as handle:
         count = 0
         for raw in ingest_documents(cfg["input"], cfg["format"]):
             handle.write(_document_record(clean_document(raw)) + "\n")
@@ -171,7 +179,7 @@ def _annotated_sentences(path: str) -> Iterator[AnnotatedSentence]:
         log.warning("unknown POS tags mapped to X: %s", dict(warnings))
 
 
-def _cmd_chunk_stats(cfg: dict[str, Any]) -> int:
+def _cmd_chunk_stats(cfg: dict[str, Any], outputs: _Outputs) -> int:
     stats = chunk_stats(_annotated_sentences(cfg["annotations"]), max_chunk_len=cfg["max_chunk_len"])
     _emit_json(
         {
@@ -180,12 +188,12 @@ def _cmd_chunk_stats(cfg: dict[str, Any]) -> int:
             "sd": stats.sd,
             "token_nc_prob": stats.token_nc_prob,
         },
-        cfg["output"],
+        cfg["output"], outputs,
     )
     return EX_OK
 
 
-def _cmd_tokenize_stats(cfg: dict[str, Any]) -> int:
+def _cmd_tokenize_stats(cfg: dict[str, Any], outputs: _Outputs) -> int:
     vocab = load_vocab(cfg["vocab"])
     with open(cfg["input"], encoding="utf-8") as handle:
         # Streamed one line at a time, so memory stays flat in the input size.
@@ -196,7 +204,7 @@ def _cmd_tokenize_stats(cfg: dict[str, Any]) -> int:
             "encoding_hist": {str(k): v for k, v in stats.encoding_hist.items()},
             "word_hist": {str(k): v for k, v in stats.word_hist.items()},
         },
-        cfg["output"],
+        cfg["output"], outputs,
     )
     return EX_OK
 
@@ -234,10 +242,10 @@ def _annotated_sequences(cfg: dict[str, Any], vocab: Vocabulary) -> Iterator[Tok
             yield seq
 
 
-def _cmd_make_pretraining_data(cfg: dict[str, Any]) -> int:
+def _cmd_make_pretraining_data(cfg: dict[str, Any], outputs: _Outputs) -> int:
     vocab, config = _load_masking_vocab(cfg)
     count = 0
-    with _atomic_output(cfg["output"]) as tmp, _open_text(tmp) as handle:
+    with outputs.open(cfg["output"]) as handle:
         for seq, row in mask_sequences(_annotated_sequences(cfg, vocab), config):
             handle.write(example_to_json_line(build_example(seq, config, row), config) + "\n")
             count += 1
@@ -245,7 +253,7 @@ def _cmd_make_pretraining_data(cfg: dict[str, Any]) -> int:
     return EX_OK
 
 
-def _cmd_verify_masking(cfg: dict[str, Any]) -> int:
+def _cmd_verify_masking(cfg: dict[str, Any], outputs: _Outputs) -> int:
     config = _masking_config(cfg, vocab_size=1, mask_piece_id=0, seq_len_key="seq_len")
     blocks = flagged_sequences(
         cfg["n"], seq_len=cfg["seq_len"], p_y1=cfg["p_y1"], seed=cfg["seed"]
@@ -255,7 +263,7 @@ def _cmd_verify_masking(cfg: dict[str, Any]) -> int:
         cfg["mask_prob"],
         cfg["p_nc"] if cfg["strategy"] == "lim" else None,
     )
-    _emit_json(dataclasses.asdict(report), cfg["output"])
+    _emit_json(dataclasses.asdict(report), cfg["output"], outputs)
     if report.abs_error is None:
         log.error("conditional masking probability is undefined on this corpus")
         return EX_FAIL
@@ -267,9 +275,9 @@ def _cmd_verify_masking(cfg: dict[str, Any]) -> int:
     return EX_OK
 
 
-def _cmd_make_ipc(cfg: dict[str, Any]) -> int:
+def _cmd_make_ipc(cfg: dict[str, Any], outputs: _Outputs) -> int:
     counters: Counter = Counter()
-    with _atomic_output(cfg["output"]) as tmp, _open_text(tmp) as handle:
+    with outputs.open(cfg["output"]) as handle:
         count = 0
         for example in build_ipc_examples(read_patent_records(cfg["input"]), counters):
             handle.write(_ipc_record(example) + "\n")
@@ -278,13 +286,13 @@ def _cmd_make_ipc(cfg: dict[str, Any]) -> int:
     return EX_OK
 
 
-def _cmd_make_pairs(cfg: dict[str, Any]) -> int:
+def _cmd_make_pairs(cfg: dict[str, Any], outputs: _Outputs) -> int:
     counters: Counter = Counter()
     rng = random.Random(cfg["seed"])
     pairs = list(
         build_similarity_pairs(read_patent_records(cfg["input"]), rng, counters)
     )
-    outputs = {cfg["output"]: pairs}
+    files = {cfg["output"]: pairs}
     if cfg["train_frac"] is not None:
         splits = split_dataset(
             pairs,
@@ -293,17 +301,17 @@ def _cmd_make_pairs(cfg: dict[str, Any]) -> int:
             key=lambda p: tuple(sorted((p.id_a, p.id_b))),
         )
         base, ext = os.path.splitext(cfg["output"])
-        outputs.update((f"{base}.{name}{ext}", items) for name, items in splits.items())
+        files.update((f"{base}.{name}{ext}", items) for name, items in splits.items())
     quoted = _Quoted()
-    for path, items in outputs.items():
-        with _atomic_output(path) as tmp, _open_text(tmp) as handle:
+    for path, items in files.items():
+        with outputs.open(path) as handle:
             for pair in items:
                 handle.write(_pair_record(pair, quoted) + "\n")
     log.info("wrote %d pairs, dropped: %s", len(pairs), dict(counters) or "none")
     return EX_OK
 
 
-def _cmd_train_tiny(cfg: dict[str, Any]) -> int:
+def _cmd_train_tiny(cfg: dict[str, Any], outputs: _Outputs) -> int:
     vocab, masking_config = _load_masking_vocab(cfg)
     train_config = TrainingConfig(
         lr=cfg["lr"],
@@ -316,8 +324,8 @@ def _cmd_train_tiny(cfg: dict[str, Any]) -> int:
         eval_fraction=cfg["eval_fraction"],
     )
     metrics, _ = train(_annotated_sequences(cfg, vocab), masking_config, train_config)
-    with _atomic_output(cfg["output"]) as tmp:
-        write_metrics_csv(metrics, tmp)
+    with outputs.open(cfg["output"]) as handle:
+        write_metrics_csv(metrics, handle)
     log.info("wrote %d metric rows", len(metrics))
     return EX_OK
 
@@ -353,10 +361,10 @@ def _load_histogram(path: str, key: str | None) -> Counter:
     return counts
 
 
-def _cmd_ks_compare(cfg: dict[str, Any]) -> int:
+def _cmd_ks_compare(cfg: dict[str, Any], outputs: _Outputs) -> int:
     key = cfg["histogram"]
     result = ks_from_counts(_load_histogram(cfg["a"], key), _load_histogram(cfg["b"], key))
-    _emit_json(dataclasses.asdict(result), cfg["output"])
+    _emit_json(dataclasses.asdict(result), cfg["output"], outputs)
     return EX_OK
 
 
@@ -575,9 +583,14 @@ def run(argv: list[str]) -> int:
             parser.error("a subcommand is required")
         cfg = _resolve(subparsers[args.subcommand], argv, args)
         _check_ranges(args.subcommand, cfg)
-        code = _SUBCOMMANDS[args.subcommand][0](cfg)
-        if code == EX_OK:
-            _write_sidecar(args.subcommand, cfg, args.sidecar)
+        outputs = _Outputs()
+        try:
+            code = _SUBCOMMANDS[args.subcommand][0](cfg, outputs)
+            if code == EX_OK:
+                _write_sidecar(args.subcommand, cfg, args.sidecar, outputs)
+            outputs.commit()
+        finally:
+            outputs.discard()
         return code
     except _UsageError as exc:
         exc.parser.print_usage(sys.stderr)

@@ -39,7 +39,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -472,11 +472,11 @@ def train(
     return metrics, params
 
 
-def write_metrics_csv(rows: Iterable[MetricsRow], path: str) -> None:
-    """CSV with columns step, total_loss, nc_token_loss, non_nc_token_loss, eval."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["step", "total_loss", "nc_token_loss", "non_nc_token_loss", "eval"])
-        for row in rows:
-            losses = (row.total_loss, row.nc_token_loss, row.non_nc_token_loss)
-            writer.writerow([row.step, *map(repr, losses), int(row.is_eval)])
+def write_metrics_csv(rows: Iterable[MetricsRow], handle: TextIO) -> None:
+    """CSV with columns step, total_loss, nc_token_loss, non_nc_token_loss, eval,
+    written to a text handle that does not translate newlines."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(["step", "total_loss", "nc_token_loss", "non_nc_token_loss", "eval"])
+    for row in rows:
+        losses = (row.total_loss, row.nc_token_loss, row.non_nc_token_loss)
+        writer.writerow([row.step, *map(repr, losses), int(row.is_eval)])

@@ -624,6 +624,88 @@ class TestDatasetCommands:
         assert list(tmp_path.iterdir()) == []
 
 
+def _names(directory: Path) -> list[str]:
+    return sorted(path.name for path in directory.iterdir())
+
+
+class TestOneCommitPerRun:
+    """A run's outputs and sidecar are renamed into place together when the
+    command returns, from temporary files of its own."""
+
+    def _make_pairs(self, patents, out, train_frac="0.5"):
+        return main(["make-pairs", "--input", patents, "--train-frac", train_frac, "--output", str(out)])
+
+    def test_split_writes_three_outputs_and_the_sidecar(self, tmp_path, patents_path):
+        assert self._make_pairs(patents_path, tmp_path / "pairs.jsonl", "0.8") == EX_OK
+        assert _names(tmp_path) == [
+            "pairs.jsonl", "pairs.jsonl.config.json", "pairs.test.jsonl", "pairs.train.jsonl",
+        ]
+
+    def test_failed_last_split_leaves_nothing(self, tmp_path, patents_path, monkeypatch):
+        reference = tmp_path / "reference"
+        reference.mkdir()
+        assert self._make_pairs(patents_path, reference / "pairs.jsonl") == EX_OK
+        lines = {name: len((reference / name).read_text().splitlines())
+                 for name in ("pairs.jsonl", "pairs.train.jsonl", "pairs.test.jsonl")}
+        assert lines["pairs.test.jsonl"] > 0
+        before_test_split = lines["pairs.jsonl"] + lines["pairs.train.jsonl"]
+        pair_record, calls = cli._pair_record, []
+
+        def failing(pair, quoted):
+            calls.append(pair)
+            if len(calls) > before_test_split:
+                raise OSError("no space left on device")
+            return pair_record(pair, quoted)
+
+        monkeypatch.setattr(cli, "_pair_record", failing)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert self._make_pairs(patents_path, out / "pairs.jsonl") == EX_IOERR
+        assert len(calls) == before_test_split + 1
+        assert _names(out) == []
+
+    def test_failed_sidecar_leaves_nothing(self, tmp_path, patents_path):
+        argv = ["make-ipc", "--input", patents_path, "--output", str(tmp_path / "ipc.jsonl"),
+                "--sidecar", str(tmp_path / "missing" / "s.json")]
+        assert main(argv) == EX_IOERR
+        assert _names(tmp_path) == []
+
+    @pytest.mark.parametrize("spelling", ["same", "dot-segment"])
+    def test_sidecar_onto_output_writes_nothing(self, tmp_path, patents_path, capsys, spelling):
+        out = str(tmp_path / "o.jsonl")
+        sidecar = out if spelling == "same" else f"{tmp_path}/./o.jsonl"
+        argv = ["make-ipc", "--input", patents_path, "--output", out, "--sidecar", sidecar]
+        assert main(argv) == EX_FAIL
+        assert f"error: {sidecar} is written twice in one run" in capsys.readouterr().err
+        assert _names(tmp_path) == []
+
+    def test_another_runs_temporary_file_is_left_alone(self, tmp_path, patents_path):
+        out = tmp_path / "ipc.jsonl"
+        other = tmp_path / "ipc.jsonl.tmp"
+        other.write_bytes(b'{"partial": ')
+        assert main(["make-ipc", "--input", patents_path, "--output", str(out)]) == EX_OK
+        assert other.read_bytes() == b'{"partial": '
+        assert _names(tmp_path) == ["ipc.jsonl", "ipc.jsonl.config.json", "ipc.jsonl.tmp"]
+        assert len(out.read_text().splitlines()) == 18
+
+    def test_tolerance_breach_writes_the_report_and_no_sidecar(self, tmp_path):
+        report = tmp_path / "r.json"
+        argv = ["verify-masking", "--n", "500", "--seed", "1", "--tolerance", "1e-7", "--output", str(report)]
+        assert main(argv) == EX_TOLERANCE
+        assert _names(tmp_path) == ["r.json"]
+        assert json.loads(report.read_text())["abs_error"] > 1e-7
+
+    def test_outputs_get_the_mode_open_gives(self, tmp_path, patents_path):
+        previous = os.umask(0o027)
+        try:
+            assert self._make_pairs(patents_path, tmp_path / "pairs.jsonl") == EX_OK
+        finally:
+            os.umask(previous)
+        modes = {path.name: path.stat().st_mode & 0o777 for path in tmp_path.iterdir()}
+        assert len(modes) == 4
+        assert set(modes.values()) == {0o640}
+
+
 class TestTrainTiny:
     def test_writes_metrics(self, tmp_path, annotated_corpus):
         tsv, vocab = annotated_corpus

@@ -507,7 +507,8 @@ class TestTrain:
     def test_metrics_csv(self, tmp_path):
         rows = [MetricsRow(0, 1.5, 1.25, float("nan"), True)]
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(rows, str(path))
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            write_metrics_csv(rows, handle)
         lines = path.read_text().splitlines()
         assert lines[0] == "step,total_loss,nc_token_loss,non_nc_token_loss,eval"
         assert lines[1] == "0,1.5,1.25,nan,1"
