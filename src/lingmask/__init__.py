@@ -10,7 +10,7 @@ end-to-end strategy comparisons.
 
 __version__ = "0.1.0"
 
-from .chunker import AnnotatedSentence, AnnotatedToken, ChunkStats, chunk_stats, extract_noun_chunks
+from .chunker import AnnotatedSentence, AnnotatedToken, ChunkStats, chunk_stats
 from .corpus import CleanDocument, RawDocument, clean_document, normalize_text, split_sentences
 from .masking import MaskedExample, MaskingConfig, TokenizedSequence, build_example, mask_batches, mask_sequences
 from .stats import KsResult, MaskProbReport, empirical_mask_report, expected_conditional_mask_prob, ks_from_counts, ks_two_sample, tally_blocks
@@ -37,7 +37,6 @@ __all__ = [
     "encode_sentence",
     "encode_word",
     "expected_conditional_mask_prob",
-    "extract_noun_chunks",
     "ks_from_counts",
     "ks_two_sample",
     "load_vocab",

@@ -1,13 +1,8 @@
-"""Noun-chunk detection over POS-tagged sentences and chunk-length statistics.
+"""Noun-chunk annotations of POS-tagged sentences and chunk-length statistics.
 
-Chunk spans either come from an external annotation file (one token per line,
-``surface<TAB>pos<TAB>chunk_id``, blank line between sentences) or from the
-built-in rule grammar. A noun chunk is the maximal token sequence matching
-
-    DET? (ADJ | NUM | NOUN | PROPN | PUNCT-between-two-nominals)* (NOUN | PROPN)
-
-so every chunk ends in a noun or proper noun and never contains a verb.
-Per-token membership flags are derived from the spans.
+Chunk spans come from an external annotation file (one token per line,
+``surface<TAB>pos<TAB>chunk_id``, blank line between sentences). Per-token
+membership flags are derived from the spans.
 """
 
 from __future__ import annotations
@@ -27,9 +22,6 @@ UPOS_TAGS = frozenset(
         "PART", "PRON", "PROPN", "PUNCT", "SCONJ", "SYM", "VERB", "X",
     }
 )
-
-_NOMINAL = frozenset({"NOUN", "PROPN"})
-_CHUNK_BODY = frozenset({"ADJ", "NUM", "NOUN", "PROPN"})
 
 DEFAULT_MAX_CHUNK_LEN = 10
 
@@ -75,45 +67,6 @@ class AnnotatedSentence:
         self.y = spans_to_flags(self.chunk_spans, n)
 
 
-def extract_noun_chunks(tokens: list[AnnotatedToken]) -> list[tuple[int, int]]:
-    """Find maximal noun-chunk spans with the rule grammar.
-
-    Spans are disjoint, sorted, and each ends at its last nominal token.
-    Punctuation is absorbed only between two nominals (hyphenated compounds).
-    """
-    if not tokens:
-        raise ValueError("tokens must be non-empty")
-    pos = [t.pos for t in tokens]
-    n = len(pos)
-    spans: list[tuple[int, int]] = []
-    i = 0
-    while i < n:
-        start = i
-        k = i + 1 if pos[i] == "DET" else i
-        last_nominal = -1
-        while k < n:
-            if pos[k] in _CHUNK_BODY:
-                if pos[k] in _NOMINAL:
-                    last_nominal = k
-                k += 1
-            elif (
-                pos[k] == "PUNCT"
-                and k > start
-                and k + 1 < n
-                and pos[k - 1] in _NOMINAL
-                and pos[k + 1] in _NOMINAL
-            ):
-                k += 1
-            else:
-                break
-        if last_nominal >= 0:
-            spans.append((start, last_nominal + 1))
-            i = last_nominal + 1
-        else:
-            i = start + 1
-    return spans
-
-
 def filter_chunks(
     spans: list[tuple[int, int]], max_len: int = DEFAULT_MAX_CHUNK_LEN
 ) -> list[tuple[int, int]]:
@@ -121,11 +74,6 @@ def filter_chunks(
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     return [(s, e) for s, e in spans if e - s <= max_len]
-
-
-def sentence_from_tokens(tokens: list[AnnotatedToken]) -> AnnotatedSentence:
-    """Annotate a token list with the built-in rule chunker."""
-    return AnnotatedSentence(tokens=tokens, chunk_spans=extract_noun_chunks(tokens))
 
 
 # Each POS tag as one shared string, so every token of a tag holds the same one.

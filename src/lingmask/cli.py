@@ -90,7 +90,10 @@ class _Outputs(dict):
         if key in self:
             raise ValueError(f"{path} is written twice in one run")
         tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
-        handle = self[key] = open(tmp, "x", encoding="utf-8", newline="\n")
+        try:
+            handle = self[key] = open(tmp, "x", encoding="utf-8", newline="\n")
+        except OSError as exc:  # name the path asked for, not the temporary file
+            raise OSError(exc.errno, exc.strerror, path) from None
         return handle
 
     def commit(self) -> None:
@@ -370,22 +373,31 @@ def _cmd_ks_compare(cfg: dict[str, Any], outputs: _Outputs) -> int:
 
 _REQUIRED = object()
 
-# An option is (flag, type or tuple of choices, default or _REQUIRED, help);
-# the flag's dest is its config-file and sidecar key.
+# A range is (accepts, rule): checked once the options are resolved, so that
+# a bad value is a validation failure that names its flag.
+_AT_LEAST_ZERO = (lambda v: v >= 0, "must be >= 0")
+_FINITE_AT_LEAST_ZERO = (lambda v: 0 <= v < math.inf, "must be finite and >= 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must be in (0, 1)")
+_PROBABILITY = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
+
+# An option is (flag, type or tuple of choices, default or _REQUIRED, help),
+# with its range as an optional fifth element; the flag's dest is its
+# config-file and sidecar key.
 _ANNOTATIONS = ("--annotations", str, _REQUIRED, "annotation TSV: surface, POS tag, chunk id")
 _VOCAB = ("--vocab", str, _REQUIRED, "vocabulary file, one piece per line")
 _REPORT = ("--output", str, None, "report path (default: stdout)")
-_MASK_PROB = ("--mask-prob", float, 0.15, None)
-_MAX_PRED = ("--max-pred", int, 20, "most masked positions per sequence")
-_SEED = ("--seed", int, 0, None)
+_MASK_PROB = ("--mask-prob", float, 0.15, None, _OPEN_UNIT)
+_MAX_PRED = ("--max-pred", int, 20, "most masked positions per sequence", _AT_LEAST_ONE)
+_SEED = ("--seed", int, 0, None, _AT_LEAST_ZERO)
 # Unset by default: masking reads it only under lim, so mlm rejects it.
-_LIM_P_NC = ("--p-nc", float, None, "lim: chance that a sequence masks only chunk tokens")
+_LIM_P_NC = ("--p-nc", float, None, "lim: chance that a sequence masks only chunk tokens", _PROBABILITY)
 _MASKING_OPTIONS = [
     ("--strategy", STRATEGIES, "mlm", "mask uniformly (mlm) or within one chunk pool (lim)"),
     _LIM_P_NC,
     _MASK_PROB,
     _MAX_PRED,
-    ("--max-seq-len", int, 128, "pieces kept per sentence"),
+    ("--max-seq-len", int, 128, "pieces kept per sentence", _AT_LEAST_ONE),
     _SEED,
     ("--mask-piece", str, "[MASK]", None),
 ]
@@ -399,7 +411,7 @@ _SUBCOMMANDS = {
     ]),
     "chunk-stats": (_cmd_chunk_stats, "chunk-length and token-membership statistics", [
         _ANNOTATIONS,
-        ("--max-chunk-len", int, 10, "longest chunk counted in the histogram"),
+        ("--max-chunk-len", int, 10, "longest chunk counted in the histogram", _AT_LEAST_ONE),
         _REPORT,
     ]),
     "tokenize-stats": (_cmd_tokenize_stats, "split-ratio statistics for a vocabulary", [
@@ -415,14 +427,14 @@ _SUBCOMMANDS = {
     ]),
     "verify-masking": (_cmd_verify_masking, "check conditional masking probabilities on synthetic data", [
         ("--strategy", STRATEGIES, "lim", "mask uniformly (mlm) or within one chunk pool (lim)"),
-        ("--p-nc", float, 0.75, "lim: chance that a sequence masks only chunk tokens"),
-        ("--n", int, 100000, "number of synthetic sequences"),
-        ("--seq-len", int, 128, None),
-        ("--p-y1", float, 0.507, "token-level chunk probability"),
+        ("--p-nc", float, 0.75, "lim: chance that a sequence masks only chunk tokens", _PROBABILITY),
+        ("--n", int, 100000, "number of synthetic sequences", _AT_LEAST_ONE),
+        ("--seq-len", int, 128, None, _AT_LEAST_ONE),
+        ("--p-y1", float, 0.507, "token-level chunk probability", _PROBABILITY),
         _MASK_PROB,
         _MAX_PRED,
         _SEED,
-        ("--tolerance", float, 0.005, "largest accepted abs_error"),
+        ("--tolerance", float, 0.005, "largest accepted abs_error", _AT_LEAST_ZERO),
         _REPORT,
     ]),
     "make-ipc": (_cmd_make_ipc, "build subclass classification examples", [
@@ -433,20 +445,20 @@ _SUBCOMMANDS = {
         ("--input", str, _REQUIRED, "patent records JSONL"),
         ("--output", str, _REQUIRED, None),
         _SEED,
-        ("--train-frac", float, None, "also write a train/test split"),
+        ("--train-frac", float, None, "also write a train/test split", _PROBABILITY),
     ]),
     "train-tiny": (_cmd_train_tiny, "train the tiny reference masked LM", [
         _ANNOTATIONS,
         _VOCAB,
         ("--output", str, _REQUIRED, "metrics CSV path"),
         *_MASKING_OPTIONS,
-        ("--lr", float, 0.5, None),
-        ("--steps", int, 1000, None),
-        ("--batch-size", int, 32, None),
-        ("--eval-every", int, 100, None),
-        ("--context-radius", int, 0, "context pieces on each side; 0 means the whole sequence"),
-        ("--hidden-dim", int, 8, None),
-        ("--eval-fraction", float, 0.1, "held-out share of the sequences"),
+        ("--lr", float, 0.5, None, _FINITE_AT_LEAST_ZERO),
+        ("--steps", int, 1000, None, _AT_LEAST_ZERO),
+        ("--batch-size", int, 32, None, _AT_LEAST_ONE),
+        ("--eval-every", int, 100, None, _AT_LEAST_ONE),
+        ("--context-radius", int, 0, "context pieces on each side; 0 means the whole sequence", _AT_LEAST_ZERO),
+        ("--hidden-dim", int, 8, None, _AT_LEAST_ONE),
+        ("--eval-fraction", float, 0.1, "held-out share of the sequences", _OPEN_UNIT),
     ]),
     "ks-compare": (_cmd_ks_compare, "two-sample KS test over two histogram files", [
         ("--a", str, _REQUIRED, "first histogram JSON file (length -> count)"),
@@ -458,41 +470,11 @@ _SUBCOMMANDS = {
 }
 
 
-# Value checks by flag, made once the options are resolved, so that a bad
-# value is a validation failure that names its flag.
-_AT_LEAST_ZERO = (lambda v: v >= 0, "must be >= 0")
-_FINITE_AT_LEAST_ZERO = (lambda v: 0 <= v < math.inf, "must be finite and >= 0")
-_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
-_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must be in (0, 1)")
-_PROBABILITY = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
-_RANGES = {
-    "--mask-prob": _OPEN_UNIT,
-    "--max-pred": _AT_LEAST_ONE,
-    "--max-seq-len": _AT_LEAST_ONE,
-    "--seq-len": _AT_LEAST_ONE,
-    "--n": _AT_LEAST_ONE,
-    "--p-nc": _PROBABILITY,
-    "--p-y1": _PROBABILITY,
-    "--seed": _AT_LEAST_ZERO,
-    "--max-chunk-len": _AT_LEAST_ONE,
-    "--lr": _FINITE_AT_LEAST_ZERO,
-    "--steps": _AT_LEAST_ZERO,
-    "--batch-size": _AT_LEAST_ONE,
-    "--eval-every": _AT_LEAST_ONE,
-    "--context-radius": _AT_LEAST_ZERO,
-    "--hidden-dim": _AT_LEAST_ONE,
-    "--eval-fraction": _OPEN_UNIT,
-    "--train-frac": _PROBABILITY,
-    "--tolerance": _AT_LEAST_ZERO,
-}
-
-
 def _check_ranges(subcommand: str, cfg: dict[str, Any]) -> None:
-    for flag, *_ in _SUBCOMMANDS[subcommand][2]:
+    for flag, _, _, _, *checks in _SUBCOMMANDS[subcommand][2]:
         value = cfg[_dest(flag)]
-        if flag in _RANGES and value is not None:
-            accepts, rule = _RANGES[flag]
-            if not accepts(value):
+        for accepts, rule in checks:
+            if value is not None and not accepts(value):
                 raise ValueError(f"{flag} {rule}, got {value}")
 
 
@@ -514,7 +496,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p = subparsers[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file of option values (flags override)")
         p.add_argument("--sidecar", help="where to write the resolved config")
-        for flag, kind, _, option_help in options:
+        for flag, kind, _, option_help, *_ in options:
             if isinstance(kind, tuple):
                 p.add_argument(flag, choices=kind, help=option_help)
             else:
@@ -554,7 +536,7 @@ def _resolve(parser: _Parser, argv: list[str], args: argparse.Namespace) -> dict
         except _UsageError as exc:
             parser.error(f"config file {args.config}: {exc}")
     resolved: dict[str, Any] = {}
-    for flag, _, default, _ in options:
+    for flag, _, default, *_ in options:
         key = _dest(flag)
         value = getattr(args, key)
         if value is None:

@@ -6,8 +6,8 @@ with a small deterministic rule set. All functions here are pure, so document
 streams can be processed by any number of workers and reassembled by id.
 
 Input formats:
-  * JSONL: one object per line, UTF-8, fields ``id`` (required), ``text``
-    (required), ``section`` (optional, defaults to "other").
+  * JSONL: one object per line, UTF-8, fields ``id`` and ``text`` (both
+    required); other keys, ``section`` among them, are ignored.
   * TSV: two tab-separated columns, ``id`` and ``text``, no header.
 """
 
@@ -18,8 +18,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
-SECTIONS = frozenset({"title", "abstract", "claims", "description", "other"})
-
 # Characters that mark a token as formula-like when adjacent to a digit or
 # another non-alphanumeric character.
 _FORMULA_OPERATORS = frozenset("=∑∫^")
@@ -29,17 +27,14 @@ _DOLLAR_SPAN = re.compile(r"\$[^$]*\$")
 
 @dataclass
 class RawDocument:
-    """One raw input document: opaque id, text, and source section."""
+    """One raw input document: opaque id and text."""
 
     id: str
     text: str
-    section: str = "other"
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("document id must be non-empty")
-        if self.section not in SECTIONS:
-            raise ValueError(f"unknown section: {self.section!r}")
 
 
 @dataclass
@@ -143,12 +138,7 @@ def _jsonl_documents(path: str) -> Iterator[RawDocument]:
                     if name not in record:
                         raise ValueError(f"missing field: {name} at line {lineno}")
                     raise ValueError(f"invalid field: {name} at line {lineno}")
-            section = record.get("section", "other")
-            if not isinstance(section, str) or section.lower() not in SECTIONS:
-                section = "other"
-            else:
-                section = section.lower()
-            yield RawDocument(id=record["id"], text=record["text"], section=section)
+            yield RawDocument(id=record["id"], text=record["text"])
 
 
 def _tsv_documents(path: str) -> Iterator[RawDocument]:

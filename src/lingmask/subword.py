@@ -122,7 +122,6 @@ class Encoding:
     """Subword encoding of one sentence."""
 
     pieces: list[str]
-    ids: list[int]
     word_count: int
     split_ratio: float
 
@@ -137,7 +136,6 @@ def encode_sentence(sentence: str, vocab: Vocabulary) -> Encoding:
         pieces.extend(encode_word(word, vocab))
     return Encoding(
         pieces=pieces,
-        ids=[vocab.id_of(p) for p in pieces],
         word_count=len(words),
         split_ratio=len(pieces) / len(words),
     )

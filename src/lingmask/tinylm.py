@@ -102,10 +102,6 @@ class TinyLmParams:
     def vocab_size(self) -> int:
         return self.embeddings.shape[0]
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.embeddings.shape[1]
-
 
 EVAL_BLOCK = 32  # held-out examples per forward pass; bounds the context-row x V matrices
 

@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from lingmask.chunker import AnnotatedToken, sentence_from_tokens
+from lingmask.chunker import AnnotatedToken
 from lingmask.subword import Vocabulary, load_vocab
+from rule_chunker import sentence_from_tokens
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -10,11 +10,10 @@ from lingmask.chunker import (
     AnnotatedSentence,
     AnnotatedToken,
     chunk_stats,
-    extract_noun_chunks,
     filter_chunks,
     parse_annotations,
-    sentence_from_tokens,
 )
+from rule_chunker import extract_noun_chunks, sentence_from_tokens
 
 
 def toks(*pairs):

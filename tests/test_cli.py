@@ -147,6 +147,17 @@ class TestNormalize:
         assert sidecar["subcommand"] == "normalize"
         assert sidecar["format"] == "jsonl"
 
+    def test_section_key_is_ignored(self, tmp_path):
+        src = tmp_path / "docs.jsonl"
+        out = tmp_path / "clean.jsonl"
+        record = {"id": "d1", "text": "A\tcat. A dog."}
+        sections = [{}, {"section": "claims"}, {"section": "figures"}, {"section": 5}]
+        src.write_text(
+            "".join(json.dumps({**record, **section}) + "\n" for section in sections), encoding="utf-8"
+        )
+        assert main(["normalize", "--input", str(src), "--output", str(out)]) == EX_OK
+        assert out.read_bytes() == b'{"id": "d1", "sentences": ["A cat.", "A dog."]}\n' * 4
+
 
 # Reference forms of the dataset records: each record's dict through
 # json.dumps. The writers build the same bytes from pieces.
@@ -664,10 +675,18 @@ class TestOneCommitPerRun:
         assert len(calls) == before_test_split + 1
         assert _names(out) == []
 
-    def test_failed_sidecar_leaves_nothing(self, tmp_path, patents_path):
-        argv = ["make-ipc", "--input", patents_path, "--output", str(tmp_path / "ipc.jsonl"),
-                "--sidecar", str(tmp_path / "missing" / "s.json")]
+    @pytest.mark.parametrize("flag", ["--output", "--sidecar"])
+    def test_missing_directory_leaves_nothing_and_is_named_as_given(self, tmp_path, patents_path, capsys, flag):
+        given = str(tmp_path / "missing" / "o.jsonl")
+        paths = {"--output": str(tmp_path / "ipc.jsonl"), "--sidecar": str(tmp_path / "s.json")}
+        paths[flag] = given
+        argv = ["make-ipc", "--input", patents_path]
+        for option, path in paths.items():
+            argv += [option, path]
         assert main(argv) == EX_IOERR
+        err = capsys.readouterr().err
+        assert ".tmp" not in err
+        assert err == f"lingmask: i/o error: [Errno 2] No such file or directory: {given!r}\n"
         assert _names(tmp_path) == []
 
     @pytest.mark.parametrize("spelling", ["same", "dot-segment"])

@@ -162,10 +162,6 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             RawDocument(id="", text="x")
 
-    def test_raw_document_rejects_unknown_section(self):
-        with pytest.raises(ValueError):
-            RawDocument(id="d", text="x", section="figures")
-
     def test_clean_document_pipeline(self):
         doc = clean_document(RawDocument(id="d", text="A\tcat. A dog."))
         assert doc == CleanDocument(id="d", sentences=["A cat.", "A dog."])
@@ -187,9 +183,6 @@ class TestIngest:
         )
         docs = list(ingest_documents(str(path)))
         assert [d.id for d in docs] == ["a", "b", "c"]
-        assert docs[0].section == "claims"
-        assert docs[1].section == "other"
-        assert docs[2].section == "other"
 
     def test_jsonl_missing_text(self, tmp_path):
         path = tmp_path / "docs.jsonl"
@@ -212,10 +205,7 @@ class TestIngest:
         path = tmp_path / "docs.tsv"
         self._write(path, ["a\tone two", "b\tthree"])
         docs = list(ingest_documents(str(path), format="tsv"))
-        assert [(d.id, d.text, d.section) for d in docs] == [
-            ("a", "one two", "other"),
-            ("b", "three", "other"),
-        ]
+        assert [(d.id, d.text) for d in docs] == [("a", "one two"), ("b", "three")]
 
     def test_tsv_wrong_columns(self, tmp_path):
         path = tmp_path / "docs.tsv"

@@ -38,6 +38,11 @@ GOLDEN = {
     "train-tiny-lim-chunk-only": "7c85339362ce752307dbbabfaa4135d9f17ce96262fa035fc3047f4abf01b571",
     # 600 sentences: masks from three blocks' streams, the last one partial.
     "train-tiny-multi-block": "03202a617283b753ee1bfdd48a0619d37400b415927e9883241ae70a5ad14599",
+    # The chunk spans of annotated_corpus, as the annotation file gives them.
+    "chunk-stats": "dd2cce860b9dabf58b923a6bb8f44ab7d341fc69ffe20d523902ee9d22189f1f",
+    # sentences.txt holds a blank line, padded and multi-piece words and an
+    # unknown word.
+    "tokenize-stats": "41d3e7e9271d0bb41ae41d8fd8f17c99ade0103f388ba126eecbf38eb1b7590a",
 }
 
 # make-pairs --seed 5 --train-frac 0.8: the split files (the unsplit output
@@ -48,7 +53,7 @@ SPLIT_GOLDEN = {
 }
 
 
-def _argv(name, annotations, vocab, patents, documents, out):
+def _argv(name, annotations, vocab, patents, data_dir, out):
     return {
         "make-pretraining-data-mlm": [
             "make-pretraining-data", "--annotations", annotations, "--vocab", vocab,
@@ -72,7 +77,12 @@ def _argv(name, annotations, vocab, patents, documents, out):
         ],
         "make-ipc": ["make-ipc", "--input", patents],
         "make-pairs": ["make-pairs", "--input", patents, "--seed", "5"],
-        "normalize": ["normalize", "--input", documents],
+        "normalize": ["normalize", "--input", str(data_dir / "documents.jsonl")],
+        "chunk-stats": ["chunk-stats", "--annotations", annotations],
+        "tokenize-stats": [
+            "tokenize-stats", "--input", str(data_dir / "sentences.txt"),
+            "--vocab", str(data_dir / "vocab_patent.txt"),
+        ],
         "train-tiny": [
             "train-tiny", "--annotations", annotations, "--vocab", vocab,
             "--steps", "5", "--batch-size", "4", "--seed", "2",
@@ -99,8 +109,7 @@ def test_output_digest(name, tmp_path, annotated_corpus, multi_block_corpus, pat
     annotations, vocab = multi_block_corpus if name == "train-tiny-multi-block" else annotated_corpus
     out = tmp_path / "out"
     replay = tmp_path / "replay"
-    documents = str(data_dir / "documents.jsonl")
-    argv = _argv(name, annotations, vocab, patents_path, documents, str(out))
+    argv = _argv(name, annotations, vocab, patents_path, data_dir, str(out))
     assert main(argv) == EX_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name]
     assert main([argv[0], "--config", f"{out}.config.json", "--output", str(replay)]) == EX_OK

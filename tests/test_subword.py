@@ -123,7 +123,6 @@ class TestEncodeSentence:
             assert len(enc.pieces) == n_pieces
             assert enc.word_count == 3
             assert enc.split_ratio == ratio
-            assert enc.ids == [vocab.id_of(p) for p in enc.pieces]
 
     def test_fully_covered_sentence_has_ratio_one(self, patent_vocab):
         assert encode_sentence("point access femto", patent_vocab).split_ratio == 1.0

@@ -376,7 +376,7 @@ def _loop_slots(batch, params):
             context = [
                 ex.input_ids[k] for k in visible if radius == 0 or abs(k - position) <= radius
             ]
-            hidden = np.zeros(params.hidden_dim)
+            hidden = np.zeros(params.embeddings.shape[1])
             if context:
                 hidden = params.embeddings[context].mean(axis=0)
             yield predict(hidden[None, :], params)[0], label, hidden, context
