@@ -81,9 +81,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Outputs(dict):
-    """The files one run writes, by path. Each is written to a new file next
-    to it, created exclusively under a name of its own; ``commit`` renames
-    them into place in the order opened, and ``discard`` removes the rest."""
+    """The files one run writes: the path asked for and the open handle, by
+    absolute path. Each is written to a new file next to it, created
+    exclusively under a name of its own; ``commit`` renames them into place
+    in the order opened, and ``discard`` removes the rest. An error names
+    the path asked for, never the temporary file."""
 
     def open(self, path: str) -> TextIO:
         key = os.path.abspath(path)
@@ -91,19 +93,23 @@ class _Outputs(dict):
             raise ValueError(f"{path} is written twice in one run")
         tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
         try:
-            handle = self[key] = open(tmp, "x", encoding="utf-8", newline="\n")
-        except OSError as exc:  # name the path asked for, not the temporary file
+            handle = open(tmp, "x", encoding="utf-8", newline="\n")
+        except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
+        self[key] = path, handle
         return handle
 
     def commit(self) -> None:
-        for path, handle in list(self.items()):
+        for key, (path, handle) in list(self.items()):
             handle.close()
-            os.replace(handle.name, path)
-            del self[path]
+            try:
+                os.replace(handle.name, path)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            del self[key]
 
     def discard(self) -> None:
-        for handle in self.values():
+        for _, handle in self.values():
             with suppress(OSError):
                 handle.close()
             with suppress(OSError):

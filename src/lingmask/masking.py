@@ -38,21 +38,27 @@ with the smallest keys, which is a uniform sample without replacement; its
 words. Because Philox is counter-based, only the words a batch of rows needs
 are computed, and an example depends only on the seed, its ordinal and its
 own sequence: the output for a corpus prefix is a prefix of the output for
-the whole corpus, and how the work is batched does not matter.
+the whole corpus, and how the work is batched does not matter. The stream
+number is a counter word, so one cipher call can serve several blocks, and
+any run of rows of the stream, within a block or across blocks, is drawn
+at once.
 
 ``draw_rows`` is the one function that knows this layout. It has two
-callers. ``mask_rows``, for a grid of rows within one block, from a given
-row of the stream on, returns the masked positions of all rows as one flat
-array, with per-row counts, branches and the aligned chunk flags and
-replacement ids. ``mask_counts`` returns only each row's masked and masked
-chunk-flagged counts, which is all the law check reads: under ``lim`` it
-draws the coins alone, because every masked position of a row has the flag
-of its pool, so a row's counts follow from its coin and its flags. Both
-apply one pool rule (``_lim_pools``). ``mask_batches`` masks a stream of
-sequences ``_BATCH`` rows at a time; ``mask_sequences`` (pre-training
-examples) and ``tinylm.pack_corpus`` (the tiny LM's table) read it, and
-``stats.tally_blocks`` (the law check) counts grids of synthetic rows
-numbered the same way with ``mask_counts``.
+callers. ``mask_rows``, for a grid of rows from a given row of the stream
+on, returns the masked positions of all rows as one flat array, with
+per-row counts, branches and the aligned chunk flags and replacement ids.
+``lim_counts`` returns only each row's masked and masked chunk-flagged
+counts under ``lim``, which is all the law check reads: it draws the coins
+alone, because every masked position of a row has the flag of its pool, so
+a row's counts follow from its coin, its length and its number of
+chunk-flagged positions. Both apply one pool rule (``_lim_pools``), and
+``mask_counts`` gives the same counts for a grid of flags under either
+strategy. ``mask_batches`` masks a stream of sequences ``_BATCH`` rows at a
+time; ``mask_sequences`` (pre-training examples) and ``tinylm.pack_corpus``
+(the tiny LM's table) read it. ``stats.tally_blocks`` (the law check)
+counts grids of synthetic rows numbered the same way: under ``mlm`` with
+``mask_counts`` one grid at a time, under ``lim`` with ``lim_counts`` once
+per run of up to 16 blocks.
 
 The kernel is laid out for numpy. ``philox4x32`` runs its rounds in place on
 one (4, n) array, so a round allocates nothing. ``draw_rows`` lays a batch's
@@ -227,7 +233,8 @@ def sequence_rng(seed: int, block: int) -> Philox:
     Philox keyed by the root seed, stream number ``block``.
 
     A block's words depend only on (seed, block), never on which blocks were
-    drawn before, so any block can be drawn on its own.
+    drawn before, so any block can be drawn on its own. ``draw_rows``
+    computes the same words for a run of rows of one or more blocks.
     """
     return Philox(seed % 2**64, block)
 
@@ -235,18 +242,21 @@ def sequence_rng(seed: int, block: int) -> Philox:
 def draw_rows(
     config: MaskingConfig, start: int, rows: int, span: int, replacements: bool = True
 ) -> tuple[np.ndarray | None, ...]:
-    """The words of rows ``start`` to ``start + rows - 1`` of the stream, which
-    must lie in one block: coins, keys, replacement and random-id words, each
-    the leading columns of its region as a (rows, columns) array, or None.
+    """The words of rows ``start`` to ``start + rows - 1`` of the stream, in
+    one block or across any number of them: coins, keys, replacement and
+    random-id words, each the leading columns of its region as a (rows,
+    columns) array, or None.
 
     A block's stream holds the four regions one after the other: coins (1
     column), keys (max_seq_len columns) and the last two (max_pred columns
     each). Column ``j`` of a region is ``BLOCK`` consecutive words, one per
     row. Only what is asked for is computed: the coins under ``lim``, the
     first ``span`` key columns and, with ``replacements``, the first
-    ``min(max_pred, span)`` columns of the last two regions. The words are
-    laid out row-major with one copy: each region is a column slice of one
-    C-contiguous (rows, columns) array.
+    ``min(max_pred, span)`` columns of the last two regions. One cipher call
+    computes the words of every block the rows touch, each counter carrying
+    its block's stream number. The words are laid out row-major with one
+    copy: each region is a column slice of one C-contiguous (rows, columns)
+    array, whose rows follow each other across block boundaries.
     """
     if start < 0:
         raise ValueError(f"rows are numbered from 0, got start {start}")
@@ -254,22 +264,21 @@ def draw_rows(
         raise ValueError("no rows to draw")
     if span > config.max_seq_len:
         raise ValueError(f"span {span} exceeds max_seq_len {config.max_seq_len}")
-    block, first = divmod(start, BLOCK)
-    if first + rows > BLOCK:
-        raise ValueError(
-            f"rows {start} to {start + rows - 1} cross the block boundary at row {start - first + BLOCK}"
-        )
     width = min(config.max_pred, span)
     starts = (0, 1, 1 + config.max_seq_len, 1 + config.max_seq_len + config.max_pred)
     wanted = (int(config.strategy == "lim"), span, width * replacements, width * replacements)
     columns = np.concatenate([at + np.arange(n) for at, n in zip(starts, wanted)])
-    skip = first % 4
-    per_column = (skip + rows + 3) // 4
-    groups = ((columns * BLOCK + first - skip) // 4)[:, None] + np.arange(per_column)[:, None, None]
-    # The words of group g of column c come out as a (per_column, columns, 4)
-    # view; the copy puts word 4 g + w of each column in row 4 g + w - skip.
-    rng = sequence_rng(config.seed, block)
-    words = rng.words(groups).transpose(0, 2, 1).reshape(4 * per_column, -1)[skip : skip + rows]
+    # A counter serves four consecutive rows of one column, and a block's
+    # BLOCK rows are whole groups of four, so no counter spans two blocks.
+    skip, per_block = start % 4, BLOCK // 4
+    streams, groups = np.divmod(np.arange((start - skip) // 4, (start + rows + 3) // 4), per_block)
+    stream = int(streams[0]) if streams[0] == streams[-1] else np.repeat(streams, len(columns))
+    counters = (groups[:, None] + columns * per_block).ravel()
+    seed = config.seed % 2**64
+    state = philox4x32((counters, stream & 0xFFFFFFFF, stream >> 32, 0), (seed & 0xFFFFFFFF, seed >> 32))
+    # Word w of the counter of group g and column c is state[w, g, c]; the
+    # copy puts it in row 4 g + w - skip.
+    words = state.reshape(4, len(groups), -1).transpose(1, 0, 2).reshape(-1, len(columns))[skip : skip + rows]
     parts = np.split(words, np.cumsum(wanted)[:-1], axis=1)
     return tuple(part if n else None for part, n in zip(parts, wanted))
 
@@ -324,7 +333,7 @@ def mask_rows(
 ) -> MaskedRows:
     """Choose the masked positions of rows ``start``, ``start + 1``, ... of
     the stream, and with ``replacements`` what each is replaced by. The rows
-    must lie in one block (``draw_rows``).
+    may span any number of blocks (``draw_rows``).
 
     ``flags`` is a (rows, span) boolean array of chunk flags, False past
     each row's length, where ``span`` is the longest length.
@@ -379,26 +388,41 @@ def mask_counts(
     chunk-flagged, as two arrays with one entry per row. The arguments are
     those of ``mask_rows``.
 
-    Under ``lim`` a row's masked positions all have the flag of its pool, so
-    its counts follow from its coin and its flags: only the coins are drawn.
-    Under ``mlm`` the positions are chosen and their flags counted.
+    Under ``mlm`` the positions are chosen and their flags counted; under
+    ``lim`` the counts come from ``lim_counts``.
     """
-    rows, span = flags.shape
+    rows = len(flags)
     if config.strategy == "mlm":
         masked = mask_rows(flags, lengths, config, start, replacements=False)
         owner = np.repeat(np.arange(rows), masked.counts)
         return masked.counts, np.bincount(owner[masked.chunk], minlength=rows)
-    if span > config.max_seq_len:
-        raise ValueError(f"span {span} exceeds max_seq_len {config.max_seq_len}")
+    return lim_counts(np.count_nonzero(flags, axis=1), lengths, config, start)
+
+
+def lim_counts(
+    n_chunk: np.ndarray, lengths: np.ndarray, config: MaskingConfig, start: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """``mask_counts`` under ``lim``, from each row's length and number of
+    chunk-flagged positions alone.
+
+    A row's masked positions all have the flag of its pool, so its counts
+    follow from its coin and those two numbers: only the coins are drawn,
+    in one cipher call for all the rows, whatever blocks they span.
+    """
+    if config.strategy != "lim":
+        raise ValueError(f"lim_counts needs strategy 'lim', got {config.strategy!r}")
+    if lengths.size and lengths.max() > config.max_seq_len:
+        raise ValueError(f"span {lengths.max()} exceeds max_seq_len {config.max_seq_len}")
     budget = mask_budget(lengths, config)
-    coins, *_ = draw_rows(config, start, rows, 0, replacements=False)
-    nc, counts = _lim_pools(coins[:, 0], np.count_nonzero(flags, axis=1), lengths, budget, config)
+    coins, *_ = draw_rows(config, start, len(lengths), 0, replacements=False)
+    nc, counts = _lim_pools(coins[:, 0], n_chunk, lengths, budget, config)
     return counts, np.where(nc, counts, 0)
 
 
 # Sequences masked at a time: a divisor of BLOCK, so a batch is rows of one
-# block. Small batches keep each stage's working set warm and memory low and
-# flat when a caller parses and encodes its sequences as they are masked.
+# block and its counters share one stream number. Small batches keep each
+# stage's working set warm and memory low and flat when a caller parses and
+# encodes its sequences as they are masked.
 _BATCH = 64
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import logging
 import os
@@ -688,6 +689,16 @@ class TestOneCommitPerRun:
         assert ".tmp" not in err
         assert err == f"lingmask: i/o error: [Errno 2] No such file or directory: {given!r}\n"
         assert _names(tmp_path) == []
+
+    def test_failed_rename_leaves_nothing_and_is_named_as_given(self, tmp_path, patents_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ipc.jsonl").mkdir()
+        assert main(["make-ipc", "--input", patents_path, "--output", "ipc.jsonl"]) == EX_IOERR
+        err = capsys.readouterr().err
+        assert ".tmp" not in err
+        assert err == f"lingmask: i/o error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'ipc.jsonl'\n"
+        assert _names(tmp_path) == ["ipc.jsonl"]
+        assert _names(tmp_path / "ipc.jsonl") == []
 
     @pytest.mark.parametrize("spelling", ["same", "dot-segment"])
     def test_sidecar_onto_output_writes_nothing(self, tmp_path, patents_path, capsys, spelling):

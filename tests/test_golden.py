@@ -25,6 +25,10 @@ GOLDEN = {
     # often empty, so the fallback fires.
     "verify-masking-mlm": "b24e1de7161b280c066cb65d771c3bdd59f669455d72d78aa07fab2c86ed86ca",
     "verify-masking-lim-fallback": "bcbbac1917e6ee91ddddf676976041a9403ec76a6a7676ccd86d32779589ff59",
+    # 10000 rows: 39 blocks, the last one partial, so the law check's coins
+    # come in more than one run of 16 blocks.
+    "verify-masking-lim-10000": "36e7f232941a811854f07747fb9a40f8483cd8fa238ef109e97b40338e30ef0d",
+    "verify-masking-mlm-10000": "3a626bfbe11ca25ceaf0016449b19bd38cc3c1229b73b82cf04ffc4d0fa5e116",
     "make-ipc": "cf3cee2be23442165060a2d5ed16f9317c47caf1d557fe4c189260e3bd24feb9",
     "make-pairs": "c740f45d92d7ad65e29a12ac960e1129477c10eca324c9f0079ea4067dd9cabb",
     # documents.jsonl holds formula spans, operator tokens, abbreviations and
@@ -74,6 +78,14 @@ def _argv(name, annotations, vocab, patents, data_dir, out):
         "verify-masking-lim-fallback": [
             "verify-masking", "--strategy", "lim", "--p-nc", "0.3", "--p-y1", "0.97",
             "--seq-len", "7", "--n", "2000", "--seed", "3", "--tolerance", "1",
+        ],
+        "verify-masking-lim-10000": [
+            "verify-masking", "--strategy", "lim", "--p-nc", "0.75",
+            "--n", "10000", "--seed", "3", "--tolerance", "0.05",
+        ],
+        "verify-masking-mlm-10000": [
+            "verify-masking", "--strategy", "mlm",
+            "--n", "10000", "--seed", "3", "--tolerance", "0.05",
         ],
         "make-ipc": ["make-ipc", "--input", patents],
         "make-pairs": ["make-pairs", "--input", patents, "--seed", "5"],

@@ -21,8 +21,10 @@ from lingmask.masking import (
     build_example,
     draw_rows,
     example_to_json_line,
+    lim_counts,
     mask_batches,
     mask_budget,
+    mask_counts,
     mask_rows,
     mask_sequences,
     philox4x32,
@@ -456,14 +458,12 @@ class TestBlockSampler:
             draw_rows(cfg, 0, 0, 4)
         with pytest.raises(ValueError, match="span 9 exceeds max_seq_len 8"):
             draw_rows(cfg, 0, 2, 9)
-        flags, lengths = grid([make_seq(4)] * (BLOCK + 1))
-        with pytest.raises(ValueError, match="rows 0 to 256 cross the block boundary at row 256"):
-            mask_rows(flags, lengths, cfg)
-        with pytest.raises(ValueError, match="rows 511 to 512 cross the block boundary at row 512"):
-            mask_rows(flags[:2], lengths[:2], cfg, start=2 * BLOCK - 1)
-        # A grid that ends at a block boundary, or starts at one, is drawn.
-        assert mask_rows(flags[:2], lengths[:2], cfg, start=2 * BLOCK - 2).counts.tolist() == [1, 1]
-        assert mask_rows(flags[:2], lengths[:2], cfg, start=2 * BLOCK).counts.tolist() == [1, 1]
+        with pytest.raises(ValueError, match="span 9 exceeds max_seq_len 8"):
+            lim_counts(np.array([3]), np.array([9]), config(strategy="lim", p_nc=0.5, max_seq_len=8))
+        with pytest.raises(ValueError, match="lim_counts needs strategy 'lim', got 'mlm'"):
+            lim_counts(np.array([3]), np.array([4]), cfg)
+        with pytest.raises(ValueError, match="no rows to draw"):
+            lim_counts(np.array([], dtype=int), np.array([], dtype=int), config(strategy="lim", p_nc=0.5))
 
     @pytest.mark.parametrize("change", ["grown", "shrunk"])
     def test_rejects_pieces_changed_after_construction(self, change):
@@ -530,29 +530,32 @@ class TestPhilox:
     def test_draw_rows_follow_the_stream_layout(self, strategy, p_nc, replacements, first, rows):
         # Column c of a region is BLOCK consecutive stream words, one per row:
         # row r takes word (region start + c) * BLOCK + first + r, and word i
-        # is word i % 4 of the cipher at counter (i // 4, block, 0, 0) under
-        # the seed's two halves.
-        seed, block, max_seq_len, max_pred, span = 2**40 + 7, 3, 12, 4, 9
+        # is word i % 4 of the cipher at counter (i // 4, block mod 2**32,
+        # block >> 32, 0) under the seed's two halves. Block 2**32 + 5 sets
+        # the high word of the stream number.
+        seed, max_seq_len, max_pred, span = 2**40 + 7, 12, 4, 9
         cfg = config(strategy=strategy, p_nc=p_nc, max_seq_len=max_seq_len, max_pred=max_pred, seed=seed)
-        draws = draw_rows(cfg, block * BLOCK + first, rows, span, replacements)
-
-        def word(i):
-            return int(philox4x32((i // 4, block, 0, 0), (seed % 2**32, seed >> 32))[i % 4, 0])
-
         regions = {
             "coins": (0, int(strategy == "lim")),
             "keys": (1, span),
             "replace": (1 + max_seq_len, max_pred * replacements),
             "ids": (1 + max_seq_len + max_pred, max_pred * replacements),
         }
-        for (start, width), got in zip(regions.values(), draws):
-            if not width:
-                assert got is None
-                continue
-            expected = [[word((start + c) * BLOCK + first + r) for c in range(width)] for r in range(rows)]
-            assert got.tolist() == expected
-            # Rows are contiguous, which the key passes of mask_rows rely on.
-            assert got.strides[1] == got.itemsize
+        for block in (3, 2**32 + 5):
+            draws = draw_rows(cfg, block * BLOCK + first, rows, span, replacements)
+
+            def word(i):
+                counter = (i // 4, block % 2**32, block >> 32, 0)
+                return int(philox4x32(counter, (seed % 2**32, seed >> 32))[i % 4, 0])
+
+            for (start, width), got in zip(regions.values(), draws):
+                if not width:
+                    assert got is None
+                    continue
+                expected = [[word((start + c) * BLOCK + first + r) for c in range(width)] for r in range(rows)]
+                assert got.tolist() == expected
+                # Rows are contiguous, which the key passes of mask_rows rely on.
+                assert got.strides[1] == got.itemsize
 
     def test_blocks_and_seeds_get_distinct_streams(self):
         groups = np.arange(4)[None, :]
@@ -573,6 +576,56 @@ class TestPhilox:
         _, bare_keys, bare_replace, bare_ids = draw_rows(cfg, 3 * BLOCK, BLOCK, 12, replacements=False)
         assert bare_replace is None and bare_ids is None
         assert np.array_equal(bare_keys, whole[1])
+
+    @staticmethod
+    def _by_block(start, rows):
+        """The (start, rows) of each block's share of rows ``start`` to
+        ``start + rows - 1``."""
+        shares = []
+        while rows:
+            share = min(rows, BLOCK - start % BLOCK)
+            shares.append((start, share))
+            start, rows = start + share, rows - share
+        return shares
+
+    # Runs that start and end mid-block, one that ends on a boundary, and
+    # runs past stream 2**32, whose counters carry a high stream word of 1.
+    RUNS = [(100, 700), (2 * BLOCK - 1, 2), (5, 2 * BLOCK - 5), (2**32 * BLOCK - 3, 10), (2**32 * BLOCK + 7, 300)]
+
+    @pytest.mark.parametrize("start,rows", RUNS)
+    @pytest.mark.parametrize("strategy,p_nc,replacements", [("lim", 0.5, True), ("mlm", None, False)])
+    def test_draw_rows_across_blocks_equal_block_by_block_draws(self, strategy, p_nc, replacements, start, rows):
+        cfg = config(strategy=strategy, p_nc=p_nc, max_seq_len=12, max_pred=4, seed=2**40 + 7)
+        run = draw_rows(cfg, start, rows, 9, replacements)
+        shares = [draw_rows(cfg, first, n, 9, replacements) for first, n in self._by_block(start, rows)]
+        for got, parts in zip(run, zip(*shares)):
+            if got is None:
+                assert parts == (None,) * len(shares)
+            else:
+                assert np.array_equal(got, np.concatenate(parts))
+                assert got.strides[1] == got.itemsize
+
+    @pytest.mark.parametrize("start,rows", RUNS)
+    @pytest.mark.parametrize("strategy,p_nc", [("mlm", None), ("lim", 0.5)])
+    def test_mask_rows_and_counts_across_blocks_equal_block_by_block(self, strategy, p_nc, start, rows):
+        cfg = config(strategy=strategy, p_nc=p_nc, max_seq_len=16, seed=4)
+        rng = random.Random(start)
+        corpus = [make_seq(rng.randrange(1, 17), flagged=set(rng.sample(range(16), 6))) for _ in range(rows)]
+        flags, lengths = grid(corpus)
+        run = mask_rows(flags, lengths, cfg, start)
+        counts = mask_counts(flags, lengths, cfg, start)
+        row_shares, count_shares = [], []
+        for first, n in self._by_block(start, rows):
+            at = slice(first - start, first - start + n)
+            row_shares += rows_of(mask_rows(flags[at], lengths[at], cfg, first))
+            count_shares.append(mask_counts(flags[at], lengths[at], cfg, first))
+        assert rows_of(run) == row_shares
+        for got, parts in zip(counts, zip(*count_shares)):
+            assert got.tolist() == np.concatenate(parts).tolist()
+        # The counts are those of the chosen positions.
+        assert counts[0].tolist() == run.counts.tolist()
+        owner = np.repeat(np.arange(rows), run.counts)
+        assert counts[1].tolist() == np.bincount(owner[run.chunk], minlength=rows).tolist()
 
     def test_batched_cli_rows_equal_whole_block_rows(self):
         # mask_sequences masks a block in batches of 64 rows.

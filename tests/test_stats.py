@@ -11,6 +11,7 @@ from lingmask.masking import (
     TokenizedSequence,
     build_example,
     mask_batches,
+    mask_counts,
     mask_rows,
     mask_sequences,
     philox4x32,
@@ -153,8 +154,11 @@ class TestEmpiricalReport:
 
     @pytest.mark.parametrize("strategy,p_nc,columns", [("lim", 0.75, 1), ("mlm", None, 128)])
     def test_tally_blocks_compute_only_the_words_they_read(self, monkeypatch, strategy, p_nc, columns):
-        # Each 256-row grid of 128-piece rows: under lim only the coin column
-        # (BLOCK // 4 Philox counters), under mlm the 128 key columns.
+        # 256-row grids of 128-piece rows. Under lim only the coin column,
+        # BLOCK // 4 Philox counters per block, in one call per run of up to
+        # 16 blocks (40 blocks: three runs); under mlm the 128 key columns,
+        # one call per grid.
+        blocks = 40 if strategy == "lim" else 3
         computed = []
 
         def counting(counter, key):
@@ -164,9 +168,13 @@ class TestEmpiricalReport:
 
         monkeypatch.setattr(masking, "philox4x32", counting)
         cfg = MaskingConfig(strategy=strategy, p_nc=p_nc, seed=5)
-        tallies = list(tally_blocks(flagged_sequences(3 * BLOCK, seed=3), cfg))
-        assert len(tallies) == 3
-        assert computed == [columns * BLOCK // 4] * 3
+        tallies = list(tally_blocks(flagged_sequences(blocks * BLOCK, seed=3), cfg))
+        assert len(tallies) == blocks
+        assert sum(computed) == columns * BLOCK // 4 * blocks
+        if strategy == "lim":
+            assert len(computed) <= math.ceil(blocks / 16)
+        else:
+            assert computed == [columns * BLOCK // 4] * blocks
 
     @pytest.mark.parametrize("strategy,p_nc", [("mlm", None), ("lim", 0.75)])
     def test_tally_blocks_reject_rows_longer_than_max_seq_len(self, strategy, p_nc):
@@ -174,13 +182,20 @@ class TestEmpiricalReport:
         with pytest.raises(ValueError, match="span 9 exceeds max_seq_len 8"):
             next(tally_blocks(flagged_sequences(10, seq_len=9, seed=3), cfg))
 
-    def test_tally_blocks_reject_a_grid_across_a_block(self):
-        cfg = MaskingConfig(seed=5, max_seq_len=16)
-        flags = np.concatenate(list(flagged_sequences(300, seq_len=16, seed=3)))
-        tallies = tally_blocks(np.split(flags, 3), cfg)
-        assert [len(next(tallies).masked) for _ in range(2)] == [100, 100]
-        with pytest.raises(ValueError, match="rows 200 to 299 cross the block boundary at row 256"):
-            next(tallies)
+    @pytest.mark.parametrize("strategy,p_nc", [("mlm", None), ("lim", 0.75)])
+    @pytest.mark.parametrize("n,grid_rows", [(300, 100), (5000, 700), (5000, 4097)])
+    def test_tally_blocks_count_grids_across_blocks_as_block_by_block(self, strategy, p_nc, n, grid_rows):
+        # Grids that start and end mid-block, and under lim coin runs that
+        # do too, count what mask_counts counts one block at a time.
+        cfg = MaskingConfig(strategy=strategy, p_nc=p_nc, seed=5, max_seq_len=16)
+        by_block = list(flagged_sequences(n, seq_len=16, seed=3))
+        grids = np.split(np.concatenate(by_block), range(grid_rows, n, grid_rows))
+        tallies = list(tally_blocks(grids, cfg))
+        assert [len(tally.masked) for tally in tallies] == [len(grid) for grid in grids]
+        expected = [mask_counts(block, np.full(len(block), 16), cfg, b * BLOCK) for b, block in enumerate(by_block)]
+        for field, counts in zip(("masked", "masked_chunk"), zip(*expected)):
+            assert np.concatenate([getattr(t, field) for t in tallies]).tolist() == np.concatenate(counts).tolist()
+        assert np.concatenate([t.chunk for t in tallies]).tolist() == np.concatenate(by_block).sum(axis=1).tolist()
 
     def test_counts(self):
         report = _report("mlm", None, 100, seq_len=32)
@@ -317,10 +332,14 @@ class TestFlaggedSequences:
         assert _splitmix64(states).tolist() == [_splitmix64_reference(seed, k) for k in range(1, 9)]
 
     def test_flag_is_high_hash_word_below_threshold(self):
-        flags = np.concatenate(list(flagged_sequences(300, seq_len=16, p_y1=0.3, seed=9))).ravel()
-        threshold = round(0.3 * 2**32)
-        expected = [_splitmix64_reference(9, i + 1) >> 32 < threshold for i in range(len(flags))]
-        assert flags.tolist() == expected
+        # 1 - 2**-32 sets the largest threshold below 2**32, and 1 - 2**-33
+        # rounds to a threshold of 2**32, as 1 does. 255 rows of 7 pieces
+        # are one block of an odd number of flags.
+        for n, seq_len, p_y1 in ((300, 16, 0.3), (255, 7, 0.3), (300, 16, 1 - 2**-32), (300, 16, 1 - 2**-33)):
+            flags = np.concatenate(list(flagged_sequences(n, seq_len=seq_len, p_y1=p_y1, seed=9))).ravel()
+            threshold = round(p_y1 * 2**32)
+            expected = [_splitmix64_reference(9, i + 1) >> 32 < threshold for i in range(len(flags))]
+            assert flags.tolist() == expected
 
     @pytest.mark.parametrize("seed", [4, 2**64 - 1])
     def test_deterministic(self, seed):
@@ -337,8 +356,10 @@ class TestFlaggedSequences:
 
     @pytest.mark.parametrize("p_y1,expected", [(0.0, False), (1.0, True)])
     def test_extreme_rates(self, p_y1, expected):
-        for block in flagged_sequences(300, seq_len=16, p_y1=p_y1, seed=2**64 - 1):
-            assert (block == expected).all()
+        blocks = list(flagged_sequences(300, seq_len=16, p_y1=p_y1, seed=2**64 - 1))
+        assert [block.shape for block in blocks] == [(256, 16), (44, 16)]
+        for block in blocks:
+            assert block.dtype == bool and (block == expected).all()
 
     @pytest.mark.parametrize("n,seq_len", [(500, 64), (50_000, 128)])
     def test_shapes_and_rate(self, n, seq_len):
