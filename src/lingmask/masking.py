@@ -21,8 +21,9 @@ Replacement at the selected positions follows the standard 80/10/10 policy
 identically under both strategies.
 
 Randomness comes in blocks of ``BLOCK`` consecutive sequences (by ordinal).
-Each block has one stream of the Philox4x32-10 counter-based generator,
-keyed by ``(seed, block index)`` (``sequence_rng``). Callers number rows:
+Each block has one stream of the Philox4x32-10 counter-based generator:
+stream number ``block index`` under the key ``seed`` (``sequence_rng``,
+which also draws the tiny LM's initial weights). Callers number rows:
 row ``n`` of a stream of sequences is row ``n % BLOCK`` of block
 ``n // BLOCK``'s stream, and only ``draw_rows`` applies this rule. Every
 block's stream has the same layout, in this order:
@@ -51,14 +52,13 @@ per-row counts, branches and the aligned chunk flags and replacement ids.
 counts under ``lim``, which is all the law check reads: it draws the coins
 alone, because every masked position of a row has the flag of its pool, so
 a row's counts follow from its coin, its length and its number of
-chunk-flagged positions. Both apply one pool rule (``_lim_pools``), and
-``mask_counts`` gives the same counts for a grid of flags under either
-strategy. ``mask_batches`` masks a stream of sequences ``_BATCH`` rows at a
-time; ``mask_sequences`` (pre-training examples) and ``tinylm.pack_corpus``
-(the tiny LM's table) read it. ``stats.tally_blocks`` (the law check)
-counts grids of synthetic rows numbered the same way: under ``mlm`` with
-``mask_counts`` one grid at a time, under ``lim`` with ``lim_counts`` once
-per run of up to 16 blocks.
+chunk-flagged positions. Both apply one pool rule (``_lim_pools``).
+``mask_batches`` masks a stream of sequences ``_BATCH`` rows at a time;
+``mask_sequences`` (pre-training examples) and ``tinylm.pack_corpus`` (the
+tiny LM's table) read it. ``stats.tally_blocks`` (the law check) counts
+grids of synthetic rows numbered the same way: under ``mlm`` from the
+positions ``mask_rows`` chooses, one grid at a time, under ``lim`` with
+``lim_counts`` once per run of up to 16 blocks.
 
 The kernel is laid out for numpy. ``philox4x32`` runs its rounds in place on
 one (4, n) array, so a round allocates nothing. ``draw_rows`` lays a batch's
@@ -205,38 +205,22 @@ def philox4x32(counter, key) -> np.ndarray:
     return state
 
 
-class Philox:
-    """One stream of Philox4x32-10, computed with numpy.
+def sequence_rng(seed: int, stream: int | np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Words ``4 g`` to ``4 g + 3`` of Philox stream ``stream`` under the
+    root ``seed``, for each counter group ``g`` of ``groups``: the (4, n)
+    cipher output at counters ``(g, stream mod 2**32, stream >> 32, 0)``
+    under the two 32-bit halves of ``seed mod 2**64``. ``stream`` is an int
+    or an array aligned with ``groups``.
 
-    Word ``i`` of stream ``stream`` under the 64-bit ``key`` is word
-    ``i % 4`` of the cipher applied to the counter
-    ``(i // 4, stream mod 2**32, stream >> 32, 0)``, so any words of the
-    stream can be computed without the ones before them. The tiny LM draws
-    its initial weights from a stream of its own. (``numpy.random`` has
-    Philox too, but importing it loads OpenSSL through ``secrets``, which
-    costs about 6 MB of resident memory and 15 ms; no module of this package
+    A word depends only on (seed, stream, its index), so any words of any
+    streams are computed at once: ``draw_rows`` reads the streams of masking
+    blocks, and the tiny LM its own stream. (``numpy.random`` has Philox
+    too, but importing it loads OpenSSL through ``secrets``, which costs
+    about 6 MB of resident memory and 15 ms; no module of this package
     imports it.)
     """
-
-    def __init__(self, key: int, stream: int) -> None:
-        self._key = (key & 0xFFFFFFFF, (key >> 32) & 0xFFFFFFFF)
-        self._stream = (stream & 0xFFFFFFFF, (stream >> 32) & 0xFFFFFFFF)
-
-    def words(self, groups: np.ndarray) -> np.ndarray:
-        """Words ``4 g`` to ``4 g + 3`` of each group ``g``, in order."""
-        counter = (groups.ravel(), *self._stream, 0)
-        return philox4x32(counter, self._key).T.reshape(*groups.shape[:-1], -1)
-
-
-def sequence_rng(seed: int, block: int) -> Philox:
-    """The stream of block ``block`` (sequences ``block * BLOCK`` onwards):
-    Philox keyed by the root seed, stream number ``block``.
-
-    A block's words depend only on (seed, block), never on which blocks were
-    drawn before, so any block can be drawn on its own. ``draw_rows``
-    computes the same words for a run of rows of one or more blocks.
-    """
-    return Philox(seed % 2**64, block)
+    seed %= 2**64
+    return philox4x32((groups, stream & 0xFFFFFFFF, stream >> 32, 0), (seed & 0xFFFFFFFF, seed >> 32))
 
 
 def draw_rows(
@@ -273,9 +257,7 @@ def draw_rows(
     skip, per_block = start % 4, BLOCK // 4
     streams, groups = np.divmod(np.arange((start - skip) // 4, (start + rows + 3) // 4), per_block)
     stream = int(streams[0]) if streams[0] == streams[-1] else np.repeat(streams, len(columns))
-    counters = (groups[:, None] + columns * per_block).ravel()
-    seed = config.seed % 2**64
-    state = philox4x32((counters, stream & 0xFFFFFFFF, stream >> 32, 0), (seed & 0xFFFFFFFF, seed >> 32))
+    state = sequence_rng(config.seed, stream, (groups[:, None] + columns * per_block).ravel())
     # Word w of the counter of group g and column c is state[w, g, c]; the
     # copy puts it in row 4 g + w - skip.
     words = state.reshape(4, len(groups), -1).transpose(1, 0, 2).reshape(-1, len(columns))[skip : skip + rows]
@@ -380,30 +362,13 @@ def mask_rows(
     return MaskedRows(positions, counts, nc, chunk, ids)
 
 
-def mask_counts(
-    flags: np.ndarray, lengths: np.ndarray, config: MaskingConfig, start: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """How many positions ``mask_rows`` masks in each of rows ``start``,
-    ``start + 1``, ... of the stream, and how many of those are
-    chunk-flagged, as two arrays with one entry per row. The arguments are
-    those of ``mask_rows``.
-
-    Under ``mlm`` the positions are chosen and their flags counted; under
-    ``lim`` the counts come from ``lim_counts``.
-    """
-    rows = len(flags)
-    if config.strategy == "mlm":
-        masked = mask_rows(flags, lengths, config, start, replacements=False)
-        owner = np.repeat(np.arange(rows), masked.counts)
-        return masked.counts, np.bincount(owner[masked.chunk], minlength=rows)
-    return lim_counts(np.count_nonzero(flags, axis=1), lengths, config, start)
-
-
 def lim_counts(
     n_chunk: np.ndarray, lengths: np.ndarray, config: MaskingConfig, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``mask_counts`` under ``lim``, from each row's length and number of
-    chunk-flagged positions alone.
+    """How many positions ``mask_rows`` masks under ``lim`` in each of rows
+    ``start``, ``start + 1``, ... of the stream, and how many of those are
+    chunk-flagged, as two arrays with one entry per row, from each row's
+    length and number of chunk-flagged positions alone.
 
     A row's masked positions all have the flag of its pool, so its counts
     follow from its coin and those two numbers: only the coins are drawn,

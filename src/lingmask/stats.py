@@ -9,9 +9,10 @@ estimates both conditionals from per-sequence mask counts, so the law can
 be checked end to end. ``tally_blocks`` counts them for grids of synthetic
 sequences, numbered as one stream, with the rules of the sampler that
 writes pre-training data. Under ``mlm`` it draws each grid's positions
-(``masking.mask_counts``). Under ``lim`` it reads only each sequence's
-branch coin, since every masked position has its pool's flag, and draws the
-coins of up to 16 blocks of sequences in one call (``masking.lim_counts``).
+(``masking.mask_rows``) and counts their flags. Under ``lim`` it reads only
+each sequence's branch coin, since every masked position has its pool's
+flag, and draws the coins of up to 16 blocks of sequences in one call
+(``masking.lim_counts``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .masking import BLOCK, MaskingConfig, lim_counts, mask_counts
+from .masking import BLOCK, MaskingConfig, lim_counts, mask_rows
 
 
 def _law(mask_prob: float, p_nc: float, p_y1: float) -> float:
@@ -104,17 +105,23 @@ def tally_blocks(blocks: Iterable[np.ndarray], config: MaskingConfig) -> Iterato
     the grid sizes, across block boundaries too.
 
     Each grid's flags are counted once. Under ``mlm`` each grid's positions
-    are drawn as it arrives (``mask_counts``). Under ``lim`` the grids are
-    read ahead, keeping only each row's length and chunk count, until they
-    hold ``_COIN_RUN`` rows (16 blocks) or the stream ends; then
-    ``lim_counts`` draws the coins of the whole run in one call.
+    are drawn as it arrives (``mask_rows``) and the chunk-flagged ones
+    counted per row. Under ``lim`` the grids are read ahead, keeping only
+    each row's length and chunk count, until they hold ``_COIN_RUN`` rows
+    (16 blocks) or the stream ends; then ``lim_counts`` draws the coins of
+    the whole run in one call. A grid of no rows gets a tally of no rows
+    under either strategy, and draws nothing.
     """
     start = 0
     if config.strategy == "mlm":
         for flags in blocks:
             rows, seq_len = flags.shape
             lengths = np.full(rows, seq_len)
-            masked, masked_chunk = mask_counts(flags, lengths, config, start)
+            masked = masked_chunk = np.zeros(0, dtype=np.int64)
+            if rows:
+                chosen = mask_rows(flags, lengths, config, start, replacements=False)
+                owner = np.repeat(np.arange(rows), chosen.counts)
+                masked, masked_chunk = chosen.counts, np.bincount(owner[chosen.chunk], minlength=rows)
             start += rows
             yield MaskTally(lengths, np.count_nonzero(flags, axis=1), masked, masked_chunk)
         return
@@ -142,7 +149,9 @@ def _lim_tallies(run: list[tuple[int, np.ndarray]], config: MaskingConfig, start
     generator, so its arrays are freed before the next run is read, and each
     tally gets copies, so a tally the caller keeps does not keep them."""
     lengths = np.repeat([seq_len for seq_len, _ in run], [len(n_chunk) for _, n_chunk in run])
-    masked, masked_chunk = lim_counts(np.concatenate([n_chunk for _, n_chunk in run]), lengths, config, start)
+    masked = masked_chunk = np.zeros(0, dtype=np.int64)
+    if len(lengths):
+        masked, masked_chunk = lim_counts(np.concatenate([n_chunk for _, n_chunk in run]), lengths, config, start)
     end = 0
     for seq_len, n_chunk in run:
         begin, end = end, end + len(n_chunk)
@@ -160,33 +169,31 @@ def empirical_mask_report(
     ``mask_prob``. A corpus with no flagged tokens reports the conditional as
     undefined (None), never as 0.
     """
-    n_sequences = n_tokens = y1_slots = masked_y1 = masked_y0 = 0
-    s_a1_sq = s_k1_sq = s_a1_k1 = s_a0_sq = s_k0_sq = s_a0_k0 = 0
-
+    # Per sequence (k1, a1, k0, a0): chunk-flagged tokens and how many of
+    # them are masked, then the same for unflagged tokens. The sums across
+    # tallies are object arrays, which add each int64 term as a Python int,
+    # so they stay exact at any corpus size, where a fixed-width accumulator
+    # would wrap silently.
+    n_sequences = 0
+    sums, products = np.zeros(4, dtype=object), np.zeros((4, 4), dtype=object)
     for tally in tallies:
         k1, a1 = tally.chunk.astype(np.int64), tally.masked_chunk.astype(np.int64)
-        k0, a0 = tally.lengths - k1, tally.masked - a1
-        if (a1 < 0).any() or (a1 > k1).any() or (a0 < 0).any() or (a0 > k0).any():
+        counts = np.stack([k1, a1, tally.lengths - k1, tally.masked - a1])
+        masked, flagged = counts[1::2], counts[::2]
+        if (masked < 0).any() or (masked > flagged).any():
             raise ValueError("masked counts exceed their flag counts")
-        n_sequences += len(k1)
-        n_tokens += int(tally.lengths.sum())
-        y1_slots += int(k1.sum())
-        masked_y1 += int(a1.sum())
-        masked_y0 += int(a0.sum())
-        s_a1_sq += int(a1 @ a1)
-        s_k1_sq += int(k1 @ k1)
-        s_a1_k1 += int(a1 @ k1)
-        s_a0_sq += int(a0 @ a0)
-        s_k0_sq += int(k0 @ k0)
-        s_a0_k0 += int(a0 @ k0)
+        n_sequences += counts.shape[1]
+        sums += counts.sum(axis=1)
+        products += counts @ counts.T
 
     if n_sequences == 0:
         raise ValueError("empty example stream")
 
-    y0_slots = n_tokens - y1_slots
+    y1_slots, masked_y1, y0_slots, masked_y0 = sums
+    n_tokens = y1_slots + y0_slots
     p_y1 = y1_slots / n_tokens
-    p1, se1 = _ratio_and_se(masked_y1, y1_slots, s_a1_sq, s_k1_sq, s_a1_k1)
-    p0, se0 = _ratio_and_se(masked_y0, y0_slots, s_a0_sq, s_k0_sq, s_a0_k0)
+    p1, se1 = _ratio_and_se(masked_y1, y1_slots, products[1, 1], products[0, 0], products[1, 0])
+    p0, se0 = _ratio_and_se(masked_y0, y0_slots, products[3, 3], products[2, 2], products[3, 2])
 
     if p_nc is None:
         expected: float | None = mask_prob

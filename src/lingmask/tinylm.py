@@ -43,11 +43,11 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .masking import MaskingConfig, Philox, TokenizedSequence, mask_batches
+from .masking import MaskingConfig, TokenizedSequence, mask_batches, sequence_rng
 
-# Not called here: the benchmark's tracer (perfbench/tracer.py) lists these
-# names among the attributes it wraps.
-from .masking import build_example, sequence_rng  # noqa: F401
+# Not called here: the benchmark's tracer (perfbench/tracer.py) lists this
+# name among the attributes it wraps.
+from .masking import build_example  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -89,7 +89,7 @@ class TinyLmParams:
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
         size = vocab_size * hidden_dim
-        words = Philox(seed % 2**64, INIT_STREAM).words(np.arange((2 * size + 3) // 4))
+        words = sequence_rng(seed, INIT_STREAM, np.arange((2 * size + 3) // 4)).T.ravel()
         weights = words[: 2 * size] * (0.1 / 2**32) - 0.05
         return cls(
             embeddings=weights[:size].reshape(vocab_size, hidden_dim),

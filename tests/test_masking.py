@@ -17,14 +17,12 @@ from lingmask.masking import (
     MaskingConfig,
     MaskRow,
     TokenizedSequence,
-    Philox,
     build_example,
     draw_rows,
     example_to_json_line,
     lim_counts,
     mask_batches,
     mask_budget,
-    mask_counts,
     mask_rows,
     mask_sequences,
     philox4x32,
@@ -74,6 +72,16 @@ def rows_of(masked):
         MaskRow(branch, masked.positions[start:end].tolist(), masked.replacements[start:end].tolist())
         for branch, start, end in zip(branches, [0, *ends], ends)
     ]
+
+
+def counted(flags, lengths, cfg, start=0):
+    """Each row's masked and masked chunk-flagged counts, as the law check
+    takes them: ``lim_counts`` under lim, read off ``mask_rows`` under mlm."""
+    if cfg.strategy == "lim":
+        return lim_counts(np.count_nonzero(flags, axis=1), lengths, cfg, start)
+    masked = mask_rows(flags, lengths, cfg, start, replacements=False)
+    owner = np.repeat(np.arange(len(flags)), masked.counts)
+    return masked.counts, np.bincount(owner[masked.chunk], minlength=len(flags))
 
 
 def mask_one(seq, cfg, block=0):
@@ -494,14 +502,19 @@ class TestPhilox:
     def test_known_answers(self, counter, key, expected):
         assert philox4x32(counter, key).ravel().tolist() == list(expected)
 
-    def test_vectorized_equals_one_counter_at_a_time(self):
-        groups = np.array([[0, 1, 7], [2**32 - 1, 5, 6]])
-        stream = Philox(key=2**40 + 3, stream=2**33 + 9)
-        words = stream.words(groups)
-        assert words.shape == (2, 12)
-        for (i, j), group in np.ndenumerate(groups):
-            one = philox4x32((int(group), 9, 2, 0), ((2**40 + 3) % 2**32, 2**8)).ravel()
-            assert words[i, 4 * j : 4 * j + 4].tolist() == one.tolist()
+    # One stream for every counter, or one per counter; a negative seed is
+    # taken mod 2**64.
+    @pytest.mark.parametrize("seed", [2**40 + 3, -1])
+    @pytest.mark.parametrize("streams", [[2**33 + 9] * 6, [2**33 + 9, 0, 2**32 + 1, 2**64 - 1, 7, 7]])
+    def test_vectorized_equals_one_counter_at_a_time(self, seed, streams):
+        groups = np.array([0, 1, 7, 2**32 - 1, 5, 6])
+        stream = streams[0] if len(set(streams)) == 1 else np.array(streams, dtype=np.uint64)
+        words = sequence_rng(seed, stream, groups)
+        assert words.shape == (4, len(groups))
+        key = (seed % 2**32, seed % 2**64 >> 32)
+        for j, (group, s) in enumerate(zip(groups.tolist(), streams)):
+            one = philox4x32((group, s % 2**32, s >> 32, 0), key).ravel()
+            assert words[:, j].tolist() == one.tolist()
 
     def test_counters_are_left_unchanged(self):
         # The rounds run in place on a copy of the counters: uint64 arrays,
@@ -558,8 +571,8 @@ class TestPhilox:
                 assert got.strides[1] == got.itemsize
 
     def test_blocks_and_seeds_get_distinct_streams(self):
-        groups = np.arange(4)[None, :]
-        streams = [sequence_rng(seed, block).words(groups).tolist() for seed in (0, 1, -1) for block in (0, 1)]
+        groups = np.arange(4)
+        streams = [sequence_rng(seed, block, groups).tolist() for seed in (0, 1, -1) for block in (0, 1)]
         assert len({str(words) for words in streams}) == len(streams)
 
     @pytest.mark.parametrize("strategy,p_nc", [("mlm", None), ("lim", 0.5)])
@@ -613,19 +626,20 @@ class TestPhilox:
         corpus = [make_seq(rng.randrange(1, 17), flagged=set(rng.sample(range(16), 6))) for _ in range(rows)]
         flags, lengths = grid(corpus)
         run = mask_rows(flags, lengths, cfg, start)
-        counts = mask_counts(flags, lengths, cfg, start)
+        counts = counted(flags, lengths, cfg, start)
         row_shares, count_shares = [], []
         for first, n in self._by_block(start, rows):
             at = slice(first - start, first - start + n)
             row_shares += rows_of(mask_rows(flags[at], lengths[at], cfg, first))
-            count_shares.append(mask_counts(flags[at], lengths[at], cfg, first))
+            count_shares.append(counted(flags[at], lengths[at], cfg, first))
         assert rows_of(run) == row_shares
         for got, parts in zip(counts, zip(*count_shares)):
             assert got.tolist() == np.concatenate(parts).tolist()
-        # The counts are those of the chosen positions.
+        # The counts are those of the chosen positions, whose flags are read
+        # off the grid.
         assert counts[0].tolist() == run.counts.tolist()
         owner = np.repeat(np.arange(rows), run.counts)
-        assert counts[1].tolist() == np.bincount(owner[run.chunk], minlength=rows).tolist()
+        assert counts[1].tolist() == np.bincount(owner[flags[owner, run.positions]], minlength=rows).tolist()
 
     def test_batched_cli_rows_equal_whole_block_rows(self):
         # mask_sequences masks a block in batches of 64 rows.

@@ -11,7 +11,6 @@ from lingmask.masking import (
     TokenizedSequence,
     build_example,
     mask_batches,
-    mask_counts,
     mask_rows,
     mask_sequences,
     philox4x32,
@@ -93,12 +92,23 @@ class TestEmpiricalReport:
         with pytest.raises(ValueError):
             empirical_mask_report(tally_pairs([(build_example(seq, cfg, row), [True])]), 0.15, None)
 
-    @pytest.mark.parametrize("masked,masked_chunk", [(3, 4), (3, -1), (8, 0)])
+    @pytest.mark.parametrize("masked,masked_chunk", [(3, 4), (3, -1), (8, 0), (5, 5)])
     def test_inconsistent_tally_rejected(self, masked, masked_chunk):
         # 8 tokens, 4 of them flagged.
         tally = MaskTally(*(np.array([v]) for v in (8, 4, masked, masked_chunk)))
         with pytest.raises(ValueError, match="exceed"):
             empirical_mask_report([tally], 0.15, None)
+
+    def test_sums_across_tallies_are_exact(self):
+        # Four one-row tallies of 2**31 unflagged tokens, 2**30 of them
+        # masked: every sequence has the same rate, so the spread is exactly
+        # 0. The sums of k0**2 (2**64) and a0 * k0 (2**63) fit no int64; an
+        # accumulator that wrapped would give a standard error of about 0.43.
+        tally = MaskTally(*(np.array([v]) for v in (2**31, 0, 2**30, 0)))
+        report = empirical_mask_report([tally] * 4, 0.15, None)
+        assert report.n_tokens == 2**33
+        assert report.p_mask_given_y0 == 0.5
+        assert report.se_mask_given_y0 == 0.0
 
     @pytest.mark.parametrize("strategy,p_nc", [("mlm", None), ("lim", 0.75)])
     def test_block_tallies_equal_example_tallies(self, strategy, p_nc):
@@ -186,16 +196,43 @@ class TestEmpiricalReport:
     @pytest.mark.parametrize("n,grid_rows", [(300, 100), (5000, 700), (5000, 4097)])
     def test_tally_blocks_count_grids_across_blocks_as_block_by_block(self, strategy, p_nc, n, grid_rows):
         # Grids that start and end mid-block, and under lim coin runs that
-        # do too, count what mask_counts counts one block at a time.
+        # do too, count what the positions mask_rows chooses one block at a
+        # time hold.
         cfg = MaskingConfig(strategy=strategy, p_nc=p_nc, seed=5, max_seq_len=16)
         by_block = list(flagged_sequences(n, seq_len=16, seed=3))
         grids = np.split(np.concatenate(by_block), range(grid_rows, n, grid_rows))
         tallies = list(tally_blocks(grids, cfg))
         assert [len(tally.masked) for tally in tallies] == [len(grid) for grid in grids]
-        expected = [mask_counts(block, np.full(len(block), 16), cfg, b * BLOCK) for b, block in enumerate(by_block)]
-        for field, counts in zip(("masked", "masked_chunk"), zip(*expected)):
-            assert np.concatenate([getattr(t, field) for t in tallies]).tolist() == np.concatenate(counts).tolist()
+        masked, masked_chunk = [], []
+        for b, block in enumerate(by_block):
+            chosen = mask_rows(block, np.full(len(block), 16), cfg, b * BLOCK, replacements=False)
+            owner = np.repeat(np.arange(len(block)), chosen.counts)
+            masked += chosen.counts.tolist()
+            masked_chunk += np.bincount(owner[block[owner, chosen.positions]], minlength=len(block)).tolist()
+        assert np.concatenate([t.masked for t in tallies]).tolist() == masked
+        assert np.concatenate([t.masked_chunk for t in tallies]).tolist() == masked_chunk
         assert np.concatenate([t.chunk for t in tallies]).tolist() == np.concatenate(by_block).sum(axis=1).tolist()
+
+    @pytest.mark.parametrize("strategy,p_nc", [("mlm", None), ("lim", 0.75)])
+    def test_tally_blocks_give_an_empty_grid_an_empty_tally(self, strategy, p_nc):
+        # Empty grids first, mid-stream and last: each gets a tally of no
+        # rows and moves no row's place in the stream. A stream of empty
+        # grids alone holds no sequence.
+        cfg = MaskingConfig(strategy=strategy, p_nc=p_nc, seed=5, max_seq_len=16)
+        flags = np.concatenate(list(flagged_sequences(300, seq_len=16, seed=3)))
+        grids = np.split(flags, [0, 100, 100, 300])
+        tallies = list(tally_blocks(grids, cfg))
+        assert [len(tally.masked) for tally in tallies] == [0, 100, 0, 200, 0]
+        for tally in tallies[::2]:
+            assert all(len(field) == 0 for field in tally)
+        whole = list(tally_blocks([grids[1], grids[3]], cfg))
+        for got, expected in zip(tallies[1::2], whole):
+            for field, want in zip(got, expected):
+                assert field.tolist() == want.tolist()
+        empty = list(tally_blocks(np.split(flags[:0], [0]), cfg))
+        assert [len(tally.masked) for tally in empty] == [0, 0]
+        with pytest.raises(ValueError, match="empty example stream"):
+            empirical_mask_report(iter(empty), 0.15, p_nc)
 
     def test_counts(self):
         report = _report("mlm", None, 100, seq_len=32)

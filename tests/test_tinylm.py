@@ -21,6 +21,7 @@ from lingmask.masking import (
     TokenizedSequence,
     build_example,
     mask_rows,
+    philox4x32,
 )
 from lingmask.tinylm import (
     EVAL_BLOCK,
@@ -96,6 +97,23 @@ class TestInit:
         assert not params.b_mlm.any()
         other = TinyLmParams.init(7, 5, seed=seed - 1 if seed else 1)
         assert not np.array_equal(params.embeddings, other.embeddings)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_weights_are_the_words_of_the_init_stream(self, seed):
+        # Embeddings, then output weights: words 0 to 2 V H - 1 of Philox
+        # stream 2**64 - 1 under the seed, word i being word i % 4 of the
+        # cipher at counter (i // 4, 2**32 - 1, 2**32 - 1, 0). V H = 35, so
+        # the last counter's last two words are not used.
+        vocab_size, hidden_dim = 7, 5
+        params = TinyLmParams.init(vocab_size, hidden_dim, seed=seed)
+        key = (seed % 2**32, seed >> 32)
+        words = [
+            int(philox4x32((i // 4, 2**32 - 1, 2**32 - 1, 0), key)[i % 4, 0])
+            for i in range(2 * vocab_size * hidden_dim)
+        ]
+        expected = [w * 0.1 / 2**32 - 0.05 for w in words]
+        assert params.embeddings.ravel().tolist() == expected[: vocab_size * hidden_dim]
+        assert params.w_mlm.ravel().tolist() == expected[vocab_size * hidden_dim :]
 
     def test_spread_covers_the_interval(self):
         weights = TinyLmParams.init(100, 8, seed=3).embeddings
