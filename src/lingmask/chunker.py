@@ -7,14 +7,11 @@ membership flags are derived from the spans.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator
-
-log = logging.getLogger(__name__)
 
 UPOS_TAGS = frozenset(
     {
@@ -81,15 +78,14 @@ _POS = {tag: tag for tag in UPOS_TAGS}
 _UNSEEN = object()  # a chunk column not yet seen; None is the chunk id of "-"
 
 
-def parse_annotations(
-    path: str, warn_counter: Counter | None = None
-) -> Iterator[AnnotatedSentence]:
+def parse_annotations(path: str, warn_counter: Counter) -> Iterator[AnnotatedSentence]:
     """Stream annotated sentences from a TSV annotation file.
 
     ``chunk_id`` is ``-`` for tokens outside any chunk and a per-sentence
     integer shared by all tokens of one chunk; a chunk's tokens must be
-    contiguous. Unknown POS tags are mapped to X and counted in
-    ``warn_counter`` when given; without a counter, each is logged.
+    contiguous. A token surface holds no whitespace. Unknown POS tags are
+    mapped to X and counted in ``warn_counter``, by tag, at every line that
+    has one; the caller reports the counts.
 
     A line is looked up by its two parts, split at its last tab: the head
     (``surface<TAB>pos``) maps to its shared, frozen token and the chunk
@@ -99,8 +95,7 @@ def parse_annotations(
     one token per distinct (surface, POS) and one id per distinct chunk
     column, so it grows with the vocabulary, not with the lines. Tokens,
     flags and spans are built in the same pass. Errors still name the first
-    offending line, and unknown tags are counted or logged on every
-    occurrence.
+    offending line.
     """
     heads: dict[str, AnnotatedToken] = {}  # "surface\tPOS" -> token
     unknown_tags: dict[str, str] = {}  # head whose POS tag is unknown -> that tag
@@ -146,12 +141,7 @@ def parse_annotations(
                     tokens, flags, spans, seen = [], [], [], set()
                 continue
             if token.pos == "X" and head in unknown_tags:
-                if warn_counter is not None:
-                    warn_counter[unknown_tags[head]] += 1
-                else:
-                    log.warning(
-                        "unknown POS tag %r at line %d mapped to X", unknown_tags[head], lineno
-                    )
+                warn_counter[unknown_tags[head]] += 1
             tokens.append(token)
             flags.append(cid is not None)
 
@@ -177,6 +167,8 @@ def _parse_line(
     surface, tag, chunk_field = columns
     if not surface:
         raise ValueError(f"empty token surface at line {lineno}")
+    if any(ch.isspace() for ch in surface):
+        raise ValueError(f"whitespace in token surface at line {lineno}")
     if chunk_field == "-":
         cid: int | None = None
     else:

@@ -241,14 +241,14 @@ def _load_masking_vocab(cfg: dict[str, Any]) -> tuple[Vocabulary, MaskingConfig]
 
 
 def _annotated_sequences(cfg: dict[str, Any], vocab: Vocabulary) -> Iterator[TokenizedSequence]:
-    """Stream the non-empty encoded sentences of the annotation file.
+    """Stream the encoded sentences of the annotation file, one per sentence,
+    with ``doc_id`` ``sent-0``, ``sent-1``, ... in file order.
 
-    ``doc_id`` numbers all sentences, empty ones included.
+    None is empty: a parsed sentence has a token, every token encodes to at
+    least one piece (``[UNK]`` at worst), and ``--max-seq-len`` is at least 1.
     """
     for i, sent in enumerate(_annotated_sentences(cfg["annotations"])):
-        seq = sequence_from_annotated(sent, vocab, cfg["max_seq_len"], doc_id=f"sent-{i}")
-        if seq.pieces:
-            yield seq
+        yield sequence_from_annotated(sent, vocab, cfg["max_seq_len"], doc_id=f"sent-{i}")
 
 
 def _cmd_make_pretraining_data(cfg: dict[str, Any], outputs: _Outputs) -> int:
@@ -304,10 +304,7 @@ def _cmd_make_pairs(cfg: dict[str, Any], outputs: _Outputs) -> int:
     files = {cfg["output"]: pairs}
     if cfg["train_frac"] is not None:
         splits = split_dataset(
-            pairs,
-            (cfg["train_frac"], 1.0 - cfg["train_frac"]),
-            cfg["seed"],
-            key=lambda p: tuple(sorted((p.id_a, p.id_b))),
+            pairs, cfg["train_frac"], cfg["seed"], key=lambda p: tuple(sorted((p.id_a, p.id_b)))
         )
         base, ext = os.path.splitext(cfg["output"])
         files.update((f"{base}.{name}{ext}", items) for name, items in splits.items())

@@ -17,7 +17,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .corpus import normalize_text
 
@@ -254,28 +254,24 @@ def build_similarity_pairs(
     yield from output
 
 
-def split_dataset(
-    stream: Iterable,
-    fractions: Sequence[float],
-    seed: int,
-    key: Callable | None = None,
-) -> dict[str, list]:
-    """Seed-deterministic disjoint train/test split.
+def split_dataset(items: Iterable, train_frac: float, seed: int, key: Callable) -> dict[str, list]:
+    """Seed-deterministic disjoint train/test split of whole groups.
 
-    Items sharing a ``key`` value always land in the same split (used to keep
-    both orientations of an unordered similarity pair together).
+    Items sharing a ``key`` value form one group and always land in the same
+    split (used to keep both orientations of an unordered similarity pair
+    together). The groups, in order of first appearance, are shuffled with
+    ``seed``; in that order a group goes to train if train holds fewer than
+    ``round(train_frac * len(items))`` items so far, and to test otherwise.
     """
-    if len(fractions) != 2:
-        raise ValueError("fractions must be (train, test)")
-    if min(fractions) < 0 or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must be non-negative and sum to 1: {fractions}")
-    items = list(stream)
+    if not 0 <= train_frac <= 1:
+        raise ValueError(f"train_frac must be in [0, 1], got {train_frac}")
+    items = list(items)
     groups: dict = {}
-    for ordinal, item in enumerate(items):
-        groups.setdefault(key(item) if key is not None else ordinal, []).append(item)
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
     order = list(groups.values())
     random.Random(seed).shuffle(order)
-    target_train = round(fractions[0] * len(items))
+    target_train = round(train_frac * len(items))
     train: list = []
     test: list = []
     for group in order:

@@ -12,9 +12,11 @@ Two position-selection strategies are supported:
   the branch tag follows; when the pool is smaller than the mask budget the
   whole pool is masked.
 
-Setting ``p_nc`` equal to the corpus token-level chunk probability makes the
-two strategies statistically indistinguishable, which the stats module
-verifies empirically.
+Setting ``p_nc`` equal to the corpus token-level chunk probability gives the
+two strategies the same conditional masking rates only on equal-length
+sequences whose budget ``mask_prob * length`` needs no rounding. The stats
+module checks the law on fixed-length synthetic sequences, which come close;
+on real text, of varied lengths, the two strategies' rates differ.
 
 Replacement at the selected positions follows the standard 80/10/10 policy
 (``MASK_FRAC`` mask piece / ``RANDOM_FRAC`` random piece / keep), applied

@@ -11,9 +11,10 @@ A context-row x vocabulary matrix of context-piece counts turns the encoder
 and its backward pass into dense matrix products over a whole batch. At radius
 0 all prediction slots of an example see the same context, so they share one
 row; at a positive radius each slot has its own. A training step runs one such
-pass, and one clamped per-slot NLL vector gives its loss and the loss of each
-slot class; its step row reports the batch's losses from before the update,
-and eval rows report the held-out set.
+pass. Its clamped per-slot NLL vector goes through the same class sums and
+means as an eval block's, so a step row reports the batch's total, chunk and
+non-chunk losses from before the update, computed as an eval row's are, and
+eval rows report the held-out set.
 
 The corpus is masked once and packed into one table of flat arrays
 (``PackedExamples``): every piece id with -1 at the masked positions, and per
@@ -258,14 +259,14 @@ def predict(hidden: np.ndarray, params: TinyLmParams) -> np.ndarray:
 
 def _slot_nll(picked: np.ndarray, clamp_counter: Counter | None = None) -> np.ndarray:
     """-log of the slots' label probabilities ``picked``, clamped at 1e-12.
-    Clamps are added to ``clamp_counter``, or logged when there is none."""
+
+    When there is a ``clamp_counter`` and some probability is clamped, the
+    count is added to it, so the counter gains a key only once something is
+    clamped. Without a counter the clamp is applied and not counted.
+    """
     clamped = picked < PROB_CLAMP
-    if clamped.any():
-        count = int(clamped.sum())
-        if clamp_counter is None:
-            log.warning("clamped %d zero label probabilities", count)
-        else:
-            clamp_counter["clamped_probs"] += count
+    if clamp_counter is not None and clamped.any():
+        clamp_counter["clamped_probs"] += int(clamped.sum())
     return -np.log(np.maximum(picked, PROB_CLAMP))
 
 
@@ -276,26 +277,27 @@ def _class_sums(chunk: np.ndarray, nll: np.ndarray) -> tuple[np.ndarray, np.ndar
     return (classes * nll).sum(axis=1), classes.sum(axis=1)
 
 
-def _means(sums: np.ndarray, totals: np.ndarray) -> list[float]:
+def _means(sums: np.ndarray, totals: np.ndarray) -> tuple[float, float, float]:
     """Means, nan for a class without slots."""
-    return [float(s / t) if t > 0 else math.nan for s, t in zip(sums, totals)]
+    total, nc, non = (float(s / t) if t > 0 else math.nan for s, t in zip(sums, totals))
+    return total, nc, non
 
 
 def loss_and_grads(
     batch: PackedBatch,
     params: TinyLmParams,
     clamp_counter: Counter | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[tuple[float, float, float], dict[str, np.ndarray]]:
     """Forward and analytic backward pass over a batch, as dense matmuls.
 
-    The loss is the mean clamped NLL over the batch's ``N`` slots. With
-    ``dZ`` its gradient at the context
-    rows' logits (a row's softmax times its slot count over ``N``, minus each
-    slot's ``onehot(label) / N``): ``db = dZ.sum(0)``, ``dW = dZ.T @ H`` and
-    ``dE = C.T @ ((dZ @ W) / n)``. ``grads["chunk"]`` and ``grads["nll"]``
-    also hold the slots' chunk flags and clamped NLL, so callers can split
-    the loss by slot class. Clamped probabilities are counted as
-    ``_slot_nll`` does.
+    Returns ``((total, chunk, non_chunk), grads)``: the mean clamped NLL over
+    the batch's ``N`` slots and over its chunk and non-chunk slots, computed
+    as ``evaluate`` computes them (nan for a class without slots), and the
+    gradients of the total by parameter name. With ``dZ`` the total's
+    gradient at the context rows' logits (a row's softmax times its slot
+    count over ``N``, minus each slot's ``onehot(label) / N``):
+    ``db = dZ.sum(0)``, ``dW = dZ.T @ H`` and ``dE = C.T @ ((dZ @ W) / n)``.
+    Clamped probabilities are counted as ``_slot_nll`` does.
     """
     counts, sizes, hidden, rows, slots = _encode(batch, params)
     if not len(slots):
@@ -310,10 +312,8 @@ def loss_and_grads(
         "embeddings": counts.T @ ((dlogits @ params.w_mlm) / sizes[:, None]),
         "w_mlm": dlogits.T @ hidden,
         "b_mlm": dlogits.sum(axis=0),
-        "chunk": batch.table.chunk[slots],
-        "nll": nll,
     }
-    return float(np.sum(nll) / len(slots)), grads
+    return _means(*_class_sums(batch.table.chunk[slots], nll)), grads
 
 
 def grad_and_step(
@@ -321,20 +321,20 @@ def grad_and_step(
     params: TinyLmParams,
     lr: float,
     clamp_counter: Counter | None = None,
-) -> tuple[TinyLmParams, float, tuple[np.ndarray, np.ndarray]]:
-    """One plain gradient-descent update; returns the pre-step loss and the
-    slots' chunk flags and pre-step NLL. An update that would leave
-    a parameter non-finite raises ``NonFiniteError`` and changes nothing."""
+) -> tuple[float, float, float]:
+    """One plain gradient-descent update of ``params``, in place; returns the
+    batch's pre-step (total, chunk, non-chunk) losses of ``loss_and_grads``.
+    An update that would leave a parameter non-finite raises
+    ``NonFiniteError`` and changes nothing."""
     if not 0 <= lr < math.inf:
         raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
-    loss, grads = loss_and_grads(batch, params, clamp_counter)
-    slots = grads.pop("chunk"), grads.pop("nll")
+    losses, grads = loss_and_grads(batch, params, clamp_counter)
     updated = {name: getattr(params, name) - lr * grad for name, grad in grads.items()}
     if not all(np.isfinite(value).all() for value in updated.values()):
         raise NonFiniteError("non-finite parameters after the update")
     for name, value in updated.items():
         getattr(params, name)[...] = value
-    return params, loss, slots
+    return losses
 
 
 def evaluate(
@@ -358,8 +358,7 @@ def evaluate(
         totals += block_totals
     if not totals[0] > 0:
         raise ValueError("no prediction slots to evaluate")
-    total, nc_loss, non_loss = _means(sums, totals)
-    return total, nc_loss, non_loss
+    return _means(sums, totals)
 
 
 @dataclass
@@ -434,8 +433,7 @@ def train(
     clamps: Counter = Counter()
 
     def eval_row(step: int) -> None:
-        total, nc, non = evaluate(eval_set, params, clamps)
-        metrics.append(MetricsRow(step, total, nc, non, True))
+        metrics.append(MetricsRow(step, *evaluate(eval_set, params, clamps), True))
 
     def batches() -> Iterator[np.ndarray]:
         """Example indices of each batch; a batch may span two epochs."""
@@ -455,9 +453,8 @@ def train(
         try:
             eval_row(0)
             for step, index in zip(range(1, train_config.steps + 1), batches()):
-                params, loss, slots = grad_and_step(PackedBatch(table, index), params, train_config.lr, clamps)
-                _, batch_nc, batch_non = _means(*_class_sums(*slots))
-                metrics.append(MetricsRow(step, loss, batch_nc, batch_non, False))
+                losses = grad_and_step(PackedBatch(table, index), params, train_config.lr, clamps)
+                metrics.append(MetricsRow(step, *losses, False))
                 if step % train_config.eval_every == 0 or step == train_config.steps:
                     eval_row(step)
         except NonFiniteError as err:

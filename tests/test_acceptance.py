@@ -184,7 +184,7 @@ class TestLossExactness:
                 examples.append(Example(ids, positions, [rng.randrange(v) for _ in positions]))
             if not any(ex.masked_positions for ex in examples):
                 examples.append(Example([0, 1 % v], [1], [rng.randrange(v)]))
-            fast, _ = loss_and_grads(packed(examples), params)
+            (fast, _, _), _ = loss_and_grads(packed(examples), params)
             slow = _brute_force_loss(examples, params)
             worst = max(worst, abs(fast - slow) / max(abs(slow), 1e-30))
         _criterion(
@@ -203,7 +203,7 @@ class TestLossExactness:
                 Example([i % v for i in range(7)], [0, 3, 5], [i % v for i in range(3)]),
                 Example([1 % v] * 4, [2], [v - 1]),
             ]
-            loss, _ = loss_and_grads(packed(examples), params)
+            (loss, _, _), _ = loss_and_grads(packed(examples), params)
             worst = max(worst, abs(loss - math.log(v)))
         _criterion(
             "uniform predictions score ln V (abs <= 1e-12)",
@@ -236,9 +236,9 @@ class TestGradientCorrectness:
                     idx = it.multi_index
                     orig = arr[idx]
                     arr[idx] = orig + eps
-                    up, _ = loss_and_grads(batch, params)
+                    (up, _, _), _ = loss_and_grads(batch, params)
                     arr[idx] = orig - eps
-                    down, _ = loss_and_grads(batch, params)
+                    (down, _, _), _ = loss_and_grads(batch, params)
                     arr[idx] = orig
                     fd = (up - down) / (2 * eps)
                     analytic = grads[name][idx]

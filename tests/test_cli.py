@@ -222,6 +222,23 @@ class TestUnknownPosWarning:
         ]
 
 
+class TestWhitespaceInSurface:
+    @pytest.mark.parametrize("subcommand", ["chunk-stats", "make-pretraining-data"])
+    def test_rejected_naming_the_line_and_nothing_written(self, tmp_path, capsys, subcommand):
+        # The subword encoder takes no word with whitespace in it, so a
+        # statistic counted over such a token would cover input that the
+        # masked data could not be built from.
+        ann, vocab = tmp_path / "ann.tsv", tmp_path / "vocab.txt"
+        ann.write_text("the\tDET\t0\nred valve\tNOUN\t0\n\n", encoding="utf-8")
+        vocab.write_text("[UNK]\n[MASK]\nthe\nred\nvalve\n", encoding="utf-8")
+        argv = [subcommand, "--annotations", str(ann), "--output", str(tmp_path / "out")]
+        if subcommand == "make-pretraining-data":
+            argv += ["--vocab", str(vocab)]
+        assert main(argv) == EX_FAIL
+        assert "error: whitespace in token surface at line 2\n" in capsys.readouterr().err
+        assert _names(tmp_path) == ["ann.tsv", "vocab.txt"]
+
+
 class TestTokenizeStats:
     def test_report(self, tmp_path, data_dir, capsys):
         sentences = tmp_path / "sentences.txt"
@@ -261,6 +278,23 @@ class TestTokenizeStats:
 
 
 class TestMakePretrainingData:
+    def test_one_record_per_sentence_at_max_seq_len_one(self, tmp_path):
+        # A parsed sentence has a token, a token encodes to at least one
+        # piece ([UNK] at worst), and --max-seq-len is at least 1, so no
+        # sentence encodes to an empty sequence and none is dropped.
+        n = 5
+        ann, vocab, out = tmp_path / "ann.tsv", tmp_path / "vocab.txt", tmp_path / "out.jsonl"
+        ann.write_text("".join(f"zz{i}\tNOUN\t0\n\n" for i in range(n)), encoding="utf-8")
+        vocab.write_text("[UNK]\n[MASK]\nthe\n", encoding="utf-8")
+        argv = [
+            "make-pretraining-data", "--annotations", str(ann), "--vocab", str(vocab),
+            "--max-seq-len", "1", "--output", str(out),
+        ]
+        assert main(argv) == EX_OK
+        records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [r["doc_id"] for r in records] == [f"sent-{i}" for i in range(n)]
+        assert all(r["labels"] == [0] for r in records)  # the one piece is [UNK]
+
     def test_generates_and_reruns_from_sidecar(self, tmp_path, annotated_corpus):
         tsv, vocab = annotated_corpus
         out1 = tmp_path / "ex1.jsonl"

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -263,14 +264,14 @@ class TestSimilarityPairs:
 
 class TestSplitDataset:
     def test_exact_sizes(self):
-        splits = split_dataset(range(100), (0.8, 0.2), seed=1)
+        splits = split_dataset(range(100), 0.8, seed=1, key=lambda i: i)
         assert len(splits["train"]) == 80
         assert len(splits["test"]) == 20
         assert sorted(splits["train"] + splits["test"]) == list(range(100))
 
     def test_seed_determinism(self):
-        a = split_dataset(range(50), (0.5, 0.5), seed=7)
-        b = split_dataset(range(50), (0.5, 0.5), seed=7)
+        a = split_dataset(range(50), 0.5, seed=7, key=lambda i: i)
+        b = split_dataset(range(50), 0.5, seed=7, key=lambda i: i)
         assert a == b
 
     def test_pair_orientations_stay_together(self):
@@ -278,17 +279,14 @@ class TestSplitDataset:
         for i in range(30):
             pairs.append(SimilarityPair("x", "y", f"a{i}", f"b{i}", True))
             pairs.append(SimilarityPair("y", "x", f"b{i}", f"a{i}", False))
-        splits = split_dataset(
-            pairs, (0.5, 0.5), seed=3, key=lambda p: tuple(sorted((p.id_a, p.id_b)))
-        )
+        splits = split_dataset(pairs, 0.5, seed=3, key=lambda p: tuple(sorted((p.id_a, p.id_b))))
         for name in ("train", "test"):
             ids = {tuple(sorted((p.id_a, p.id_b))) for p in splits[name]}
             others = {"train": "test", "test": "train"}[name]
             other_ids = {tuple(sorted((p.id_a, p.id_b))) for p in splits[others]}
             assert not ids & other_ids
 
-    def test_bad_fractions(self):
-        with pytest.raises(ValueError):
-            split_dataset(range(10), (0.5, 0.6), seed=0)
-        with pytest.raises(ValueError):
-            split_dataset(range(10), (1.2, -0.2), seed=0)
+    @pytest.mark.parametrize("train_frac", [-0.2, 1.2, math.nan])
+    def test_train_frac_outside_unit_interval_rejected(self, train_frac):
+        with pytest.raises(ValueError, match=r"train_frac must be in \[0, 1\]"):
+            split_dataset(range(10), train_frac, seed=0, key=lambda i: i)

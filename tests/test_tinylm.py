@@ -202,19 +202,19 @@ def _bias_only(probs):
 class TestMlmLoss:
     def test_uniform_equals_log_vocab(self):
         batch = packed([Example([0, 1, 2, 3], [0, 2], [0, 3]), Example([3, 1, 2], [0, 1, 2], [1, 2, 0])])
-        loss, _ = loss_and_grads(batch, _bias_only(np.full(4, 0.25)))
+        (loss, _, _), _ = loss_and_grads(batch, _bias_only(np.full(4, 0.25)))
         assert abs(loss - math.log(4)) < 1e-12
 
     def test_perfect_predictions_give_zero(self):
         batch = packed([Example([0, 1, 2], [0, 2], [1, 1]), Example([2, 2], [1], [1])])
-        loss, _ = loss_and_grads(batch, _bias_only(np.eye(4)[1]))
+        (loss, _, _), _ = loss_and_grads(batch, _bias_only(np.eye(4)[1]))
         assert loss == 0.0
 
     def test_hand_summed_weighted_mean(self):
         # The loss is the mean over slots, so the 3-slot example weighs three
         # times the 1-slot one: not the mean of the two examples' means.
         batch = packed([Example([0, 1], [1], [0]), Example([2, 0, 1], [0, 1, 2], [1, 2, 0])])
-        loss, _ = loss_and_grads(batch, _bias_only(np.array([0.7, 0.2, 0.1])))
+        (loss, _, _), _ = loss_and_grads(batch, _bias_only(np.array([0.7, 0.2, 0.1])))
         expected = (-math.log(0.7) - math.log(0.2) - math.log(0.1) - math.log(0.7)) / 4
         assert loss == pytest.approx(expected, rel=1e-12)
 
@@ -233,7 +233,7 @@ class TestMlmLoss:
     def test_zero_probability_clamped_and_counted(self):
         counter = Counter()
         params = _bias_only(np.array([1.0, 0.0]))
-        loss, _ = loss_and_grads(packed([Example([0, 0], [0], [1])]), params, clamp_counter=counter)
+        (loss, _, _), _ = loss_and_grads(packed([Example([0, 0], [0], [1])]), params, clamp_counter=counter)
         assert loss == pytest.approx(-math.log(1e-12))
         assert counter["clamped_probs"] == 1
 
@@ -243,16 +243,16 @@ class TestMlmLoss:
         batch = packed([_random_example(rng, 5) for _ in range(6)])
         perm = np.array(rng.sample(range(6), 6))
         permuted = PackedBatch(batch.table, perm)
-        loss, _ = loss_and_grads(batch, params)
-        assert loss_and_grads(permuted, params)[0] == pytest.approx(loss, rel=1e-12)
+        (loss, _, _), _ = loss_and_grads(batch, params)
+        assert loss_and_grads(permuted, params)[0][0] == pytest.approx(loss, rel=1e-12)
 
     def test_duplicated_batch_keeps_loss(self):
         rng = random.Random(1)
         params = TinyLmParams.init(4, 3, seed=3)
         batch = packed([_random_example(rng, 4) for _ in range(3)])
         twice = PackedBatch(batch.table, np.concatenate([batch.index, batch.index]))
-        loss, _ = loss_and_grads(batch, params)
-        assert loss_and_grads(twice, params)[0] == pytest.approx(loss, rel=1e-12)
+        (loss, _, _), _ = loss_and_grads(batch, params)
+        assert loss_and_grads(twice, params)[0][0] == pytest.approx(loss, rel=1e-12)
 
     def test_padding_slots_change_nothing(self):
         # Slot-less examples in a batch add a context but no prediction slot.
@@ -261,8 +261,8 @@ class TestMlmLoss:
         table = packed(examples).table
         for radius in (0, 1):
             params = TinyLmParams.init(4, 3, context_radius=radius, seed=5)
-            unpadded_loss, unpadded = loss_and_grads(PackedBatch(table, np.array([0, 1])), params)
-            padded_loss, padded = loss_and_grads(PackedBatch(table, np.array([2, 0, 3, 1, 2])), params)
+            (unpadded_loss, _, _), unpadded = loss_and_grads(PackedBatch(table, np.array([0, 1])), params)
+            (padded_loss, _, _), padded = loss_and_grads(PackedBatch(table, np.array([2, 0, 3, 1, 2])), params)
             assert padded_loss == unpadded_loss
             for name, grad in unpadded.items():
                 assert np.allclose(padded[name], grad, rtol=0, atol=1e-15)
@@ -286,7 +286,7 @@ class TestGradients:
         params = TinyLmParams.init(5, 3, seed=3)
         before = params.embeddings.copy(), params.w_mlm.copy(), params.b_mlm.copy()
         ex = Example([0, 1, 2, 3, 4], [2], [1])
-        _, loss, _ = grad_and_step(packed([ex]), params, lr=0.0)
+        loss, _, _ = grad_and_step(packed([ex]), params, lr=0.0)
         assert loss > 0
         assert np.array_equal(params.embeddings, before[0])
         assert np.array_equal(params.w_mlm, before[1])
@@ -300,7 +300,7 @@ class TestGradients:
             batch = [_random_example(rng, 7) for _ in range(rng.randrange(1, 5))]
             # An example without masked positions has a context but no slots.
             batch.insert(rng.randrange(len(batch) + 1), Example([1, 2, 3], [], []))
-            loss, grads = loss_and_grads(packed(batch), params)
+            (loss, _, _), grads = loss_and_grads(packed(batch), params)
             ref_loss, ref_grads = _loop_loss_and_grads(batch, params)
             worst = max(worst, abs(loss - ref_loss))
             for name, ref in ref_grads.items():
@@ -345,7 +345,7 @@ class TestGradients:
         # The second example masks every position, so its context is empty.
         params = TinyLmParams.init(6, 3, context_radius=0, seed=5)
         batch = packed([Example([0, 1, 2, 3, 4], [1, 3], [2, 0]), Example([4, 5], [0, 1], [4, 5])])
-        loss, grads = loss_and_grads(batch, params)
+        (loss, _, _), grads = loss_and_grads(batch, params)
         _, alone = loss_and_grads(PackedBatch(batch.table, batch.index[:1]), params)
         assert math.isfinite(loss)
         # Its slots only reweight the first example's: 2 of the batch's 4 slots.
@@ -361,9 +361,9 @@ class TestGradients:
                     idx = it.multi_index
                     orig = arr[idx]
                     arr[idx] = orig + eps
-                    up, _ = loss_and_grads(batch, params)
+                    (up, _, _), _ = loss_and_grads(batch, params)
                     arr[idx] = orig - eps
-                    down, _ = loss_and_grads(batch, params)
+                    (down, _, _), _ = loss_and_grads(batch, params)
                     arr[idx] = orig
                     fd = (up - down) / (2 * eps)
                     assert abs(grads[name][idx] - fd) / max(
@@ -533,6 +533,23 @@ class TestTrain:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("radius", [0, 2])
+    @pytest.mark.parametrize("strategy,p_nc", [("mlm", None), ("lim", 0.5), ("lim", 1.0)])
+    def test_step_losses_are_the_eval_losses_of_the_batch(self, radius, strategy, p_nc):
+        # A step row and an eval row come from one computation: at lr 0 the
+        # step reports, bit for bit, what evaluate reports for its batch of
+        # at most EVAL_BLOCK examples. lim at p_nc 1 masks chunk slots only,
+        # so both report nan for the non-chunk class.
+        masking = MaskingConfig(
+            strategy=strategy, p_nc=p_nc, max_seq_len=8, seed=0, mask_piece_id=0, vocab_size=10
+        )
+        table = pack_corpus(_topic_sequences(EVAL_BLOCK, 0), masking)
+        batch = PackedBatch(table, np.arange(len(table))[::-1])
+        params = TinyLmParams.init(10, 4, context_radius=radius, seed=1)
+        want = evaluate(batch, params)
+        assert repr(grad_and_step(batch, params, lr=0.0)) == repr(want)
+        assert math.isnan(want[2]) == (p_nc == 1.0)
+
     def test_per_class_split(self):
         params = TinyLmParams.init(6, 3, seed=4)
         ex = Example([0, 1, 2, 3], [0, 1], [2, 3], [True, False, True, False])
