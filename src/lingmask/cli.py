@@ -10,6 +10,8 @@ temporary files and renamed into place together when the command returns, so
 a failed run leaves neither a partial output nor a sidecar. Renaming several
 files is not atomic as a group, and a killed run leaves its temporary file
 behind. Diagnostics go to stderr; data goes to the output file or stdout.
+Warnings and errors are logged by default; the top-level ``-v`` also logs what
+the run did (INFO), and ``-q`` logs errors only.
 
 Exit codes: 0 success, 1 validation failure, 2 verify-masking tolerance
 breach, 64 usage error, 74 I/O error.
@@ -181,9 +183,12 @@ def _cmd_normalize(cfg: dict[str, Any], outputs: _Outputs) -> int:
 def _annotated_sentences(path: str) -> Iterator[AnnotatedSentence]:
     """Stream the sentences of an annotation file; the unknown POS tags
     mapped to X are logged in one warning, with their counts, once the stream
-    ends."""
+    ends. A malformed file's error names the file."""
     warnings: Counter = Counter()
-    yield from parse_annotations(path, warn_counter=warnings)
+    try:
+        yield from parse_annotations(path, warn_counter=warnings)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if warnings:
         log.warning("unknown POS tags mapped to X: %s", dict(warnings))
 
@@ -493,6 +498,15 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         action="version",
         version=f"lingmask {__version__} (example-format {FORMAT_VERSION})",
     )
+    verbosity = parser.add_mutually_exclusive_group()
+    verbosity.add_argument(
+        "-v", "--verbose", dest="log_level", action="store_const", const=logging.INFO,
+        help="also log what the run did (INFO)",
+    )
+    verbosity.add_argument(
+        "-q", "--quiet", dest="log_level", action="store_const", const=logging.ERROR,
+        help="log errors only",
+    )
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     subparsers = {}
     for name, (_, help_text, options) in _SUBCOMMANDS.items():
@@ -560,6 +574,9 @@ def run(argv: list[str]) -> int:
         # argparse reports a subcommand's unknown flags from the top-level
         # parser; report them from the subcommand's own parser instead.
         args, unknown = parser.parse_known_args(argv)
+        # Set on every run: basicConfig acts once per process, and a level
+        # left by an earlier in-process run must not carry over.
+        log.setLevel(args.log_level or logging.WARNING)
         if unknown:
             subparsers.get(args.subcommand, parser).error(
                 f"unrecognized arguments: {' '.join(unknown)}"

@@ -2,8 +2,11 @@
 
 Raw documents (patent sections or any technical text) are cleaned by
 collapsing whitespace and removing formula spans, then split into sentences
-with a small deterministic rule set. All functions here are pure, so document
-streams can be processed by any number of workers and reassembled by id.
+with a small deterministic rule set. Every function's output depends on its
+arguments alone. The formula verdict of each distinct token is memoized for
+the process: only tokens of at most 64 characters are kept, and the memo is
+emptied before it would hold more than 2**14 of them, so its memory stays
+bounded whatever the input.
 
 Input formats:
   * JSONL: one object per line, UTF-8, fields ``id`` and ``text`` (both
@@ -16,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import Iterator
 
 # Characters that mark a token as formula-like when adjacent to a digit or
@@ -71,18 +75,38 @@ def _is_formula_token(token: str) -> bool:
     return False
 
 
+# Bounds on the verdict memo, so that its memory stays flat whatever the input.
+_VERDICT_MAX_TOKEN_LEN = 64
+_VERDICT_MAX_ENTRIES = 2**14
+
+
+class _Verdicts(dict):
+    """``_is_formula_token``'s verdict by token, made when first asked for, so
+    a repeated token is looked up in C and never classified again."""
+
+    def __missing__(self, token: str) -> bool:
+        verdict = _is_formula_token(token)
+        if len(token) <= _VERDICT_MAX_TOKEN_LEN:
+            if len(self) >= _VERDICT_MAX_ENTRIES:
+                self.clear()
+            self[token] = verdict
+        return verdict
+
+
+_verdicts = _Verdicts()
+
+
 def normalize_text(raw: str) -> str:
     """Clean one text: drop formula spans, collapse whitespace.
 
     ``$...$`` spans are removed first (non-overlapping, paired left to right,
     replaced by a space so unrelated fragments never merge). The text is then
     whitespace-split, formula-like tokens are dropped, and the remainder is
-    re-joined with single spaces. Total and idempotent; never increases the
-    character count.
+    re-joined with single spaces. Each token's verdict comes from the bounded
+    module memo, so a token seen before in the process is not classified
+    again. Total and idempotent; never increases the character count.
     """
-    text = _DOLLAR_SPAN.sub(" ", raw)
-    kept = [tok for tok in text.split() if not _is_formula_token(tok)]
-    return " ".join(kept)
+    return " ".join(filterfalse(_verdicts.__getitem__, _DOLLAR_SPAN.sub(" ", raw).split()))
 
 
 # Terminators are not sentence boundaries when the text so far ends in one of

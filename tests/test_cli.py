@@ -87,6 +87,73 @@ class TestExitCodes:
         assert "(example-format 2)" in capsys.readouterr().out
 
 
+@pytest.fixture
+def restore_log_level():
+    """Put the package logger's level back after a test that runs ``-v`` or
+    ``-q`` in process."""
+    logger = logging.getLogger("lingmask")
+    level = logger.level
+    yield
+    logger.setLevel(level)
+
+
+@pytest.mark.usefixtures("restore_log_level")
+class TestVerbosity:
+    def test_verbose_prints_info_and_does_not_carry_over(self, tmp_path, data_dir):
+        # In its own process, so that basicConfig installs the stderr handler
+        # a command-line run gets.
+        root = Path(__file__).resolve().parents[1]
+        argv = ["normalize", "--input", str(data_dir / "documents.jsonl")]
+        script = f"""
+import sys
+from lingmask.cli import main
+assert main(["-v", *{argv!r}, "--output", {str(tmp_path / "a.jsonl")!r}]) == 0
+print("--", file=sys.stderr)
+assert main([*{argv!r}, "--output", {str(tmp_path / "b.jsonl")!r}]) == 0
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "INFO normalized 12 documents\n--\n"
+
+    @pytest.mark.parametrize("subcommand", ["make-ipc", "make-pairs"])
+    def test_verbose_logs_the_counts(self, tmp_path, patents_path, caplog, subcommand):
+        argv = ["-v", subcommand, "--input", patents_path, "--output", str(tmp_path / "out.jsonl")]
+        assert main(argv) == EX_OK
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
+            {
+                "make-ipc": "wrote 18 examples, skipped: "
+                "{'invalid_tag': 1, 'skipped_no_valid_tags': 1, 'skipped_empty_claims': 1}",
+                "make-pairs": "wrote 12 pairs, dropped: "
+                "{'skipped_missing_text': 1, 'skipped_unknown_cited': 1, 'dropped_same_doc': 1}",
+            }[subcommand]
+        ]
+
+    @pytest.mark.parametrize("flags,warnings", [([], 1), (["-q"], 0)], ids=["default", "quiet"])
+    def test_quiet_hides_the_repeated_id_warning(self, tmp_path, patents_path, caplog, flags, warnings):
+        patents = tmp_path / "patents.jsonl"
+        lines = Path(patents_path).read_text(encoding="utf-8").splitlines(keepends=True)
+        patents.write_text("".join(lines + lines[:1]), encoding="utf-8")
+        argv = [*flags, "make-pairs", "--input", str(patents), "--output", str(tmp_path / "pairs.jsonl")]
+        assert main(argv) == EX_OK
+        assert [r.levelno for r in caplog.records] == [logging.WARNING] * warnings
+
+    def test_verbose_and_quiet_exclusive(self, tmp_path, patents_path, capsys):
+        argv = ["-v", "-q", "make-ipc", "--input", patents_path, "--output", str(tmp_path / "o")]
+        assert main(argv) == EX_USAGE
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_not_in_the_sidecar(self, tmp_path, patents_path):
+        out = tmp_path / "ipc.jsonl"
+        assert main(["-v", "make-ipc", "--input", patents_path, "--output", str(out)]) == EX_OK
+        sidecar = json.loads((tmp_path / "ipc.jsonl.config.json").read_text(encoding="utf-8"))
+        assert sidecar == {"subcommand": "make-ipc", "input": patents_path, "output": str(out)}
+
+
 class TestConfigFile:
     @pytest.mark.parametrize(
         "content,named",
@@ -223,7 +290,7 @@ class TestUnknownPosWarning:
 
 
 class TestWhitespaceInSurface:
-    @pytest.mark.parametrize("subcommand", ["chunk-stats", "make-pretraining-data"])
+    @pytest.mark.parametrize("subcommand", ["chunk-stats", "make-pretraining-data", "train-tiny"])
     def test_rejected_naming_the_line_and_nothing_written(self, tmp_path, capsys, subcommand):
         # The subword encoder takes no word with whitespace in it, so a
         # statistic counted over such a token would cover input that the
@@ -232,10 +299,10 @@ class TestWhitespaceInSurface:
         ann.write_text("the\tDET\t0\nred valve\tNOUN\t0\n\n", encoding="utf-8")
         vocab.write_text("[UNK]\n[MASK]\nthe\nred\nvalve\n", encoding="utf-8")
         argv = [subcommand, "--annotations", str(ann), "--output", str(tmp_path / "out")]
-        if subcommand == "make-pretraining-data":
+        if subcommand != "chunk-stats":
             argv += ["--vocab", str(vocab)]
         assert main(argv) == EX_FAIL
-        assert "error: whitespace in token surface at line 2\n" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"lingmask: error: {ann}: whitespace in token surface at line 2\n"
         assert _names(tmp_path) == ["ann.tsv", "vocab.txt"]
 
 

@@ -1,8 +1,11 @@
 import json
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from lingmask import corpus
 from lingmask.corpus import (
     _ABBREVIATIONS,
     _DOLLAR_SPAN,
@@ -126,6 +129,40 @@ class TestAgainstReference:
     def test_edges(self, text):
         assert normalize_text(text) == _oracle_normalize_text(text)
         assert split_sentences(text) == _oracle_split_sentences(text)
+
+
+# A few dozen tokens, formula-like and plain, so that texts drawn from them
+# share tokens and the memo's verdicts are reused across calls.
+_SHARED_TOKENS = st.lists(
+    st.sampled_from(
+        ["valve", "x=y", "^2", "=3", "∑=", ":::", "(a),", "x²=y", "a-b", "Fig.", "$", "$x$", "٣^", "Ω"]
+    ),
+    max_size=12,
+).map(" ".join)
+
+
+class TestVerdictMemo:
+    @given(st.lists(_SHARED_TOKENS, max_size=8))
+    def test_reused_verdicts_match_the_reference(self, texts):
+        for text in texts:
+            assert normalize_text(text) == _oracle_normalize_text(text)
+
+    def test_memo_stays_within_its_cap(self, monkeypatch):
+        monkeypatch.setattr(corpus, "_VERDICT_MAX_ENTRIES", 4)
+        monkeypatch.setattr(corpus, "_verdicts", corpus._Verdicts())
+        rng = random.Random(3)
+        vocabulary = ["valve", "x=y", "^2", "=3", ":::", "pump", "a^b", "(a),", "∑=", "seal"]
+        for _ in range(50):
+            text = " ".join(rng.choice(vocabulary) for _ in range(rng.randint(0, 9)))
+            assert normalize_text(text) == _oracle_normalize_text(text)
+            assert len(corpus._verdicts) <= 4
+
+    @pytest.mark.parametrize("token,dropped", [("a" * 65, False), ("=" * 65, True), ("a" * 64 + "=1", True)])
+    def test_long_tokens_are_classified_and_not_kept(self, monkeypatch, token, dropped):
+        monkeypatch.setattr(corpus, "_verdicts", corpus._Verdicts())
+        for _ in range(2):
+            assert normalize_text(f"pump {token}") == ("pump" if dropped else f"pump {token}")
+        assert dict(corpus._verdicts) == {"pump": False}
 
 
 class TestSplitSentences:

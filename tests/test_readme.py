@@ -34,8 +34,8 @@ def test_library_use_snippet_runs(capsys):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_command_line_block_parses(command):
-    """Each command names a subcommand and has no unknown flag, no missing
-    required option and no out-of-range value."""
+    """Each command names a subcommand, after any top-level flags, and has no
+    unknown flag, no missing required option and no out-of-range value."""
     argv = shlex.split(command)[1:]
     parser, subparsers = cli._build_parser()
     args = parser.parse_args(argv)
@@ -44,4 +44,6 @@ def test_command_line_block_parses(command):
 
 
 def test_command_line_block_shows_every_subcommand():
-    assert {shlex.split(command)[1] for command in COMMANDS} == set(cli._SUBCOMMANDS)
+    parser, _ = cli._build_parser()
+    shown = {parser.parse_args(shlex.split(command)[1:]).subcommand for command in COMMANDS}
+    assert shown == set(cli._SUBCOMMANDS)
