@@ -11,7 +11,7 @@ a failed run leaves neither a partial output nor a sidecar. Renaming several
 files is not atomic as a group, and a killed run leaves its temporary file
 behind. Diagnostics go to stderr; data goes to the output file or stdout.
 Warnings and errors are logged by default; the top-level ``-v`` also logs what
-the run did (INFO), and ``-q`` logs errors only.
+the run did (INFO).
 
 Exit codes: 0 success, 1 validation failure, 2 verify-masking tolerance
 breach, 64 usage error, 74 I/O error.
@@ -498,14 +498,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         action="version",
         version=f"lingmask {__version__} (example-format {FORMAT_VERSION})",
     )
-    verbosity = parser.add_mutually_exclusive_group()
-    verbosity.add_argument(
-        "-v", "--verbose", dest="log_level", action="store_const", const=logging.INFO,
-        help="also log what the run did (INFO)",
-    )
-    verbosity.add_argument(
-        "-q", "--quiet", dest="log_level", action="store_const", const=logging.ERROR,
-        help="log errors only",
+    parser.add_argument(
+        "-v", "--verbose", action="store_true", help="also log what the run did (INFO)"
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     subparsers = {}
@@ -570,13 +564,13 @@ def run(argv: list[str]) -> int:
     """Parse and execute one invocation; returns the exit code."""
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     parser, subparsers = _build_parser()
+    level = log.level
     try:
         # argparse reports a subcommand's unknown flags from the top-level
         # parser; report them from the subcommand's own parser instead.
         args, unknown = parser.parse_known_args(argv)
-        # Set on every run: basicConfig acts once per process, and a level
-        # left by an earlier in-process run must not carry over.
-        log.setLevel(args.log_level or logging.WARNING)
+        if args.verbose:
+            log.setLevel(logging.INFO)
         if unknown:
             subparsers.get(args.subcommand, parser).error(
                 f"unrecognized arguments: {' '.join(unknown)}"
@@ -604,6 +598,10 @@ def run(argv: list[str]) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"lingmask: error: {exc}", file=sys.stderr)
         return EX_FAIL
+    finally:
+        # basicConfig acts once per process, so a -v must not outlive its run;
+        # the caller's own level comes back either way.
+        log.setLevel(level)
 
 
 def main(argv: list[str] | None = None) -> int:

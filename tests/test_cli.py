@@ -87,17 +87,6 @@ class TestExitCodes:
         assert "(example-format 2)" in capsys.readouterr().out
 
 
-@pytest.fixture
-def restore_log_level():
-    """Put the package logger's level back after a test that runs ``-v`` or
-    ``-q`` in process."""
-    logger = logging.getLogger("lingmask")
-    level = logger.level
-    yield
-    logger.setLevel(level)
-
-
-@pytest.mark.usefixtures("restore_log_level")
 class TestVerbosity:
     def test_verbose_prints_info_and_does_not_carry_over(self, tmp_path, data_dir):
         # In its own process, so that basicConfig installs the stderr handler
@@ -132,20 +121,17 @@ assert main([*{argv!r}, "--output", {str(tmp_path / "b.jsonl")!r}]) == 0
             }[subcommand]
         ]
 
-    @pytest.mark.parametrize("flags,warnings", [([], 1), (["-q"], 0)], ids=["default", "quiet"])
-    def test_quiet_hides_the_repeated_id_warning(self, tmp_path, patents_path, caplog, flags, warnings):
-        patents = tmp_path / "patents.jsonl"
-        lines = Path(patents_path).read_text(encoding="utf-8").splitlines(keepends=True)
-        patents.write_text("".join(lines + lines[:1]), encoding="utf-8")
-        argv = [*flags, "make-pairs", "--input", str(patents), "--output", str(tmp_path / "pairs.jsonl")]
-        assert main(argv) == EX_OK
-        assert [r.levelno for r in caplog.records] == [logging.WARNING] * warnings
-
-    def test_verbose_and_quiet_exclusive(self, tmp_path, patents_path, capsys):
-        argv = ["-v", "-q", "make-ipc", "--input", patents_path, "--output", str(tmp_path / "o")]
-        assert main(argv) == EX_USAGE
-        assert "not allowed with argument" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+    @pytest.mark.parametrize("flags", [[], ["-v"]], ids=["plain", "verbose"])
+    def test_the_callers_level_is_kept(self, tmp_path, patents_path, flags):
+        logger = logging.getLogger("lingmask")
+        level = logger.level
+        logger.setLevel(logging.DEBUG)
+        try:
+            argv = [*flags, "make-ipc", "--input", patents_path, "--output", str(tmp_path / "ipc.jsonl")]
+            assert main(argv) == EX_OK
+            assert logger.level == logging.DEBUG
+        finally:
+            logger.setLevel(level)
 
     def test_not_in_the_sidecar(self, tmp_path, patents_path):
         out = tmp_path / "ipc.jsonl"

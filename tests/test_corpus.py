@@ -152,10 +152,14 @@ class TestVerdictMemo:
         monkeypatch.setattr(corpus, "_verdicts", corpus._Verdicts())
         rng = random.Random(3)
         vocabulary = ["valve", "x=y", "^2", "=3", ":::", "pump", "a^b", "(a),", "∑=", "seal"]
+        seen = {}
         for _ in range(50):
             text = " ".join(rng.choice(vocabulary) for _ in range(rng.randint(0, 9)))
+            seen.update(dict.fromkeys(text.split()))
             assert normalize_text(text) == _oracle_normalize_text(text)
             assert len(corpus._verdicts) <= 4
+        # Once full, the memo keeps the first tokens it saw and adds no other.
+        assert list(corpus._verdicts) == list(seen)[:4]
 
     @pytest.mark.parametrize("token,dropped", [("a" * 65, False), ("=" * 65, True), ("a" * 64 + "=1", True)])
     def test_long_tokens_are_classified_and_not_kept(self, monkeypatch, token, dropped):
