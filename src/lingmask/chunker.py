@@ -8,6 +8,7 @@ membership flags are derived from the spans.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -76,16 +77,20 @@ def filter_chunks(
 # Each POS tag as one shared string, so every token of a tag holds the same one.
 _POS = {tag: tag for tag in UPOS_TAGS}
 _UNSEEN = object()  # a chunk column not yet seen; None is the chunk id of "-"
+# A chunk column other than "-": ASCII digits, so that, unlike with a bare
+# int(), "1_0", " 3", "+3" and "٣" are not read as the ids of "10" and "3".
+_CHUNK_ID = re.compile(r"-?[0-9]+")
 
 
 def parse_annotations(path: str, warn_counter: Counter) -> Iterator[AnnotatedSentence]:
     """Stream annotated sentences from a TSV annotation file.
 
     ``chunk_id`` is ``-`` for tokens outside any chunk and a per-sentence
-    integer shared by all tokens of one chunk; a chunk's tokens must be
-    contiguous. A token surface holds no whitespace. Unknown POS tags are
-    mapped to X and counted in ``warn_counter``, by tag, at every line that
-    has one; the caller reports the counts.
+    integer (ASCII digits, an optional leading ``-``) shared by all tokens of
+    one chunk; a chunk's tokens must be contiguous. A token surface holds no
+    whitespace. Unknown POS tags are mapped to X and counted in
+    ``warn_counter``, by tag, at every line that has one; the caller reports
+    the counts.
 
     A line is looked up by its two parts, split at its last tab: the head
     (``surface<TAB>pos``) maps to its shared, frozen token and the chunk
@@ -171,13 +176,10 @@ def _parse_line(
         raise ValueError(f"whitespace in token surface at line {lineno}")
     if chunk_field == "-":
         cid: int | None = None
+    elif _CHUNK_ID.fullmatch(chunk_field):
+        cid = int(chunk_field)
     else:
-        try:
-            cid = int(chunk_field)
-        except ValueError as exc:
-            raise ValueError(
-                f"invalid chunk id {chunk_field!r} at line {lineno}"
-            ) from exc
+        raise ValueError(f"invalid chunk id {chunk_field!r} at line {lineno}")
     head, _, column = line.rpartition("\t")
     pos = _POS.get(tag)
     if pos is None:

@@ -154,18 +154,23 @@ def _ipc_record(example: IpcExample) -> str:
 
 
 class _Quoted(dict):
-    """JSON string literals by text, made when first asked for, so each
-    distinct claims text and patent id of a run is escaped once."""
+    """JSON string bodies, without their quotes, by text, made when first
+    asked for, so each distinct claims text and patent id of a run is escaped
+    once. A text that needs no escaping is its own body, so the memo holds no
+    copy of it."""
 
     def __missing__(self, text: str) -> str:
-        quoted = self[text] = encode_basestring(text)
-        return quoted
+        body = encode_basestring(text)[1:-1]
+        if body == text:
+            body = text
+        self[text] = body
+        return body
 
 
 def _pair_record(pair: SimilarityPair, quoted: _Quoted) -> str:
     return (
-        f'{{"text_a": {quoted[pair.text_a]}, "text_b": {quoted[pair.text_b]}, '
-        f'"id_a": {quoted[pair.id_a]}, "id_b": {quoted[pair.id_b]}, '
+        f'{{"text_a": "{quoted[pair.text_a]}", "text_b": "{quoted[pair.text_b]}", '
+        f'"id_a": "{quoted[pair.id_a]}", "id_b": "{quoted[pair.id_b]}", '
         f'"label": {"true" if pair.label else "false"}}}'
     )
 

@@ -66,7 +66,7 @@ class IpcExample:
             raise ValueError(f"label is not a subclass code: {self.label!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SimilarityPair:
     text_a: str
     text_b: str
@@ -94,6 +94,8 @@ def ipc_subclass(full_tag: str) -> str:
 def _citation(raw: object) -> Citation:
     if not isinstance(raw, dict) or not isinstance(raw.get("category"), str):
         raise ValueError(f"citation must be an object with a string category: {raw!r}")
+    if "pub" not in raw:
+        raise ValueError("missing field: pub")
     return Citation(cited_pub_number=raw["pub"], category=raw["category"].strip().upper())
 
 
@@ -105,6 +107,8 @@ def read_patent_records(path: str) -> Iterator[PatentRecord]:
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError(f"record must be a JSON object: {record!r}")
+                if "pub_number" not in record:
+                    raise ValueError("missing field: pub_number")
                 ipc = record.get("ipc", [])
                 if isinstance(ipc, str):
                     tags = [t.strip() for t in ipc.split(";") if t.strip()]
@@ -122,7 +126,7 @@ def read_patent_records(path: str) -> Iterator[PatentRecord]:
                     ipc_tags=tags,
                     citations=citations,
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"invalid patent record at line {lineno}: {exc}") from exc
 
 
@@ -204,8 +208,9 @@ def build_similarity_pairs(
             first_repeated,
         )
 
-    positives: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
+    # The kept pairs, in input order: one dict is the duplicate check, the
+    # negatives' relatedness test and the order of the output's positives.
+    positives: dict[tuple[str, str], None] = {}
     for pair in cited_pairs:
         citing, cited = pair
         if citing == cited:
@@ -217,15 +222,13 @@ def build_similarity_pairs(
         if not texts[citing] or not texts[cited]:
             counters["skipped_missing_text"] += 1
             continue
-        if pair in seen:
+        if pair in positives:
             counters["skipped_duplicate_citation"] += 1
             continue
-        seen.add(pair)
-        positives.append(pair)
+        positives[pair] = None
     if not positives:
         raise ValueError("no X-category citation pairs in input")
 
-    related: set[frozenset[str]] = {frozenset(p) for p in positives}
     pool = sorted({pub for pair in positives for pub in pair})
 
     output: list[SimilarityPair] = []
@@ -236,7 +239,7 @@ def build_similarity_pairs(
             if candidate == citing:
                 counters["dropped_same_doc"] += 1
                 break
-            if frozenset((citing, candidate)) in related:
+            if (citing, candidate) in positives or (candidate, citing) in positives:
                 continue
             partner = candidate
             break

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -204,9 +205,16 @@ class TestParseAnnotations:
         assert second.tokens[0] is first.tokens[1] and second.tokens[1] is first.tokens[0]
 
     def test_bad_chunk_id_after_its_head_names_its_own_line(self, tmp_path):
-        path = self._write(tmp_path / "ann.tsv", "valve\tNOUN\t0\n\nvalve\tNOUN\tx\n")
-        with pytest.raises(ValueError, match="invalid chunk id 'x' at line 3$"):
-            list(parse_annotations(path, Counter()))
+        # int() would read all but the first as 10, 3, 3 and 3.
+        for chunk_id in ["x", "1_0", " 3", "+3", "\u0663"]:
+            path = self._write(tmp_path / "ann.tsv", f"valve\tNOUN\t0\n\nvalve\tNOUN\t{chunk_id}\n")
+            with pytest.raises(ValueError, match=f"invalid chunk id {re.escape(repr(chunk_id))} at line 3$"):
+                list(parse_annotations(path, Counter()))
+
+    def test_negative_chunk_id_accepted(self, tmp_path):
+        path = self._write(tmp_path / "ann.tsv", "a\tNOUN\t-7\nb\tNOUN\t-7\nc\tVERB\t-\n")
+        (sentence,) = parse_annotations(path, Counter())
+        assert sentence.chunk_spans == [(0, 2)]
 
     @pytest.mark.parametrize("line", ["valve\tNOUN\tNOUN\t0\n", "a\tvalve\tNOUN\t0\n"])
     def test_four_columns_ending_in_a_seen_chunk_column_name_their_line(self, tmp_path, line):

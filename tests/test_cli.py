@@ -230,6 +230,18 @@ class TestRecordWriters:
         example = IpcExample(text=text, label=label)
         assert cli._ipc_record(example) == _dumps({"text": text, "label": label})
 
+    def test_quoted_keeps_no_copy_of_a_text_that_needs_no_escaping(self):
+        text = "".join(["a valve ", "é \u2028 \U0001f600 \x7f"])
+        quoted = cli._Quoted()
+        assert quoted[text] is text
+        assert quoted[text] is text  # and the memo hands back the same object
+
+    @given(JSON_TEXT)
+    def test_quoted_is_the_escaped_body(self, text):
+        body = cli._Quoted()[text]
+        assert body == _dumps(text)[1:-1]
+        assert (body is text) == (body == text)
+
     @given(st.lists(st.tuples(JSON_TEXT, JSON_TEXT, JSON_TEXT, JSON_TEXT, st.booleans()), max_size=6))
     def test_pair_records_share_one_cache(self, fields):
         # Texts and ids repeat across pairs and between the two kinds of

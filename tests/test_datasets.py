@@ -6,6 +6,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lingmask.cli import EX_FAIL, EX_OK, main
 from lingmask.datasets import (
@@ -51,6 +52,30 @@ EXPECTED_POSITIVES = {
     ("P17", "P18"),
 }
 
+# Small citation graphs: one record per id, then a few repeated ids; each
+# record mostly has claims and cites known ids, itself or an unknown id,
+# mostly with category X.
+GRAPH_IDS = ["P0", "P1", "P2", "P3", "P4", "P5"]
+_GRAPH_RECORD = st.tuples(
+    st.sampled_from([True, True, True, False]),
+    st.lists(
+        st.tuples(st.sampled_from(GRAPH_IDS + ["Q9"]), st.sampled_from("XXXY")), min_size=1, max_size=3
+    ),
+)
+CITATION_GRAPHS = st.builds(
+    lambda firsts, repeats: list(zip(GRAPH_IDS, firsts)) + repeats,
+    st.lists(_GRAPH_RECORD, min_size=len(GRAPH_IDS), max_size=len(GRAPH_IDS)),
+    st.lists(st.tuples(st.sampled_from(GRAPH_IDS), _GRAPH_RECORD), max_size=2),
+)
+
+
+class _InputOrder(random.Random):
+    """The same draws, but a shuffle that keeps the order, so the builder's
+    output is each kept positive followed by its negative, in input order."""
+
+    def shuffle(self, x):
+        pass
+
 
 class TestIpcSubclass:
     @pytest.mark.parametrize(
@@ -86,6 +111,21 @@ class TestReadRecords:
         path.write_text('{"pub_number": "A"}\n{"nope": 1}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
             list(read_patent_records(str(path)))
+
+    @pytest.mark.parametrize(
+        "record,field",
+        [
+            ({"nope": 1}, "pub_number"),
+            ({"pub_number": "P1", "citations": [{"category": "X"}]}, "pub"),
+        ],
+        ids=["no-pub-number", "no-cited-pub"],
+    )
+    def test_missing_field_is_named(self, tmp_path, record, field):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"pub_number": "A"}\n' + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            list(read_patent_records(str(path)))
+        assert str(excinfo.value) == f"invalid patent record at line 2: missing field: {field}"
 
     @pytest.mark.parametrize(
         "record",
@@ -196,6 +236,52 @@ class TestSimilarityPairs:
             if not pair.label:
                 assert frozenset((pair.id_a, pair.id_b)) not in related
 
+    @given(CITATION_GRAPHS, st.integers(0, 2**16))
+    def test_negatives_unlinked_and_positives_deduplicated_in_input_order(self, graph, seed):
+        records = [
+            PatentRecord(
+                pub_number=pub,
+                claims="a claim" if has_claims else "",
+                citations=[Citation(cited, category) for cited, category in citations],
+            )
+            for pub, (has_claims, citations) in graph
+        ]
+        # Oracle: the first occurrence of each usable X pair, in input order,
+        # with the last record of an id supplying its text.
+        has_text = {r.pub_number: bool(r.claims) for r in records}
+        expected = []
+        for r in records:
+            for c in r.citations:
+                pair = (r.pub_number, c.cited_pub_number)
+                usable = c.category == "X" and pair[0] != pair[1] and has_text.get(pair[1], False)
+                if usable and has_text[pair[0]] and pair not in expected:
+                    expected.append(pair)
+        linked = {
+            frozenset((r.pub_number, c.cited_pub_number))
+            for r in records
+            for c in r.citations
+            if c.category == "X"
+        }
+        counters = Counter()
+        if not expected:
+            with pytest.raises(ValueError, match="no X-category"):
+                list(build_similarity_pairs(records, _InputOrder(seed), counters))
+            return
+        pairs = list(build_similarity_pairs(records, _InputOrder(seed), counters))
+        kept, negatives = pairs[0::2], pairs[1::2]
+        assert all(p.label for p in kept) and not any(p.label for p in negatives)
+        for positive, negative in zip(kept, negatives):
+            assert negative.id_a == positive.id_a != negative.id_b
+            assert frozenset((negative.id_a, negative.id_b)) not in linked
+        positives = [(p.id_a, p.id_b) for p in kept]
+        remaining = iter(expected)
+        assert all(pair in remaining for pair in positives)  # an ordered subsequence
+        dropped = counters["dropped_same_doc"] + counters["dropped_no_negative"]
+        assert len(positives) + dropped == len(expected)
+        # The shuffled output holds the same pairs.
+        shuffled = list(build_similarity_pairs(records, random.Random(seed)))
+        assert sorted(shuffled, key=repr) == sorted(pairs, key=repr)
+
     def test_balanced_output(self, patents_path):
         for seed in range(8):
             pairs, _ = self._pairs(patents_path, seed=seed)
@@ -216,6 +302,10 @@ class TestSimilarityPairs:
     def test_self_pair_type_rejected(self):
         with pytest.raises(ValueError):
             SimilarityPair("t", "t", "A", "A", True)
+
+    def test_pair_is_slotted(self):
+        # make-pairs holds every pair of a run at once; slots keep each small.
+        assert not hasattr(SimilarityPair("t", "u", "A", "B", True), "__dict__")
 
     def test_repeated_pub_number_keeps_last_record_and_warns_once(self, caplog):
         records = [
