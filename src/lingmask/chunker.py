@@ -77,20 +77,21 @@ def filter_chunks(
 # Each POS tag as one shared string, so every token of a tag holds the same one.
 _POS = {tag: tag for tag in UPOS_TAGS}
 _UNSEEN = object()  # a chunk column not yet seen; None is the chunk id of "-"
-# A chunk column other than "-": ASCII digits, so that, unlike with a bare
-# int(), "1_0", " 3", "+3" and "٣" are not read as the ids of "10" and "3".
-_CHUNK_ID = re.compile(r"-?[0-9]+")
+# A chunk column other than "-": ASCII digits with no leading zero, so that
+# each id has one spelling. Unlike with a bare int(), "1_0", " 3", "+3",
+# "٣", "03", "00" and "-0" are not read as the ids of "10", "3" and "0".
+_CHUNK_ID = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def parse_annotations(path: str, warn_counter: Counter) -> Iterator[AnnotatedSentence]:
     """Stream annotated sentences from a TSV annotation file.
 
     ``chunk_id`` is ``-`` for tokens outside any chunk and a per-sentence
-    integer (ASCII digits, an optional leading ``-``) shared by all tokens of
-    one chunk; a chunk's tokens must be contiguous. A token surface holds no
-    whitespace. Unknown POS tags are mapped to X and counted in
-    ``warn_counter``, by tag, at every line that has one; the caller reports
-    the counts.
+    integer (ASCII digits with no leading zero, an optional leading ``-``
+    before a non-zero one) shared by all tokens of one chunk; a chunk's
+    tokens must be contiguous. A token surface holds no whitespace. Unknown
+    POS tags are mapped to X and counted in ``warn_counter``, by tag, at
+    every line that has one; the caller reports the counts.
 
     A line is looked up by its two parts, split at its last tab: the head
     (``surface<TAB>pos``) maps to its shared, frozen token and the chunk

@@ -39,12 +39,13 @@ Each value is one 32-bit word. A sequence masks the positions of its pool
 with the smallest keys, which is a uniform sample without replacement; its
 ``j``-th masked position, in ascending order, takes slot ``j``'s replacement
 words. Because Philox is counter-based, only the words a batch of rows needs
-are computed, and an example depends only on the seed, its ordinal and its
-own sequence: the output for a corpus prefix is a prefix of the output for
-the whole corpus, and how the work is batched does not matter. The stream
-number is a counter word, so one cipher call can serve several blocks, and
-any run of rows of the stream, within a block or across blocks, is drawn
-at once.
+are computed (the keys of its longest row, and the replacement words of as
+many slots as its largest mask budget), and an example depends only on the
+seed, its ordinal and its own sequence: the output for a corpus prefix is a
+prefix of the output for the whole corpus, and how the work is batched does
+not matter. The stream number is a counter word, so one cipher call can
+serve several blocks, and any run of rows of the stream, within a block or
+across blocks, is drawn at once.
 
 ``draw_rows`` is the one function that knows this layout. It has two
 callers. ``mask_rows``, for a grid of rows from a given row of the stream
@@ -57,10 +58,16 @@ a row's counts follow from its coin, its length and its number of
 chunk-flagged positions. Both apply one pool rule (``_lim_pools``).
 ``mask_batches`` masks a stream of sequences ``_BATCH`` rows at a time;
 ``mask_sequences`` (pre-training examples) and ``tinylm.pack_corpus`` (the
-tiny LM's table) read it. ``stats.tally_blocks`` (the law check) counts
-grids of synthetic rows numbered the same way: under ``mlm`` from the
-positions ``mask_rows`` chooses, one grid at a time, under ``lim`` with
-``lim_counts`` once per run of up to 16 blocks.
+tiny LM's table) read it. The checks that ``TokenizedSequence`` and
+``MaskedExample`` run when built directly run once per batch on this path:
+``mask_batches`` checks that each sequence's flags align with its pieces,
+and ``mask_sequences`` that each row's masked positions are strictly
+increasing and within its length. So ``sequence_from_annotated`` and
+``build_example`` build their objects without running those checks again.
+``stats.tally_blocks`` (the law check) counts grids of synthetic rows
+numbered the same way: under ``mlm`` from the positions ``mask_rows``
+chooses, one grid at a time, under ``lim`` with ``lim_counts`` once per run
+of up to 16 blocks.
 
 The kernel is laid out for numpy. ``philox4x32`` runs its rounds in place on
 one (4, n) array, so a round allocates nothing. ``draw_rows`` lays a batch's
@@ -226,7 +233,7 @@ def sequence_rng(seed: int, stream: int | np.ndarray, groups: np.ndarray) -> np.
 
 
 def draw_rows(
-    config: MaskingConfig, start: int, rows: int, span: int, replacements: bool = True
+    config: MaskingConfig, start: int, rows: int, span: int, width: int = 0
 ) -> tuple[np.ndarray | None, ...]:
     """The words of rows ``start`` to ``start + rows - 1`` of the stream, in
     one block or across any number of them: coins, keys, replacement and
@@ -236,9 +243,10 @@ def draw_rows(
     A block's stream holds the four regions one after the other: coins (1
     column), keys (max_seq_len columns) and the last two (max_pred columns
     each). Column ``j`` of a region is ``BLOCK`` consecutive words, one per
-    row. Only what is asked for is computed: the coins under ``lim``, the
-    first ``span`` key columns and, with ``replacements``, the first
-    ``min(max_pred, span)`` columns of the last two regions. One cipher call
+    row, whatever the number of columns drawn. Only what is asked for is
+    computed: the coins under ``lim``, the first ``span`` key columns and
+    the first ``width`` columns of the last two regions, the most positions
+    any of the rows masks (0 for none). One cipher call
     computes the words of every block the rows touch, each counter carrying
     its block's stream number. The words are laid out row-major with one
     copy: each region is a column slice of one C-contiguous (rows, columns)
@@ -250,9 +258,10 @@ def draw_rows(
         raise ValueError("no rows to draw")
     if span > config.max_seq_len:
         raise ValueError(f"span {span} exceeds max_seq_len {config.max_seq_len}")
-    width = min(config.max_pred, span)
+    if not 0 <= width <= config.max_pred:
+        raise ValueError(f"width {width} outside 0 to max_pred {config.max_pred}")
     starts = (0, 1, 1 + config.max_seq_len, 1 + config.max_seq_len + config.max_pred)
-    wanted = (int(config.strategy == "lim"), span, width * replacements, width * replacements)
+    wanted = (int(config.strategy == "lim"), span, width, width)
     columns = np.concatenate([at + np.arange(n) for at, n in zip(starts, wanted)])
     # A counter serves four consecutive rows of one column, and a block's
     # BLOCK rows are whole groups of four, so no counter spans two blocks.
@@ -320,11 +329,14 @@ def mask_rows(
     may span any number of blocks (``draw_rows``).
 
     ``flags`` is a (rows, span) boolean array of chunk flags, False past
-    each row's length, where ``span`` is the longest length.
+    each row's length, where ``span`` is the longest length. The keys are
+    sorted, and the replacement words drawn, only as far as the largest
+    mask budget of the rows.
     """
     rows, span = flags.shape
     budget = mask_budget(lengths, config)  # rejects an empty row before any draw
-    coins, key_words, replace, id_words = draw_rows(config, start, rows, span, replacements)
+    width = int(budget.max(initial=0))  # no rows give 0, which draw_rows rejects
+    coins, key_words, replace, id_words = draw_rows(config, start, rows, span, width * replacements)
     # Positions outside each row's pool: past its length (a block of full
     # rows has none) and, under lim, of the other flag value.
     outside = np.arange(span) >= lengths[:, None] if lengths.min() < span else None
@@ -343,7 +355,6 @@ def mask_rows(
     keys |= np.arange(span, dtype=_U64)
     if outside is not None:
         keys |= np.negative(outside, dtype=_U64)
-    width = min(config.max_pred, span)
     keys.partition(width - 1, axis=1)
     smallest = np.sort(keys[:, :width], axis=1)
     filled = np.arange(width) < counts[:, None]
@@ -381,7 +392,7 @@ def lim_counts(
     if lengths.size and lengths.max() > config.max_seq_len:
         raise ValueError(f"span {lengths.max()} exceeds max_seq_len {config.max_seq_len}")
     budget = mask_budget(lengths, config)
-    coins, *_ = draw_rows(config, start, len(lengths), 0, replacements=False)
+    coins, *_ = draw_rows(config, start, len(lengths), 0)
     nc, counts = _lim_pools(coins[:, 0], n_chunk, lengths, budget, config)
     return counts, np.where(nc, counts, 0)
 
@@ -426,11 +437,28 @@ class MaskRow(NamedTuple):
     replacements: list[int]
 
 
+def _check_rows(masked: MaskedRows, lengths: np.ndarray) -> None:
+    """What ``MaskedExample`` checks of its positions, for all the rows of a
+    batch at once: each row's masked positions are strictly increasing and
+    below its length. Raises ``ValueError``."""
+    positions = masked.positions
+    rows = np.repeat(np.arange(len(lengths)), masked.counts)
+    if positions.size and not ((positions >= 0).all() and (positions < lengths[rows]).all()):
+        raise ValueError("masked position out of bounds")
+    # Within bounds, row r's position p has the key r * span + p, and every
+    # key of a row is below every key of the next: the keys increase
+    # throughout if and only if each row's positions do.
+    if (np.diff(rows * lengths.max() + positions) <= 0).any():
+        raise ValueError("masked positions must be strictly increasing")
+
+
 def mask_sequences(
     sequences: Iterable[TokenizedSequence], config: MaskingConfig
 ) -> Iterator[tuple[TokenizedSequence, MaskRow]]:
-    """The rows of ``mask_batches``: yields each sequence with its masks."""
+    """The rows of ``mask_batches``: yields each sequence with its masks,
+    whose positions are checked a batch at a time (``_check_rows``)."""
     for batch, masked in mask_batches(sequences, config):
+        _check_rows(masked, np.fromiter((len(seq.pieces) for seq in batch), np.int64, len(batch)))
         branches = (
             ["n/a"] * len(batch)
             if masked.nc is None
@@ -444,18 +472,20 @@ def mask_sequences(
 
 
 def build_example(seq: TokenizedSequence, config: MaskingConfig, row: MaskRow) -> MaskedExample:
-    """Apply one sequence's row of ``mask_sequences`` to it."""
-    input_ids = list(seq.pieces)
-    for position, piece in zip(row.positions, row.replacements):
+    """Apply one sequence's row of ``mask_sequences`` to it. The row was
+    checked with its batch, so the example skips ``MaskedExample``'s checks."""
+    pieces, positions = seq.pieces, row.positions
+    input_ids = list(pieces)
+    for position, piece in zip(positions, row.replacements):
         if piece >= 0:
             input_ids[position] = piece
-    return MaskedExample(
-        input_ids=input_ids,
-        masked_positions=row.positions,
-        labels=[seq.pieces[p] for p in row.positions],
-        branch=row.branch,
-        doc_id=seq.doc_id,
-    )
+    example = object.__new__(MaskedExample)
+    example.input_ids = input_ids
+    example.masked_positions = positions
+    example.labels = [pieces[p] for p in positions]
+    example.branch = row.branch
+    example.doc_id = seq.doc_id
+    return example
 
 
 def sequence_from_annotated(
@@ -466,15 +496,22 @@ def sequence_from_annotated(
     Every piece of a word carries that word's flag; the sequence is truncated
     to ``max_seq_len`` pieces.
     """
+    ids = vocab.ids
     piece_ids: list[int] = []
     flags: list[bool] = []
     for token, flag in zip(sent.tokens, sent.y):
-        for piece in encode_word(token.surface, vocab):
-            piece_ids.append(vocab.id_of(piece))
+        pieces = encode_word(token.surface, vocab)
+        if len(pieces) == 1:
+            piece_ids.append(ids[pieces[0]])
             flags.append(flag)
-    return TokenizedSequence(
-        pieces=piece_ids[:max_seq_len], y=flags[:max_seq_len], doc_id=doc_id
-    )
+        else:
+            piece_ids += map(ids.__getitem__, pieces)
+            flags += [flag] * len(pieces)
+    del piece_ids[max_seq_len:], flags[max_seq_len:]
+    # Flags and pieces align by construction; skip the constructor's check.
+    seq = object.__new__(TokenizedSequence)
+    seq.pieces, seq.y, seq.doc_id = piece_ids, flags, doc_id
+    return seq
 
 
 _INT = {int}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
 
 CONTINUATION_PREFIX = "##"
@@ -51,6 +51,12 @@ class Vocabulary:
     @property
     def size(self) -> int:
         return len(self.pieces)
+
+    @property
+    def ids(self) -> Mapping[str, int]:
+        """Each piece's id, for callers that look up many pieces that are
+        known to be in the vocabulary (``id_of`` checks each one)."""
+        return self._piece_to_id
 
     def __contains__(self, piece: str) -> bool:
         return piece in self._piece_to_id

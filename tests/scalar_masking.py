@@ -1,14 +1,32 @@
 """The per-sequence scalar sampler of example format 1, kept as an oracle of
-the draw distribution for the block sampler in ``lingmask.masking``, and a
-converter from (example, flags) pairs to the counts of
+the draw distribution for the block sampler in ``lingmask.masking``, a
+per-piece encoder kept as an oracle of ``masking.sequence_from_annotated``,
+and a converter from (example, flags) pairs to the counts of
 ``lingmask.stats.empirical_mask_report``."""
 
 import random
 
 import numpy as np
 
+from lingmask.chunker import AnnotatedSentence
 from lingmask.masking import MASK_FRAC, RANDOM_FRAC, MaskedExample, MaskingConfig, TokenizedSequence
 from lingmask.stats import MaskTally
+from lingmask.subword import Vocabulary, encode_word
+
+
+def sequence_from_annotated(
+    sent: AnnotatedSentence, vocab: Vocabulary, max_seq_len: int, doc_id: str = ""
+) -> TokenizedSequence:
+    """Each piece of each word looked up with ``vocab.id_of`` and given its
+    word's flag, cut at ``max_seq_len`` pieces, through the checking
+    constructor."""
+    piece_ids: list[int] = []
+    flags: list[bool] = []
+    for token, flag in zip(sent.tokens, sent.y):
+        for piece in encode_word(token.surface, vocab):
+            piece_ids.append(vocab.id_of(piece))
+            flags.append(flag)
+    return TokenizedSequence(pieces=piece_ids[:max_seq_len], y=flags[:max_seq_len], doc_id=doc_id)
 
 
 def select_mask_count(seq_len: int, config: MaskingConfig) -> int:

@@ -205,8 +205,9 @@ class TestParseAnnotations:
         assert second.tokens[0] is first.tokens[1] and second.tokens[1] is first.tokens[0]
 
     def test_bad_chunk_id_after_its_head_names_its_own_line(self, tmp_path):
-        # int() would read all but the first as 10, 3, 3 and 3.
-        for chunk_id in ["x", "1_0", " 3", "+3", "\u0663"]:
+        # int() would read all but the first as 10, 3, 3, 3, 0, 0 and 7; the
+        # last three are other spellings of ids that have one.
+        for chunk_id in ["x", "1_0", " 3", "+3", "\u0663", "00", "-0", "007"]:
             path = self._write(tmp_path / "ann.tsv", f"valve\tNOUN\t0\n\nvalve\tNOUN\t{chunk_id}\n")
             with pytest.raises(ValueError, match=f"invalid chunk id {re.escape(repr(chunk_id))} at line 3$"):
                 list(parse_annotations(path, Counter()))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lingmask import cli
+from lingmask import cli, masking
 from lingmask.cli import EX_FAIL, EX_IOERR, EX_OK, EX_TOLERANCE, EX_USAGE, main
 from lingmask.corpus import CleanDocument
 from lingmask.datasets import IpcExample, SimilarityPair
@@ -359,6 +359,45 @@ class TestMakePretrainingData:
         records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
         assert [r["doc_id"] for r in records] == [f"sent-{i}" for i in range(n)]
         assert all(r["labels"] == [0] for r in records)  # the one piece is [UNK]
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            ("repeated", "masked positions must be strictly increasing"),
+            ("past-length", "masked position out of bounds"),
+            ("negative", "masked position out of bounds"),
+        ],
+    )
+    def test_sampler_row_out_of_order_or_bounds_writes_nothing(
+        self, tmp_path, annotated_corpus, monkeypatch, capsys, fault, message
+    ):
+        # The rows are checked a batch at a time, not per example.
+        mask_rows = masking.mask_rows
+
+        def faulty(flags, lengths, config, start=0, replacements=True):
+            masked = mask_rows(flags, lengths, config, start, replacements)
+            row = int(np.argmax(masked.counts >= 2))
+            assert masked.counts[row] >= 2
+            first, positions = int(masked.counts[:row].sum()), masked.positions.copy()
+            if fault == "repeated":
+                positions[first + 1] = positions[first]
+            elif fault == "past-length":
+                positions[first + masked.counts[row] - 1] = lengths[row]
+            else:
+                positions[first] = -1
+            return masked._replace(positions=positions)
+
+        monkeypatch.setattr(masking, "mask_rows", faulty)
+        tsv, vocab = annotated_corpus
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [
+            "make-pretraining-data", "--annotations", tsv, "--vocab", vocab, "--mask-prob", "0.5",
+            "--output", str(out / "ex.jsonl"),
+        ]
+        assert main(argv) == EX_FAIL
+        assert capsys.readouterr().err.endswith(f"lingmask: error: {message}\n")
+        assert list(out.iterdir()) == []
 
     def test_generates_and_reruns_from_sidecar(self, tmp_path, annotated_corpus):
         tsv, vocab = annotated_corpus

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lingmask.chunker import AnnotatedSentence, AnnotatedToken
 from lingmask.masking import (
@@ -307,6 +307,24 @@ class TestSequenceFromAnnotated:
         seq = sequence_from_annotated(sent, self._vocab(), max_seq_len=2)
         assert len(seq.pieces) == 2 and len(seq.y) == 2
 
+    # "abab" is ab ##ab, "ca" is c ##a; "d" and "ac" have no decomposition
+    # and encode to [UNK].
+    PIECES = ["[UNK]", "[MASK]", "a", "b", "ab", "c", "##a", "##b", "##ab"]
+
+    @given(
+        words=st.lists(st.tuples(st.text("abcd", min_size=1, max_size=6), st.booleans()), min_size=1, max_size=30),
+        max_seq_len=st.integers(1, 40),
+    )
+    @example(words=[("abab", True), ("d", False), ("ca", True), ("ac", True)], max_seq_len=4)
+    def test_equals_per_piece_lookup(self, words, max_seq_len):
+        flags = [flag for _, flag in words]
+        starts = [k for k, flag in enumerate(flags) if flag and (k == 0 or not flags[k - 1])]
+        ends = [k + 1 for k, flag in enumerate(flags) if flag and (k + 1 == len(flags) or not flags[k + 1])]
+        sent = AnnotatedSentence([AnnotatedToken(word, "NOUN") for word, _ in words], list(zip(starts, ends)))
+        assert sent.y == flags
+        got = sequence_from_annotated(sent, Vocabulary(self.PIECES), max_seq_len, doc_id="s")
+        assert got == scalar_masking.sequence_from_annotated(sent, Vocabulary(self.PIECES), max_seq_len, doc_id="s")
+
 
 class TestDeterminism:
     def test_seed_and_order_fix_output(self):
@@ -466,6 +484,10 @@ class TestBlockSampler:
             draw_rows(cfg, 0, 0, 4)
         with pytest.raises(ValueError, match="span 9 exceeds max_seq_len 8"):
             draw_rows(cfg, 0, 2, 9)
+        with pytest.raises(ValueError, match="width 21 outside 0 to max_pred 20"):
+            draw_rows(cfg, 0, 2, 4, 21)
+        with pytest.raises(ValueError, match="width -1 outside 0 to max_pred 20"):
+            draw_rows(cfg, 0, 2, 4, -1)
         with pytest.raises(ValueError, match="span 9 exceeds max_seq_len 8"):
             lim_counts(np.array([3]), np.array([9]), config(strategy="lim", p_nc=0.5, max_seq_len=8))
         with pytest.raises(ValueError, match="lim_counts needs strategy 'lim', got 'mlm'"):
@@ -546,29 +568,34 @@ class TestPhilox:
         # is word i % 4 of the cipher at counter (i // 4, block mod 2**32,
         # block >> 32, 0) under the seed's two halves. Block 2**32 + 5 sets
         # the high word of the stream number.
+        # A width of 2 is below min(max_pred, span): its words are the
+        # leading columns of the full draw.
         seed, max_seq_len, max_pred, span = 2**40 + 7, 12, 4, 9
         cfg = config(strategy=strategy, p_nc=p_nc, max_seq_len=max_seq_len, max_pred=max_pred, seed=seed)
-        regions = {
-            "coins": (0, int(strategy == "lim")),
-            "keys": (1, span),
-            "replace": (1 + max_seq_len, max_pred * replacements),
-            "ids": (1 + max_seq_len + max_pred, max_pred * replacements),
-        }
         for block in (3, 2**32 + 5):
-            draws = draw_rows(cfg, block * BLOCK + first, rows, span, replacements)
 
             def word(i):
                 counter = (i // 4, block % 2**32, block >> 32, 0)
                 return int(philox4x32(counter, (seed % 2**32, seed >> 32))[i % 4, 0])
 
-            for (start, width), got in zip(regions.values(), draws):
-                if not width:
-                    assert got is None
-                    continue
-                expected = [[word((start + c) * BLOCK + first + r) for c in range(width)] for r in range(rows)]
-                assert got.tolist() == expected
-                # Rows are contiguous, which the key passes of mask_rows rely on.
-                assert got.strides[1] == got.itemsize
+            full = draw_rows(cfg, block * BLOCK + first, rows, span, max_pred * replacements)
+            for replaced in (max_pred, 2) if replacements else (0,):
+                regions = {
+                    "coins": (0, int(strategy == "lim")),
+                    "keys": (1, span),
+                    "replace": (1 + max_seq_len, replaced),
+                    "ids": (1 + max_seq_len + max_pred, replaced),
+                }
+                draws = draw_rows(cfg, block * BLOCK + first, rows, span, replaced)
+                for (start, width), got, whole in zip(regions.values(), draws, full):
+                    if not width:
+                        assert got is None
+                        continue
+                    expected = [[word((start + c) * BLOCK + first + r) for c in range(width)] for r in range(rows)]
+                    assert got.tolist() == expected
+                    assert np.array_equal(got, whole[:, :width])
+                    # Rows are contiguous, which the key passes of mask_rows rely on.
+                    assert got.strides[1] == got.itemsize
 
     def test_blocks_and_seeds_get_distinct_streams(self):
         groups = np.arange(4)
@@ -578,15 +605,15 @@ class TestPhilox:
     @pytest.mark.parametrize("strategy,p_nc", [("mlm", None), ("lim", 0.5)])
     def test_rows_drawn_in_batches_equal_rows_drawn_whole(self, strategy, p_nc):
         cfg = config(strategy=strategy, p_nc=p_nc, max_seq_len=12, max_pred=4, seed=7)
-        whole = draw_rows(cfg, 3 * BLOCK, BLOCK, 12)
+        whole = draw_rows(cfg, 3 * BLOCK, BLOCK, 12, 4)
         for first, rows in ((0, 64), (64, 64), (5, 3), (250, 6)):
-            part = draw_rows(cfg, 3 * BLOCK + first, rows, 9)
+            part = draw_rows(cfg, 3 * BLOCK + first, rows, 9, 4)
             for got, full in zip(part, whole):
                 if full is None:
                     assert got is None
                 else:
                     assert np.array_equal(got, full[first : first + rows, : got.shape[1]])
-        _, bare_keys, bare_replace, bare_ids = draw_rows(cfg, 3 * BLOCK, BLOCK, 12, replacements=False)
+        _, bare_keys, bare_replace, bare_ids = draw_rows(cfg, 3 * BLOCK, BLOCK, 12)
         assert bare_replace is None and bare_ids is None
         assert np.array_equal(bare_keys, whole[1])
 
@@ -609,8 +636,8 @@ class TestPhilox:
     @pytest.mark.parametrize("strategy,p_nc,replacements", [("lim", 0.5, True), ("mlm", None, False)])
     def test_draw_rows_across_blocks_equal_block_by_block_draws(self, strategy, p_nc, replacements, start, rows):
         cfg = config(strategy=strategy, p_nc=p_nc, max_seq_len=12, max_pred=4, seed=2**40 + 7)
-        run = draw_rows(cfg, start, rows, 9, replacements)
-        shares = [draw_rows(cfg, first, n, 9, replacements) for first, n in self._by_block(start, rows)]
+        run = draw_rows(cfg, start, rows, 9, 4 * replacements)
+        shares = [draw_rows(cfg, first, n, 9, 4 * replacements) for first, n in self._by_block(start, rows)]
         for got, parts in zip(run, zip(*shares)):
             if got is None:
                 assert parts == (None,) * len(shares)
