@@ -17,7 +17,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .corpus import normalize_text
 
@@ -257,7 +257,7 @@ def build_similarity_pairs(
     yield from output
 
 
-def split_dataset(items: Sequence, train_frac: float, seed: int, key: Callable) -> dict[str, list]:
+def split_dataset(items: Iterable, train_frac: float, seed: int, key: Callable) -> dict[str, list]:
     """Seed-deterministic disjoint train/test split of whole groups.
 
     Items sharing a ``key`` value form one group and always land in the same
@@ -265,37 +265,21 @@ def split_dataset(items: Sequence, train_frac: float, seed: int, key: Callable) 
     together). The groups, in order of first appearance, are shuffled with
     ``seed``; in that order a group goes to train if train holds fewer than
     ``round(train_frac * len(items))`` items so far, and to test otherwise.
-
-    Each key is held only while the items are numbered by group; after that
-    a group is its number, its size and where its next item goes, and the
-    items are placed straight into the two lists returned.
     """
     if not 0 <= train_frac <= 1:
         raise ValueError(f"train_frac must be in [0, 1], got {train_frac}")
-    numbers: dict = {}
-    group_of = [numbers.setdefault(key(item), len(numbers)) for item in items]
-    sizes = [0] * len(numbers)
-    del numbers
-    for group in group_of:
-        sizes[group] += 1
-    # Shuffling the group numbers draws what shuffling the groups would.
-    order = list(range(len(sizes)))
+    items = list(items)
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    order = list(groups.values())
     random.Random(seed).shuffle(order)
-    # The output lists train's groups, then test's, each in shuffled order;
-    # next_slot[g] is where group g's next item goes. A group goes to train
-    # when it starts below the target, as every group before it did.
-    target_train = round(train_frac * len(group_of))
-    next_slot = [0] * len(sizes)
-    end = cut = 0
+    target_train = round(train_frac * len(items))
+    train: list = []
+    test: list = []
     for group in order:
-        next_slot[group] = end
-        end += sizes[group]
-        if next_slot[group] < target_train:
-            cut = end
-    output: list = [None] * len(group_of)
-    for item, group in zip(items, group_of):
-        output[next_slot[group]] = item
-        next_slot[group] += 1
-    test = output[cut:]
-    del output[cut:]
-    return {"train": output, "test": test}
+        if len(train) < target_train:
+            train.extend(group)
+        else:
+            test.extend(group)
+    return {"train": train, "test": test}

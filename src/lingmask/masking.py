@@ -472,8 +472,13 @@ def mask_sequences(
 
 
 def build_example(seq: TokenizedSequence, config: MaskingConfig, row: MaskRow) -> MaskedExample:
-    """Apply one sequence's row of ``mask_sequences`` to it. The row was
-    checked with its batch, so the example skips ``MaskedExample``'s checks."""
+    """Apply one sequence's row of ``mask_sequences`` to it.
+
+    ``mask_sequences`` checks the rows a batch at a time (``_check_rows``),
+    so the example is built without ``MaskedExample``'s checks. A row that
+    did not come from ``mask_sequences`` is therefore not checked at all: a
+    position of -1 would overwrite the last piece. Construct
+    ``MaskedExample`` directly for a checked example."""
     pieces, positions = seq.pieces, row.positions
     input_ids = list(pieces)
     for position, piece in zip(positions, row.replacements):

@@ -376,31 +376,6 @@ class TestSplitDataset:
             other_ids = {tuple(sorted((p.id_a, p.id_b))) for p in splits[others]}
             assert not ids & other_ids
 
-    @staticmethod
-    def _grouped(items, train_frac, seed, key):
-        """The split built from one list of items per group."""
-        items = list(items)
-        groups = {}
-        for item in items:
-            groups.setdefault(key(item), []).append(item)
-        order = list(groups.values())
-        random.Random(seed).shuffle(order)
-        target_train = round(train_frac * len(items))
-        train, test = [], []
-        for group in order:
-            (train if len(train) < target_train else test).extend(group)
-        return {"train": train, "test": test}
-
-    @given(
-        keys=st.lists(st.integers(0, 40), max_size=200),
-        train_frac=st.floats(0, 1),
-        seed=st.integers(0, 2**32),
-    )
-    def test_equals_split_of_item_lists(self, keys, train_frac, seed):
-        items = list(enumerate(keys))
-        got = split_dataset(items, train_frac, seed, key=lambda item: item[1])
-        assert got == self._grouped(items, train_frac, seed, key=lambda item: item[1])
-
     @pytest.mark.parametrize("train_frac", [-0.2, 1.2, math.nan])
     def test_train_frac_outside_unit_interval_rejected(self, train_frac):
         with pytest.raises(ValueError, match=r"train_frac must be in \[0, 1\]"):

@@ -1,13 +1,14 @@
 """Untraced time of each stage of make-pretraining-data, in one process.
 
 Usage: python3 tools/stage_times.py [--sentences 20000] [--seed 2]
-           [--repeat 5] [--p-nc 0.75]
+           [--repeat 5]
 
 Generates the benchmark's ``pretrain`` corpus (``perfbench/gen.py``) at the
 given number of sentences, as ``tools/rss_by_corpus_size.py`` does, then
 imports ``lingmask`` from this checkout's ``src`` and times, in this
 process and without any tracer, each stage of ``make-pretraining-data
---strategy lim`` on its own, each on the previous stage's output:
+--strategy lim`` on its own, each on the previous stage's output, with the
+benchmark's ``--p-nc`` (``perfbench/run.py``'s ``P_NC``):
 
 * ``parse``: ``parse_annotations`` over the whole file;
 * ``encode``: ``sequence_from_annotated`` for every sentence, against a
@@ -28,6 +29,8 @@ in seconds, every repetition's times, the input's sentence and piece counts,
 the versions and bytecode state the figures were taken with. Without valid
 cached bytecode every fresh process compiles the package from source, which
 moves start-up and peak memory but none of the in-process times here.
+Exits 1 if a stage's best time is not positive, or if the stages wrote other
+records than the command.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ from collections import Counter
 from pathlib import Path
 
 from rss_by_corpus_size import ROOT, generate
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import P_NC  # noqa: E402  the benchmark's pretrain-lim setting
 
 STAGES = ("parse", "encode", "mask_batches", "rows_build", "json", "write", "cli_run")
 
@@ -71,7 +77,7 @@ def bytecode_state() -> dict:
     }
 
 
-def repetition(tsv: str, vocab_path: str, out_dir: str, seed: int, p_nc: float) -> tuple[dict, dict]:
+def repetition(tsv: str, vocab_path: str, out_dir: str, seed: int) -> tuple[dict, dict]:
     """One pass over every stage; returns each stage's seconds and the
     input's counts."""
     from lingmask import cli, masking
@@ -89,7 +95,7 @@ def repetition(tsv: str, vocab_path: str, out_dir: str, seed: int, p_nc: float) 
 
     vocab = load_vocab(vocab_path)
     config = masking.MaskingConfig(
-        strategy="lim", p_nc=p_nc, seed=seed,
+        strategy="lim", p_nc=P_NC, seed=seed,
         mask_piece_id=vocab.id_of("[MASK]"), vocab_size=vocab.size,
     )
     sentences = timed("parse", lambda: list(parse_annotations(tsv, Counter())))
@@ -116,7 +122,7 @@ def repetition(tsv: str, vocab_path: str, out_dir: str, seed: int, p_nc: float) 
     timed("write", write)
     argv = [
         "make-pretraining-data", "--annotations", tsv, "--vocab", vocab_path,
-        "--strategy", "lim", "--p-nc", str(p_nc), "--seed", str(seed),
+        "--strategy", "lim", "--p-nc", str(P_NC), "--seed", str(seed),
         "--output", os.path.join(out_dir, "run.jsonl"),
     ]
     code = timed("cli_run", lambda: cli.run(argv))
@@ -132,7 +138,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--sentences", type=int, default=20_000)
     parser.add_argument("--seed", type=int, default=2)
     parser.add_argument("--repeat", type=int, default=5, help="repetitions; each stage reports its best")
-    parser.add_argument("--p-nc", type=float, default=0.75)
     args = parser.parse_args(argv)
     if args.sentences < 1 or args.repeat < 1:
         parser.error("--sentences and --repeat must be at least 1")
@@ -148,7 +153,7 @@ def main(argv: list[str]) -> int:
         generate(args.sentences, args.seed, tmp)
         tsv, vocab = os.path.join(tmp, "pretrain.tsv"), os.path.join(tmp, "pretrain.vocab.txt")
         for _ in range(args.repeat):
-            times, counts = repetition(tsv, vocab, tmp, args.seed, args.p_nc)
+            times, counts = repetition(tsv, vocab, tmp, args.seed)
             for stage in STAGES:
                 runs[stage].append(times[stage])
     best = {stage: min(runs[stage]) for stage in STAGES}
@@ -166,6 +171,9 @@ def main(argv: list[str]) -> int:
         "bytecode": bytecode,
     }
     print(json.dumps(report, indent=2))
+    not_positive = [stage for stage in STAGES if not best[stage] > 0]
+    if not_positive:
+        raise SystemExit(f"stages with a best time that is not positive: {not_positive}")
     return 0
 
 
