@@ -65,15 +65,6 @@ class AnnotatedSentence:
         self.y = spans_to_flags(self.chunk_spans, n)
 
 
-def filter_chunks(
-    spans: list[tuple[int, int]], max_len: int = DEFAULT_MAX_CHUNK_LEN
-) -> list[tuple[int, int]]:
-    """Drop spans longer than ``max_len`` tokens, preserving order."""
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    return [(s, e) for s, e in spans if e - s <= max_len]
-
-
 # Each POS tag as one shared string, so every token of a tag holds the same one.
 _POS = {tag: tag for tag in UPOS_TAGS}
 _UNSEEN = object()  # a chunk column not yet seen; None is the chunk id of "-"
@@ -222,8 +213,9 @@ def chunk_stats(
     for sentence in corpus:
         n_tokens += len(sentence.tokens)
         n_chunk_tokens += sum(sentence.y)
-        for start, end in filter_chunks(sentence.chunk_spans, max_chunk_len):
-            length_counts[end - start] += 1
+        for start, end in sentence.chunk_spans:
+            if end - start <= max_chunk_len:
+                length_counts[end - start] += 1
     if n_tokens == 0:
         raise ValueError("empty corpus: no tokens seen")
     total = sum(length_counts.values())

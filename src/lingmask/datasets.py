@@ -3,10 +3,16 @@ examples and citation-based similarity pairs.
 
 Input is JSONL with fields ``pub_number``, ``title``, ``abstract``, ``claims``,
 ``description``, ``ipc`` (semicolon-joined string or list of strings), and
-``citations`` (list of objects with ``pub`` and ``category``). Classification
-labels are the 4-character subclass level of the classification codes;
-similarity positives are X-category citation pairs, the category that marks
-novelty-defeating relatedness.
+``citations`` (list of objects with ``pub`` and ``category``).
+``read_patent_records`` is the one place a line is checked. Of each record
+it keeps what the builders read: ``pub_number``, ``claims``, the tags and
+the citations, each a ``(pub, category)`` tuple. ``title``, ``abstract``
+and ``description`` must be strings but are not kept. The records and the
+builders' outputs are plain data that check nothing when built.
+
+Classification labels are the 4-character subclass level of the
+classification codes; similarity positives are X-category citation pairs,
+the category that marks novelty-defeating relatedness.
 """
 
 from __future__ import annotations
@@ -26,44 +32,21 @@ log = logging.getLogger(__name__)
 _SUBCLASS = re.compile(r"^[A-Z]\d{2}[A-Z]")
 
 
-@dataclass
-class Citation:
-    cited_pub_number: str
-    category: str
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.cited_pub_number, str):
-            raise ValueError(f"cited pub must be a string: {self.cited_pub_number!r}")
-        if len(self.category) != 1:
-            raise ValueError(f"citation category must be a single letter: {self.category!r}")
-
-
-@dataclass
+@dataclass(slots=True)
 class PatentRecord:
-    pub_number: str
-    title: str = ""
-    abstract: str = ""
-    claims: str = ""
-    description: str = ""
-    ipc_tags: list[str] = field(default_factory=list)
-    citations: list[Citation] = field(default_factory=list)
+    """What the builders read of one record. A citation is a
+    ``(cited pub_number, category)`` pair."""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.pub_number, str) or not self.pub_number:
-            raise ValueError(f"pub_number must be a non-empty string: {self.pub_number!r}")
-        for name in ("title", "abstract", "claims", "description"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a string: {getattr(self, name)!r}")
+    pub_number: str
+    claims: str = ""
+    ipc_tags: list[str] = field(default_factory=list)
+    citations: list[tuple[str, str]] = field(default_factory=list)
 
 
 @dataclass
 class IpcExample:
     text: str
     label: str
-
-    def __post_init__(self) -> None:
-        if not _SUBCLASS.fullmatch(self.label):
-            raise ValueError(f"label is not a subclass code: {self.label!r}")
 
 
 @dataclass(slots=True)
@@ -73,10 +56,6 @@ class SimilarityPair:
     id_a: str
     id_b: str
     label: bool
-
-    def __post_init__(self) -> None:
-        if self.id_a == self.id_b:
-            raise ValueError("similarity pair must join two distinct patents")
 
 
 def ipc_subclass(full_tag: str) -> str:
@@ -91,16 +70,27 @@ def ipc_subclass(full_tag: str) -> str:
     return tag[:4]
 
 
-def _citation(raw: object) -> Citation:
+def _citation(raw: object) -> tuple[str, str]:
     if not isinstance(raw, dict) or not isinstance(raw.get("category"), str):
         raise ValueError(f"citation must be an object with a string category: {raw!r}")
     if "pub" not in raw:
         raise ValueError("missing field: pub")
-    return Citation(cited_pub_number=raw["pub"], category=raw["category"].strip().upper())
+    pub, category = raw["pub"], raw["category"].strip().upper()
+    if not isinstance(pub, str):
+        raise ValueError(f"cited pub must be a string: {pub!r}")
+    if len(category) != 1:
+        raise ValueError(f"citation category must be a single letter: {category!r}")
+    return pub, category
 
 
 def read_patent_records(path: str) -> Iterator[PatentRecord]:
-    """Stream patent records from JSONL; errors carry the line number."""
+    """Stream patent records from JSONL; errors carry the line number.
+
+    A record with several faults is reported for the first, in this order:
+    not an object, no ``pub_number``, ``ipc``, ``citations``, each citation
+    in turn, ``pub_number`` not a non-empty string, a text field not a
+    string.
+    """
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             try:
@@ -116,31 +106,28 @@ def read_patent_records(path: str) -> Iterator[PatentRecord]:
                     tags = [t.strip() for t in ipc if t.strip()]
                 else:
                     raise ValueError(f"ipc must be a string or a list of strings: {ipc!r}")
-                citations = [_citation(c) for c in record.get("citations", [])]
-                yield PatentRecord(
-                    pub_number=record["pub_number"],
-                    title=record.get("title", ""),
-                    abstract=record.get("abstract", ""),
-                    claims=record.get("claims", ""),
-                    description=record.get("description", ""),
-                    ipc_tags=tags,
-                    citations=citations,
-                )
+                citations = record.get("citations", [])
+                if not isinstance(citations, list):
+                    raise ValueError(f"citations must be a list of objects: {citations!r}")
+                citations = [_citation(c) for c in citations]
+                pub_number = record["pub_number"]
+                if not isinstance(pub_number, str) or not pub_number:
+                    raise ValueError(f"pub_number must be a non-empty string: {pub_number!r}")
+                for name in ("title", "abstract", "claims", "description"):
+                    if not isinstance(record.get(name, ""), str):
+                        raise ValueError(f"{name} must be a string: {record[name]!r}")
+                yield PatentRecord(pub_number, record.get("claims", ""), tags, citations)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"invalid patent record at line {lineno}: {exc}") from exc
 
 
-def build_ipc_examples(
-    records: Iterable[PatentRecord], counters: Counter | None = None
-) -> Iterator[IpcExample]:
+def build_ipc_examples(records: Iterable[PatentRecord], counters: Counter) -> Iterator[IpcExample]:
     """One classification example per record with usable tags and claims.
 
     The label is the most frequent subclass among the record's tags, smallest
     subclass first on ties. Records with no valid tag or empty claims are
     skipped and counted.
     """
-    if counters is None:
-        counters = Counter()
     for record in records:
         subclasses = []
         for tag in record.ipc_tags:
@@ -163,7 +150,7 @@ def build_ipc_examples(
 def build_similarity_pairs(
     records: Iterable[PatentRecord],
     rng: random.Random,
-    counters: Counter | None = None,
+    counters: Counter,
 ) -> Iterator[SimilarityPair]:
     """Positive pairs from X-category citations plus sampled negatives.
 
@@ -182,8 +169,6 @@ def build_similarity_pairs(
     When a ``pub_number`` repeats, the last record of that id supplies its
     text; repeats are counted as ``repeated_pub_number`` and logged once.
     """
-    if counters is None:
-        counters = Counter()
     texts: dict[str, str] = {}
     cited_pairs: list[tuple[str, str]] = []  # every X citation, in input order
     repeated = 0
@@ -195,9 +180,7 @@ def build_similarity_pairs(
                 first_repeated = record.pub_number
         texts[record.pub_number] = normalize_text(record.claims)
         cited_pairs.extend(
-            (record.pub_number, citation.cited_pub_number)
-            for citation in record.citations
-            if citation.category == "X"
+            (record.pub_number, cited) for cited, category in record.citations if category == "X"
         )
     if repeated:
         counters["repeated_pub_number"] += repeated

@@ -58,12 +58,12 @@ a row's counts follow from its coin, its length and its number of
 chunk-flagged positions. Both apply one pool rule (``_lim_pools``).
 ``mask_batches`` masks a stream of sequences ``_BATCH`` rows at a time;
 ``mask_sequences`` (pre-training examples) and ``tinylm.pack_corpus`` (the
-tiny LM's table) read it. The checks that ``TokenizedSequence`` and
-``MaskedExample`` run when built directly run once per batch on this path:
-``mask_batches`` checks that each sequence's flags align with its pieces,
-and ``mask_sequences`` that each row's masked positions are strictly
-increasing and within its length. So ``sequence_from_annotated`` and
-``build_example`` build their objects without running those checks again.
+tiny LM's table) read it. ``TokenizedSequence`` checks nothing when built:
+``mask_batches``, which every consumer reads, checks once per batch that
+each sequence's flags align with its pieces. ``mask_sequences`` checks once
+per batch what ``MaskedExample`` checks when built directly: that each row's
+masked positions are strictly increasing and within its length. So
+``build_example`` builds its examples without running those checks again.
 ``stats.tally_blocks`` (the law check) counts grids of synthetic rows
 numbered the same way: under ``mlm`` from the positions ``mask_rows``
 chooses, one grid at a time, under ``lim`` with ``lim_counts`` once per run
@@ -139,15 +139,12 @@ class MaskingConfig:
 
 @dataclass
 class TokenizedSequence:
-    """A piece-id sequence with per-piece chunk flags."""
+    """A piece-id sequence with per-piece chunk flags. Their alignment is
+    checked by ``mask_batches``, not here."""
 
     pieces: list[int]
     y: list[bool]
     doc_id: str = ""
-
-    def __post_init__(self) -> None:
-        if len(self.y) != len(self.pieces):
-            raise ValueError("chunk flags must align with pieces")
 
 
 @dataclass
@@ -513,10 +510,7 @@ def sequence_from_annotated(
             piece_ids += map(ids.__getitem__, pieces)
             flags += [flag] * len(pieces)
     del piece_ids[max_seq_len:], flags[max_seq_len:]
-    # Flags and pieces align by construction; skip the constructor's check.
-    seq = object.__new__(TokenizedSequence)
-    seq.pieces, seq.y, seq.doc_id = piece_ids, flags, doc_id
-    return seq
+    return TokenizedSequence(piece_ids, flags, doc_id)
 
 
 _INT = {int}

@@ -18,8 +18,7 @@ def sequence_from_annotated(
     sent: AnnotatedSentence, vocab: Vocabulary, max_seq_len: int, doc_id: str = ""
 ) -> TokenizedSequence:
     """Each piece of each word looked up with ``vocab.id_of`` and given its
-    word's flag, cut at ``max_seq_len`` pieces, through the checking
-    constructor."""
+    word's flag, cut at ``max_seq_len`` pieces."""
     piece_ids: list[int] = []
     flags: list[bool] = []
     for token, flag in zip(sent.tokens, sent.y):

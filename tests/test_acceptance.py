@@ -363,7 +363,7 @@ class TestDatasetBuilders:
 
     def test_similarity_pair_contracts(self, patents_path):
         pairs = list(
-            build_similarity_pairs(read_patent_records(patents_path), random.Random(5))
+            build_similarity_pairs(read_patent_records(patents_path), random.Random(5), Counter())
         )
         positives = {(p.id_a, p.id_b) for p in pairs if p.label}
         related = {frozenset(p) for p in EXPECTED_POSITIVES}

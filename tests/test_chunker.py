@@ -10,7 +10,6 @@ from lingmask.chunker import (
     AnnotatedSentence,
     AnnotatedToken,
     chunk_stats,
-    filter_chunks,
     parse_annotations,
 )
 from rule_chunker import extract_noun_chunks, sentence_from_tokens
@@ -72,23 +71,6 @@ class TestGrammar:
             assert "VERB" not in tags[start:end]
             assert tags[end - 1] in ("NOUN", "PROPN")
             prev_end = end
-
-
-class TestFilterChunks:
-    def test_removes_long_spans(self):
-        spans = [(0, 2), (2, 13), (13, 23)]
-        assert filter_chunks(spans, 10) == [(0, 2), (13, 23)]
-
-    def test_empty(self):
-        assert filter_chunks([]) == []
-
-    def test_limit_one_keeps_singletons(self):
-        spans = [(0, 1), (5, 6)]
-        assert filter_chunks(spans, 1) == spans
-
-    def test_bad_limit(self):
-        with pytest.raises(ValueError):
-            filter_chunks([(0, 1)], max_len=0)
 
 
 class TestFlagsSpansRoundTrip:
@@ -293,6 +275,20 @@ class TestChunkStats:
         assert stats.token_nc_prob == 0.0
         assert stats.histogram == {}
         assert stats.mean == 0.0 and stats.sd == 0.0
+
+    def test_chunks_over_the_limit_leave_the_histogram(self):
+        stats = chunk_stats([self._sentence(23, [2, 11, 10])], max_chunk_len=10)
+        assert stats.histogram == {2: 1, 10: 1}
+        assert stats.mean == 6.0
+        assert stats.token_nc_prob == 1.0
+
+    def test_limit_one_keeps_singletons(self):
+        stats = chunk_stats([self._sentence(8, [1, 2, 1])], max_chunk_len=1)
+        assert stats.histogram == {1: 2}
+
+    def test_limit_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_chunk_len must be >= 1, got 0"):
+            chunk_stats([self._sentence(2, [1])], max_chunk_len=0)
 
     def test_long_chunks_filtered_from_histogram_not_flags(self):
         stats = chunk_stats([self._sentence(12, [11])])

@@ -10,8 +10,7 @@ from hypothesis import given, strategies as st
 
 from lingmask.cli import EX_FAIL, EX_OK, main
 from lingmask.datasets import (
-    Citation,
-    IpcExample,
+    _SUBCLASS,
     PatentRecord,
     SimilarityPair,
     build_ipc_examples,
@@ -68,6 +67,24 @@ CITATION_GRAPHS = st.builds(
     st.lists(st.tuples(st.sampled_from(GRAPH_IDS), _GRAPH_RECORD), max_size=2),
 )
 
+# Record sets as the reader yields them: repeated ids, blank or empty claims,
+# well-formed, malformed and arbitrary tags, and citations of known ids, of
+# the record itself and of an unknown id.
+_TAGS = st.one_of(
+    st.sampled_from(["A61K 31/00", "g06f17/00", "H04L", "B29C45/00", "XYZ", "1234"]), st.text(max_size=6)
+)
+RECORD_SETS = st.lists(
+    st.builds(
+        PatentRecord,
+        st.sampled_from(GRAPH_IDS),
+        st.sampled_from(["a claim", "a claim", "", " \t "]),
+        st.lists(_TAGS, max_size=3),
+        st.lists(st.tuples(st.sampled_from(GRAPH_IDS + ["Q9"]), st.sampled_from("XXXY")), max_size=3),
+    ),
+    min_size=3,
+    max_size=12,
+)
+
 
 class _InputOrder(random.Random):
     """The same draws, but a shuffle that keeps the order, so the builder's
@@ -104,7 +121,7 @@ class TestReadRecords:
         assert by_id["P02"].ipc_tags == ["A61K 31/00", "A61K 38/00", "G06F 17/00"]
         assert by_id["P03"].ipc_tags == ["A61K 31/00", "G06F 17/00"]  # list form
         assert by_id["P08"].ipc_tags == []
-        assert by_id["P14"].citations == [Citation("P16", "X")]  # category upcased
+        assert by_id["P14"].citations == [("P16", "X")]  # category upcased
 
     def test_error_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -126,6 +143,41 @@ class TestReadRecords:
         with pytest.raises(ValueError) as excinfo:
             list(read_patent_records(str(path)))
         assert str(excinfo.value) == f"invalid patent record at line 2: missing field: {field}"
+
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ({"ipc": 7, "citations": None}, "missing field: pub_number"),
+            ({"pub_number": 5, "citations": None, "ipc": 7}, "ipc must be a string or a list of strings: 7"),
+            ({"pub_number": 5, "citations": None}, "citations must be a list of objects: None"),
+            ({"pub_number": "P1", "citations": "P2"}, "citations must be a list of objects: 'P2'"),
+            (
+                {"pub_number": "P1", "citations": {"pub": "P2", "category": "X"}},
+                "citations must be a list of objects: {'pub': 'P2', 'category': 'X'}",
+            ),
+            (
+                {"pub_number": "", "citations": [{"pub": "A", "category": "xy"}, {"category": "X"}]},
+                "citation category must be a single letter: 'XY'",
+            ),
+            (
+                {"pub_number": "P1", "citations": [{"pub": 7, "category": "XY"}]},
+                "cited pub must be a string: 7",
+            ),
+            ({"pub_number": "", "title": 5, "claims": 6}, "pub_number must be a non-empty string: ''"),
+            ({"pub_number": "P1", "description": 6, "claims": 5, "title": 4}, "title must be a string: 4"),
+            ({"pub_number": "P1", "description": 6, "claims": 5}, "claims must be a string: 5"),
+        ],
+        ids=["pub-number-before-ipc", "ipc-before-citations", "null-citations-before-id-type",
+             "string-citations", "object-citations", "citation-before-id-type",
+             "cited-pub-before-category", "id-type-before-texts", "title-first-text",
+             "claims-before-description"],
+    )
+    def test_first_fault_is_named(self, tmp_path, record, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"pub_number": "A"}\n' + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            list(read_patent_records(str(path)))
+        assert str(excinfo.value) == f"invalid patent record at line 2: {message}"
 
     @pytest.mark.parametrize(
         "record",
@@ -194,18 +246,14 @@ class TestIpcExamples:
                     input_subclasses.add(ipc_subclass(tag))
                 except ValueError:
                     pass
-        labels = {e.label for e in build_ipc_examples(records)}
+        labels = {e.label for e in build_ipc_examples(records, Counter())}
         assert labels <= input_subclasses
 
     def test_text_is_normalized_claims(self):
         record = PatentRecord(pub_number="Z1", claims="a\t\tpump   here", ipc_tags=["A01B 1/00"])
-        example = next(iter(build_ipc_examples([record])))
+        example = next(iter(build_ipc_examples([record], Counter())))
         assert example.text == "a pump here"
         assert example.label == "A01B"
-
-    def test_label_shape_enforced(self):
-        with pytest.raises(ValueError):
-            IpcExample("t", "bad")
 
 
 class TestSimilarityPairs:
@@ -242,7 +290,7 @@ class TestSimilarityPairs:
             PatentRecord(
                 pub_number=pub,
                 claims="a claim" if has_claims else "",
-                citations=[Citation(cited, category) for cited, category in citations],
+                citations=citations,
             )
             for pub, (has_claims, citations) in graph
         ]
@@ -251,16 +299,16 @@ class TestSimilarityPairs:
         has_text = {r.pub_number: bool(r.claims) for r in records}
         expected = []
         for r in records:
-            for c in r.citations:
-                pair = (r.pub_number, c.cited_pub_number)
-                usable = c.category == "X" and pair[0] != pair[1] and has_text.get(pair[1], False)
+            for cited, category in r.citations:
+                pair = (r.pub_number, cited)
+                usable = category == "X" and pair[0] != pair[1] and has_text.get(pair[1], False)
                 if usable and has_text[pair[0]] and pair not in expected:
                     expected.append(pair)
         linked = {
-            frozenset((r.pub_number, c.cited_pub_number))
+            frozenset((r.pub_number, cited))
             for r in records
-            for c in r.citations
-            if c.category == "X"
+            for cited, category in r.citations
+            if category == "X"
         }
         counters = Counter()
         if not expected:
@@ -279,7 +327,7 @@ class TestSimilarityPairs:
         dropped = counters["dropped_same_doc"] + counters["dropped_no_negative"]
         assert len(positives) + dropped == len(expected)
         # The shuffled output holds the same pairs.
-        shuffled = list(build_similarity_pairs(records, random.Random(seed)))
+        shuffled = list(build_similarity_pairs(records, random.Random(seed), Counter()))
         assert sorted(shuffled, key=repr) == sorted(pairs, key=repr)
 
     def test_balanced_output(self, patents_path):
@@ -293,15 +341,11 @@ class TestSimilarityPairs:
 
     def test_no_x_citations_rejected(self):
         records = [
-            PatentRecord(pub_number="A", claims="text a", citations=[Citation("B", "Y")]),
+            PatentRecord(pub_number="A", claims="text a", citations=[("B", "Y")]),
             PatentRecord(pub_number="B", claims="text b"),
         ]
         with pytest.raises(ValueError, match="no X-category"):
-            list(build_similarity_pairs(records, random.Random(0)))
-
-    def test_self_pair_type_rejected(self):
-        with pytest.raises(ValueError):
-            SimilarityPair("t", "t", "A", "A", True)
+            list(build_similarity_pairs(records, random.Random(0), Counter()))
 
     def test_pair_is_slotted(self):
         # make-pairs holds every pair of a run at once; slots keep each small.
@@ -309,8 +353,8 @@ class TestSimilarityPairs:
 
     def test_repeated_pub_number_keeps_last_record_and_warns_once(self, caplog):
         records = [
-            PatentRecord(pub_number="A", claims="text a", citations=[Citation("B", "X")]),
-            PatentRecord(pub_number="B", claims="text b", citations=[Citation("A", "X")]),
+            PatentRecord(pub_number="A", claims="text a", citations=[("B", "X")]),
+            PatentRecord(pub_number="B", claims="text b", citations=[("A", "X")]),
             PatentRecord(pub_number="B", claims="text b again"),
             PatentRecord(pub_number="A", claims=""),
         ]
@@ -350,6 +394,31 @@ class TestSimilarityPairs:
 
         peak(patents_path)  # warm-up: one-time allocations of the first run
         assert peak(padded) - peak(patents_path) < total_padding / 4
+
+
+class TestBuilderGuarantees:
+    """What the output types do not check: every label is a subclass code
+    and every pair joins two distinct patents."""
+
+    @staticmethod
+    def _assert_guarantees(records, seed):
+        for example in build_ipc_examples(records, Counter()):
+            assert _SUBCLASS.fullmatch(example.label)
+        try:
+            pairs = list(build_similarity_pairs(records, random.Random(seed), Counter()))
+        except ValueError as exc:
+            assert str(exc) == "no X-category citation pairs in input"
+            return 0
+        assert all(pair.id_a != pair.id_b for pair in pairs)
+        return len(pairs)
+
+    def test_fixture(self, patents_path):
+        records = list(read_patent_records(patents_path))
+        assert all(self._assert_guarantees(records, seed) for seed in range(8))
+
+    @given(RECORD_SETS, st.integers(0, 2**16))
+    def test_generated_records(self, records, seed):
+        self._assert_guarantees(records, seed)
 
 
 class TestSplitDataset:

@@ -497,7 +497,7 @@ class TestBlockSampler:
 
     @pytest.mark.parametrize("change", ["grown", "shrunk"])
     def test_rejects_pieces_changed_after_construction(self, change):
-        # TokenizedSequence checks alignment only when it is built.
+        # TokenizedSequence checks nothing; mask_batches checks alignment.
         seq = make_seq(3, flagged=(0,))
         if change == "grown":
             seq.pieces.append(5)

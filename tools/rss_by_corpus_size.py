@@ -6,10 +6,11 @@ Usage: python3 tools/rss_by_corpus_size.py [--sizes 20000 100000] [--seed 1]
 Generates the benchmark's ``pretrain`` corpus (``perfbench/gen.py``: same
 vocabulary and Zipfian draws) at each number of sentences, by overriding the
 generator's sentence count at run time, and runs ``make-pretraining-data
---strategy lim --p-nc 0.75`` on each as its own child process. A run's peak
-RSS is the child's ``ru_maxrss``. Generation runs in a separate process too:
-a child's ``ru_maxrss`` starts from the memory of the process that forked it,
-so this process stays small.
+--strategy lim`` with the benchmark's ``--p-nc`` (``perfbench/run.py``'s
+``P_NC``) on each as its own child process. A run's peak RSS is the child's
+``ru_maxrss``. Generation runs in a separate process too: a child's
+``ru_maxrss`` starts from the memory of the process that forked it, so this
+process stays small.
 
 Prints one JSON object: per size, each run's peak RSS (MB) and wall seconds,
 and ``growth_mb``, the largest size's median peak minus the smallest's. With
@@ -29,11 +30,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import P_NC  # noqa: E402  the benchmark's pretrain-lim setting
 
 
 def generate(n_sentences: int, seed: int, out_dir: str) -> None:
     """Write ``pretrain.tsv`` and ``pretrain.vocab.txt`` with ``n_sentences``."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
     import gen
 
     _, *rest = gen._CORPUS_SIZES["pretrain"]
@@ -80,7 +82,7 @@ def main(argv: list[str]) -> int:
             command = [
                 sys.executable, "-m", "lingmask.cli", "make-pretraining-data",
                 "--annotations", str(out / "pretrain.tsv"), "--vocab", str(out / "pretrain.vocab.txt"),
-                "--strategy", "lim", "--p-nc", "0.75", "--seed", str(args.seed),
+                "--strategy", "lim", "--p-nc", str(P_NC), "--seed", str(args.seed),
                 "--output", str(out / "examples.jsonl"),
             ]
             runs = [peak_rss(command, env) for _ in range(args.runs)]

@@ -3,9 +3,10 @@
 Usage: python3 tools/rss_by_law_size.py [--sizes 50000 500000]
            [--max-growth-mb MB]
 
-Runs ``verify-masking --n N`` at each size under ``lim`` (``--p-nc 0.75``)
-and under ``mlm``, each run its own child process; a run's peak RSS is the
-child's ``ru_maxrss`` (``rss_by_corpus_size.peak_rss``).
+Runs ``verify-masking --n N`` at each size under ``lim``, with the
+benchmark's ``--p-nc`` (``perfbench/run.py``'s ``P_NC``), and under
+``mlm``, each run its own child process; a run's peak RSS is the child's
+``ru_maxrss`` (``rss_by_corpus_size.peak_rss``).
 
 Prints one JSON object: per strategy, each size's peak RSS (MB) and wall
 seconds, and ``growth_mb``, the largest size's peak minus the smallest's.
@@ -21,9 +22,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from rss_by_corpus_size import ROOT, peak_rss
+from rss_by_corpus_size import P_NC, ROOT, peak_rss
 
-STRATEGIES = {"lim": ["--strategy", "lim", "--p-nc", "0.75"], "mlm": ["--strategy", "mlm"]}
+STRATEGIES = {"lim": ["--strategy", "lim", "--p-nc", str(P_NC)], "mlm": ["--strategy", "mlm"]}
 
 
 def main(argv: list[str]) -> int:

@@ -48,10 +48,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from rss_by_corpus_size import ROOT, generate
-
-sys.path.insert(0, str(ROOT / "perfbench"))
-from run import P_NC  # noqa: E402  the benchmark's pretrain-lim setting
+from rss_by_corpus_size import P_NC, ROOT, generate
 
 STAGES = ("parse", "encode", "mask_batches", "rows_build", "json", "write", "cli_run")
 
