@@ -12,7 +12,8 @@ writes pre-training data. Under ``mlm`` it draws each grid's positions
 (``masking.mask_rows``) and counts their flags. Under ``lim`` it reads only
 each sequence's branch coin, since every masked position has its pool's
 flag, and draws the coins of up to 16 blocks of sequences in one call
-(``masking.lim_counts``).
+(``masking.lim_counts``). ``flagged_sequences`` generates the flags, two
+from each SplitMix64 value, one block of sequences per hash call.
 """
 
 from __future__ import annotations
@@ -182,7 +183,13 @@ def empirical_mask_report(
         masked, flagged = counts[1::2], counts[::2]
         if (masked < 0).any() or (masked > flagged).any():
             raise ValueError("masked counts exceed their flag counts")
-        n_sequences += counts.shape[1]
+        # Every count now lies in [0, length], so one tally's sums of
+        # products are at most rows * max(length)**2; past int64 they are
+        # taken over Python ints.
+        rows = counts.shape[1]
+        if rows and rows * int(tally.lengths.max()) ** 2 >= 2**63:
+            counts = counts.astype(object)
+        n_sequences += rows
         sums += counts.sum(axis=1)
         products += counts @ counts.T
 
@@ -299,36 +306,37 @@ def flagged_sequences(
     sequences: (rows, seq_len) boolean arrays, so memory stays flat at any
     corpus size. Masking-probability statistics depend only on the flags.
 
-    Flag ``i`` of the corpus (row-major) is set when the high 32 bits of the
-    ``i + 1``-th SplitMix64 value from ``seed`` are below
-    ``round(p_y1 * 2**32)``, so a shorter corpus is a prefix of a longer one.
+    Each SplitMix64 value from ``seed`` gives two flags of the corpus
+    (row-major): flag ``2k`` is set when the low 32 bits of the ``k + 1``-th
+    value are below ``round(p_y1 * 2**32)``, and flag ``2k + 1`` when its
+    high 32 bits are, so a shorter corpus is a prefix of a longer one.
     """
     if n_sequences < 1:
         raise ValueError(f"n_sequences must be >= 1, got {n_sequences}")
+    if seq_len < 1:
+        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
     if not 0.0 <= p_y1 <= 1.0:
         raise ValueError(f"p_y1 must be in [0, 1], got {p_y1}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     threshold = round(p_y1 * 2**32)
-    # A hash's high 32 bits are below the threshold exactly when the hash is
-    # below threshold * 2**32, so the hashes are compared without a shift.
     if threshold < 2**32:
-        below, limit = np.less, np.uint64(threshold << 32)
-    else:  # 2**64 fits no uint64, and every hash is at most 2**64 - 1
-        below, limit = np.less_equal, np.uint64(2**64 - 1)
-    # k * gamma for the k of half a block's flags; each half adds its own
-    # start, and one buffer holds each half's states, hashed in place. Half
-    # blocks (128 KB buffers at 128-piece rows) lowered the peak RSS of
-    # verify-masking --n 50000 by about 0.9 MB against whole blocks, at the
-    # same speed (Python 3.11, numpy 2.4, x86-64 Linux).
-    half = (min(BLOCK, n_sequences) * seq_len + 1) // 2
-    steps = np.arange(1, half + 1, dtype=np.uint64) * np.uint64(_SPLITMIX_GAMMA)
+        below, limit = np.less, np.uint32(threshold)
+    else:  # 2**32 fits no uint32, and every word is at most 2**32 - 1
+        below, limit = np.less_equal, np.uint32(2**32 - 1)
+    # k * gamma for the k of a block's states, half as many as its flags;
+    # each block adds its own start, and one buffer (128 KB at 128-piece
+    # rows) holds its states, hashed in place. A block starts on an even
+    # flag, since BLOCK is even, so its first state yields its first two
+    # flags. The little-endian view puts each value's low word first.
+    states_per_block = (min(BLOCK, n_sequences) * seq_len + 1) // 2
+    steps = np.arange(1, states_per_block + 1, dtype=np.uint64) * np.uint64(_SPLITMIX_GAMMA)
     states = np.empty_like(steps)
     for emitted in range(0, n_sequences, BLOCK):
         size = min(BLOCK, n_sequences - emitted) * seq_len
+        n = (size + 1) // 2
+        start = np.uint64((seed + emitted * seq_len // 2 * _SPLITMIX_GAMMA) % 2**64)
+        words = _splitmix64(np.add(steps[:n], start, out=states[:n])).astype("<u8", copy=False).view("<u4")
         flags = np.empty(size, dtype=bool)
-        for at in range(0, size, half):
-            n = min(half, size - at)
-            start = np.uint64((seed + (emitted * seq_len + at) * _SPLITMIX_GAMMA) % 2**64)
-            below(_splitmix64(np.add(steps[:n], start, out=states[:n])), limit, out=flags[at : at + n])
+        below(words[:size], limit, out=flags)
         yield flags.reshape(-1, seq_len)

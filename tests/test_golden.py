@@ -15,20 +15,21 @@ from lingmask.cli import EX_OK, main
 GOLDEN = {
     # Example format 2: masks come from one Philox stream per block of BLOCK
     # sequences (make-pretraining-data, verify-masking and train-tiny).
-    # verify-masking's synthetic flags come from SplitMix64 hashes of their
-    # index, and train-tiny's initial weights from Philox stream 2**64 - 1.
+    # verify-masking's synthetic flags come two from each SplitMix64 hash,
+    # flag 2k from the low word of hash k + 1 and flag 2k + 1 from its high
+    # word; train-tiny's initial weights come from Philox stream 2**64 - 1.
     "make-pretraining-data-mlm": "fac45905c378431d8aaee9f0fcac216924c2e775f1f47277cefe7d4ec162d2b6",
     "make-pretraining-data-lim": "f261557c896ac1ec55993ca519f66b4452eb228f8543c7a26e3796bb2d332746",
-    "verify-masking": "0ba69e8e9f0601aadc9a6d08d773c9cedbbc8d747103a7175a9d82a2fb5a17d0",
+    "verify-masking": "cc5b106d8c432619f58210cf16c9ca191347dae9426cf82859c50d7982718732",
     # Under mlm the law check chooses positions; under lim it reads only the
     # branch coins. With p_y1 0.97 and 7-piece rows the unflagged pool is
     # often empty, so the fallback fires.
-    "verify-masking-mlm": "b24e1de7161b280c066cb65d771c3bdd59f669455d72d78aa07fab2c86ed86ca",
-    "verify-masking-lim-fallback": "bcbbac1917e6ee91ddddf676976041a9403ec76a6a7676ccd86d32779589ff59",
+    "verify-masking-mlm": "e3679a6032a734ad495d736ae3501f82c68f7d4d40b2d9ff9858ba6833f23a26",
+    "verify-masking-lim-fallback": "dc517f03a7cf400b7ef05ad2c0b1616e4ad9019da8ba3b1e3cd4dd184d2ed8b2",
     # 10000 rows: 39 blocks, the last one partial, so the law check's coins
     # come in more than one run of 16 blocks.
-    "verify-masking-lim-10000": "36e7f232941a811854f07747fb9a40f8483cd8fa238ef109e97b40338e30ef0d",
-    "verify-masking-mlm-10000": "3a626bfbe11ca25ceaf0016449b19bd38cc3c1229b73b82cf04ffc4d0fa5e116",
+    "verify-masking-lim-10000": "cc513e160d76c9089744ba5c86c8551ea24e50f975a5db6423cc990f1c101e75",
+    "verify-masking-mlm-10000": "d56fceadbf1bddd2124f564b19973cb755537dc5ef4d7ec0ffa81641fee5cc1d",
     "make-ipc": "cf3cee2be23442165060a2d5ed16f9317c47caf1d557fe4c189260e3bd24feb9",
     "make-pairs": "c740f45d92d7ad65e29a12ac960e1129477c10eca324c9f0079ea4067dd9cabb",
     # documents.jsonl holds formula spans, operator tokens, abbreviations and

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lingmask import masking
+from lingmask import masking, stats
 from lingmask.masking import (
     BLOCK,
     MaskingConfig,
@@ -98,6 +99,18 @@ class TestEmpiricalReport:
         tally = MaskTally(*(np.array([v]) for v in (8, 4, masked, masked_chunk)))
         with pytest.raises(ValueError, match="exceed"):
             empirical_mask_report([tally], 0.15, None)
+
+    def test_sums_within_a_tally_are_exact(self):
+        # Two sequences of 2**31 unflagged tokens, 2**30 and 2**29 of them
+        # masked: their sums of k0**2 (2**63) and a0 * k0 fit no int64, so
+        # one two-row tally must report what two one-row tallies do.
+        lengths, masked = np.array([2**31, 2**31]), np.array([2**30, 2**29])
+        zeros = np.zeros(2, dtype=np.int64)
+        split = [MaskTally(lengths[i : i + 1], zeros[:1], masked[i : i + 1], zeros[:1]) for i in range(2)]
+        joint = empirical_mask_report([MaskTally(lengths, zeros, masked, zeros)], 0.15, None)
+        assert joint == empirical_mask_report(split, 0.15, None)
+        assert joint.p_mask_given_y0 == 0.375
+        assert joint.se_mask_given_y0 == pytest.approx(0.0884, abs=1e-4)
 
     def test_sums_across_tallies_are_exact(self):
         # Four one-row tallies of 2**31 unflagged tokens, 2**30 of them
@@ -368,15 +381,34 @@ class TestFlaggedSequences:
         states = np.arange(1, 9, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed)
         assert _splitmix64(states).tolist() == [_splitmix64_reference(seed, k) for k in range(1, 9)]
 
-    def test_flag_is_high_hash_word_below_threshold(self):
-        # 1 - 2**-32 sets the largest threshold below 2**32, and 1 - 2**-33
-        # rounds to a threshold of 2**32, as 1 does. 255 rows of 7 pieces
-        # are one block of an odd number of flags.
+    def test_flags_are_hash_words_below_threshold(self):
+        # Flag 2k is the low word of hash k + 1 and flag 2k + 1 its high
+        # word. 1 - 2**-32 sets the largest threshold below 2**32, and
+        # 1 - 2**-33 rounds to a threshold of 2**32, as 1 does. 255 rows of
+        # 7 pieces are one block of an odd number of flags, whose last hash
+        # gives one flag.
         for n, seq_len, p_y1 in ((300, 16, 0.3), (255, 7, 0.3), (300, 16, 1 - 2**-32), (300, 16, 1 - 2**-33)):
             flags = np.concatenate(list(flagged_sequences(n, seq_len=seq_len, p_y1=p_y1, seed=9))).ravel()
             threshold = round(p_y1 * 2**32)
-            expected = [_splitmix64_reference(9, i + 1) >> 32 < threshold for i in range(len(flags))]
+            expected = [
+                _splitmix64_reference(9, i // 2 + 1) >> (32 * (i % 2)) & 0xFFFFFFFF < threshold
+                for i in range(len(flags))
+            ]
             assert flags.tolist() == expected
+
+    @pytest.mark.parametrize("n,seq_len", [(555, 7), (300, 16)])
+    def test_one_hash_call_per_block_of_half_its_flags(self, monkeypatch, n, seq_len):
+        # 43 rows of 7 pieces end the first corpus on an odd 301 flags.
+        hashed = []
+
+        def counting(states):
+            hashed.append(len(states))
+            return _splitmix64(states)
+
+        monkeypatch.setattr(stats, "_splitmix64", counting)
+        blocks = list(flagged_sequences(n, seq_len=seq_len, seed=3))
+        assert hashed == [math.ceil(block.size / 2) for block in blocks]
+        assert [len(block) for block in blocks] == [min(BLOCK, n - e) for e in range(0, n, BLOCK)]
 
     @pytest.mark.parametrize("seed", [4, 2**64 - 1])
     def test_deterministic(self, seed):
@@ -390,6 +422,15 @@ class TestFlaggedSequences:
         short = np.concatenate(list(flagged_sequences(300, seq_len=16, seed=2)))
         long = np.concatenate(list(flagged_sequences(600, seq_len=16, seed=2)))
         assert (long[:300] == short).all()
+
+    @pytest.mark.parametrize("n", [255, 513])
+    def test_prefix_ending_on_an_odd_flag_count(self, n):
+        # 255 * 7 and 513 * 7 flags are odd: the shorter corpus keeps only
+        # the low word of its last hash, whose high word starts the next row.
+        short = np.concatenate(list(flagged_sequences(n, seq_len=7, p_y1=0.5, seed=2)))
+        long = np.concatenate(list(flagged_sequences(n + 45, seq_len=7, p_y1=0.5, seed=2)))
+        assert short.size % 2 == 1
+        assert (long[:n] == short).all()
 
     @pytest.mark.parametrize("p_y1,expected", [(0.0, False), (1.0, True)])
     def test_extreme_rates(self, p_y1, expected):
@@ -408,8 +449,16 @@ class TestFlaggedSequences:
         assert abs(hits - flags * 0.507) / math.sqrt(flags * 0.507 * 0.493) < 4
 
     @pytest.mark.parametrize(
-        "n,p_y1,seed", [(0, 0.5, 0), (1, 1.5, 0), (1, -0.1, 0), (1, 0.5, -1)]
+        "n,seq_len,p_y1,seed,message",
+        [
+            (0, 128, 0.5, 0, "n_sequences must be >= 1, got 0"),
+            (10, 0, 0.5, 0, "seq_len must be >= 1, got 0"),
+            (10, -3, 0.5, 0, "seq_len must be >= 1, got -3"),
+            (1, 128, 1.5, 0, "p_y1 must be in [0, 1], got 1.5"),
+            (1, 128, -0.1, 0, "p_y1 must be in [0, 1], got -0.1"),
+            (1, 128, 0.5, -1, "seed must be >= 0, got -1"),
+        ],
     )
-    def test_bad_arguments(self, n, p_y1, seed):
-        with pytest.raises(ValueError):
-            list(flagged_sequences(n, p_y1=p_y1, seed=seed))
+    def test_bad_arguments(self, n, seq_len, p_y1, seed, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            list(flagged_sequences(n, seq_len=seq_len, p_y1=p_y1, seed=seed))

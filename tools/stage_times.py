@@ -1,4 +1,5 @@
-"""Untraced time of each stage of make-pretraining-data, in one process.
+"""Untraced time of each stage of make-pretraining-data and verify-masking,
+in one process.
 
 Usage: python3 tools/stage_times.py [--sentences 20000] [--seed 2]
            [--repeat 5]
@@ -23,19 +24,31 @@ benchmark's ``--p-nc`` (``perfbench/run.py``'s ``P_NC``):
 * ``cli_run``: the whole command through ``lingmask.cli.run``, whose
   records must equal the ones the stages wrote.
 
-Prints one JSON object: the best of ``--repeat`` repetitions of each stage
-in seconds, every repetition's times, the input's sentence and piece counts,
-``stages_share`` (the stages' best times summed, over ``cli_run``'s), and
-the versions and bytecode state the figures were taken with. Without valid
-cached bytecode every fresh process compiles the package from source, which
-moves start-up and peak memory but none of the in-process times here.
-Exits 1 if a stage's best time is not positive, or if the stages wrote other
-records than the command.
+Then, as the benchmark's ``verify-law`` workload runs it (``VERIFY_N``
+sequences of ``VERIFY_SEQ_LEN`` pieces, ``--strategy lim`` with ``P_NC``,
+``--seed`` as given), each stage of ``verify-masking``:
+
+* ``flagged_sequences``: every block of synthetic flags;
+* ``tally_blocks``: the tallies of those blocks, read from a list;
+* ``empirical_mask_report``: the report over those tallies;
+* ``cli_run``: the whole command through ``lingmask.cli.run``, whose report
+  must equal the stages'.
+
+Prints one JSON object: the best of ``--repeat`` repetitions of each
+``make-pretraining-data`` stage in seconds, every repetition's times, the
+input's sentence and piece counts, ``stages_share`` (the stages' best times
+summed, over ``cli_run``'s), the same figures for ``verify-masking`` under
+``verify_law``, and the versions and bytecode state the figures were taken
+with. Without valid cached bytecode every fresh process compiles the
+package from source, which moves start-up and peak memory but none of the
+in-process times here. Exits 1 if a stage's best time is not positive, or
+if the stages wrote other records than the command or reported otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import importlib.util
 import json
@@ -48,9 +61,11 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from rss_by_corpus_size import P_NC, ROOT, generate
+from rss_by_corpus_size import ROOT, generate  # also puts perfbench/ on the path
+from run import P_NC, VERIFY_N, VERIFY_SEQ_LEN, VERIFY_TOLERANCE  # the benchmark's settings
 
 STAGES = ("parse", "encode", "mask_batches", "rows_build", "json", "write", "cli_run")
+LAW_STAGES = ("flagged_sequences", "tally_blocks", "empirical_mask_report", "cli_run")
 
 
 def bytecode_state() -> dict:
@@ -74,14 +89,9 @@ def bytecode_state() -> dict:
     }
 
 
-def repetition(tsv: str, vocab_path: str, out_dir: str, seed: int) -> tuple[dict, dict]:
-    """One pass over every stage; returns each stage's seconds and the
-    input's counts."""
-    from lingmask import cli, masking
-    from lingmask.chunker import parse_annotations
-    from lingmask.subword import load_vocab
-
-    times: dict[str, float] = {}
+def timer(times: dict[str, float]):
+    """``timed(stage, fn)``: calls ``fn`` after a collection, records its
+    seconds in ``times[stage]`` and returns its result."""
 
     def timed(stage, fn):
         gc.collect()
@@ -90,6 +100,18 @@ def repetition(tsv: str, vocab_path: str, out_dir: str, seed: int) -> tuple[dict
         times[stage] = time.perf_counter() - t0
         return result
 
+    return timed
+
+
+def repetition(tsv: str, vocab_path: str, out_dir: str, seed: int) -> tuple[dict, dict]:
+    """One pass over every stage; returns each stage's seconds and the
+    input's counts."""
+    from lingmask import cli, masking
+    from lingmask.chunker import parse_annotations
+    from lingmask.subword import load_vocab
+
+    times: dict[str, float] = {}
+    timed = timer(times)
     vocab = load_vocab(vocab_path)
     config = masking.MaskingConfig(
         strategy="lim", p_nc=P_NC, seed=seed,
@@ -130,6 +152,42 @@ def repetition(tsv: str, vocab_path: str, out_dir: str, seed: int) -> tuple[dict
     return times, {"sentences": len(sentences), "pieces": sum(len(seq.pieces) for seq in sequences)}
 
 
+def law_repetition(out_dir: str, seed: int) -> dict:
+    """One pass over every stage of verify-masking; returns each stage's
+    seconds."""
+    from lingmask import cli, masking, stats
+
+    times: dict[str, float] = {}
+    timed = timer(times)
+    config = masking.MaskingConfig(strategy="lim", p_nc=P_NC, seed=seed, max_seq_len=VERIFY_SEQ_LEN)
+    blocks = timed("flagged_sequences", lambda: list(stats.flagged_sequences(VERIFY_N, seq_len=VERIFY_SEQ_LEN, seed=seed)))
+    tallies = timed("tally_blocks", lambda: list(stats.tally_blocks(blocks, config)))
+    report = timed("empirical_mask_report", lambda: stats.empirical_mask_report(tallies, config.mask_prob, P_NC))
+    output = os.path.join(out_dir, "verify.json")
+    argv = [
+        "verify-masking", "--strategy", "lim", "--p-nc", str(P_NC), "--n", str(VERIFY_N),
+        "--seq-len", str(VERIFY_SEQ_LEN), "--tolerance", str(VERIFY_TOLERANCE),
+        "--seed", str(seed), "--output", output,
+    ]
+    code = timed("cli_run", lambda: cli.run(argv))
+    if code != 0:
+        raise SystemExit(f"lingmask {' '.join(argv)} exited {code}")
+    if json.loads(Path(output).read_text(encoding="utf-8")) != dataclasses.asdict(report):
+        raise SystemExit("the verify-masking stages reported otherwise than the command")
+    return times
+
+
+def stage_figures(best: dict[str, float], runs: dict[str, list[float]]) -> dict:
+    """Each stage's best and every repetition's seconds, and the stages'
+    best times summed over the whole command's (the last stage)."""
+    *stages, command = best
+    return {
+        "best_s": {stage: round(t, 6) for stage, t in best.items()},
+        "runs_s": {stage: [round(t, 6) for t in times] for stage, times in runs.items()},
+        "stages_share": round(sum(best[stage] for stage in stages) / best[command], 3),
+    }
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sentences", type=int, default=20_000)
@@ -146,6 +204,7 @@ def main(argv: list[str]) -> int:
     # The command's warning on unknown POS tags would print once per repetition.
     logging.getLogger("lingmask").setLevel(logging.ERROR)
     runs: dict[str, list[float]] = {stage: [] for stage in STAGES}
+    law_runs: dict[str, list[float]] = {stage: [] for stage in LAW_STAGES}
     with tempfile.TemporaryDirectory() as tmp:
         generate(args.sentences, args.seed, tmp)
         tsv, vocab = os.path.join(tmp, "pretrain.tsv"), os.path.join(tmp, "pretrain.vocab.txt")
@@ -153,15 +212,23 @@ def main(argv: list[str]) -> int:
             times, counts = repetition(tsv, vocab, tmp, args.seed)
             for stage in STAGES:
                 runs[stage].append(times[stage])
+            times = law_repetition(tmp, args.seed)
+            for stage in LAW_STAGES:
+                law_runs[stage].append(times[stage])
     best = {stage: min(runs[stage]) for stage in STAGES}
+    law_best = {stage: min(law_runs[stage]) for stage in LAW_STAGES}
     report = {
         "sentences": counts["sentences"],
         "pieces": counts["pieces"],
         "seed": args.seed,
         "repeat": args.repeat,
-        "best_s": {stage: round(best[stage], 6) for stage in STAGES},
-        "runs_s": {stage: [round(t, 6) for t in runs[stage]] for stage in STAGES},
-        "stages_share": round(sum(best[stage] for stage in STAGES[:-1]) / best["cli_run"], 3),
+        **stage_figures(best, runs),
+        "verify_law": {
+            "sequences": VERIFY_N,
+            "seq_len": VERIFY_SEQ_LEN,
+            "p_nc": P_NC,
+            **stage_figures(law_best, law_runs),
+        },
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "machine": platform.machine(),
@@ -169,6 +236,7 @@ def main(argv: list[str]) -> int:
     }
     print(json.dumps(report, indent=2))
     not_positive = [stage for stage in STAGES if not best[stage] > 0]
+    not_positive += [f"verify_law.{stage}" for stage in LAW_STAGES if not law_best[stage] > 0]
     if not_positive:
         raise SystemExit(f"stages with a best time that is not positive: {not_positive}")
     return 0
