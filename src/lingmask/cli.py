@@ -277,11 +277,7 @@ def _cmd_verify_masking(cfg: dict[str, Any], outputs: _Outputs) -> int:
     blocks = flagged_sequences(
         cfg["n"], seq_len=cfg["seq_len"], p_y1=cfg["p_y1"], seed=cfg["seed"]
     )
-    report = empirical_mask_report(
-        tally_blocks(blocks, config),
-        cfg["mask_prob"],
-        cfg["p_nc"] if cfg["strategy"] == "lim" else None,
-    )
+    report = empirical_mask_report(tally_blocks(blocks, config), config)
     _emit_json(dataclasses.asdict(report), cfg["output"], outputs)
     if report.abs_error is None:
         log.error("conditional masking probability is undefined on this corpus")
@@ -389,6 +385,7 @@ _REQUIRED = object()
 # A range is (accepts, rule): checked once the options are resolved, so that
 # a bad value is a validation failure that names its flag.
 _AT_LEAST_ZERO = (lambda v: v >= 0, "must be >= 0")
+_BELOW_2_64 = (lambda v: v < 2**64, "must be < 2**64")
 _FINITE_AT_LEAST_ZERO = (lambda v: 0 <= v < math.inf, "must be finite and >= 0")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 _OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must be in (0, 1)")
@@ -402,7 +399,7 @@ _VOCAB = ("--vocab", str, _REQUIRED, "vocabulary file, one piece per line")
 _REPORT = ("--output", str, None, "report path (default: stdout)")
 _MASK_PROB = ("--mask-prob", float, 0.15, None, _OPEN_UNIT)
 _MAX_PRED = ("--max-pred", int, 20, "most masked positions per sequence", _AT_LEAST_ONE)
-_SEED = ("--seed", int, 0, None, _AT_LEAST_ZERO)
+_SEED = ("--seed", int, 0, None, _AT_LEAST_ZERO, _BELOW_2_64)
 # Unset by default: masking reads it only under lim, so mlm rejects it.
 _LIM_P_NC = ("--p-nc", float, None, "lim: chance that a sequence masks only chunk tokens", _PROBABILITY)
 _MASKING_OPTIONS = [

@@ -135,6 +135,10 @@ class MaskingConfig:
             raise ValueError(f"vocab_size must be >= 1, got {self.vocab_size}")
         if not 0 <= self.mask_piece_id < self.vocab_size:
             raise ValueError("mask_piece_id must be a valid piece id")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.seed >= 2**64:
+            raise ValueError(f"seed must be < 2**64, got {self.seed}")
 
 
 @dataclass

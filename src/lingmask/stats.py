@@ -5,8 +5,10 @@ The conditional masking law says that when masking is restricted to
 chunk-flagged positions with branch probability p_nc, the chance that a given
 flagged token gets masked is mask_prob * p_nc / p(y=1); choosing
 p_nc = p(y=1) recovers the plain strategy's mask_prob. The empirical report
-estimates both conditionals from per-sequence mask counts, so the law can
-be checked end to end. ``tally_blocks`` counts them for grids of synthetic
+estimates both conditionals from per-sequence mask counts and compares the
+flagged one with what the run's ``MaskingConfig`` expects (``mask_prob``
+under ``mlm``, the law under ``lim``), so the law can be checked end to
+end. ``tally_blocks`` counts them for grids of synthetic
 sequences, numbered as one stream, with the rules of the sampler that
 writes pre-training data. Under ``mlm`` it draws each grid's positions
 (``masking.mask_rows``) and counts their flags. Under ``lim`` it reads only
@@ -159,16 +161,12 @@ def _lim_tallies(run: list[tuple[int, np.ndarray]], config: MaskingConfig, start
         yield MaskTally(np.full(len(n_chunk), seq_len), n_chunk, masked[begin:end].copy(), masked_chunk[begin:end].copy())
 
 
-def empirical_mask_report(
-    tallies: Iterable[MaskTally],
-    mask_prob: float,
-    p_nc: float | None = None,
-) -> MaskProbReport:
-    """Estimate p(masked | flag) from per-sequence counts.
-
-    ``p_nc`` of None means plain masking, whose expected conditional equals
-    ``mask_prob``. A corpus with no flagged tokens reports the conditional as
-    undefined (None), never as 0.
+def empirical_mask_report(tallies: Iterable[MaskTally], config: MaskingConfig) -> MaskProbReport:
+    """Estimate p(masked | flag) from per-sequence counts masked with
+    ``config``, and compare it with what ``config`` expects: ``mask_prob``
+    under ``mlm`` (whatever ``p_nc`` it carries), the law under ``lim``. A
+    corpus with no flagged tokens reports the conditional as undefined
+    (None), never as 0, and under ``lim`` its expectation too.
     """
     # Per sequence (k1, a1, k0, a0): chunk-flagged tokens and how many of
     # them are masked, then the same for unflagged tokens. The sums across
@@ -202,12 +200,9 @@ def empirical_mask_report(
     p1, se1 = _ratio_and_se(masked_y1, y1_slots, products[1, 1], products[0, 0], products[1, 0])
     p0, se0 = _ratio_and_se(masked_y0, y0_slots, products[3, 3], products[2, 2], products[3, 2])
 
-    if p_nc is None:
-        expected: float | None = mask_prob
-    elif p_y1 > 0:
-        expected = _law(mask_prob, p_nc, p_y1)
-    else:
-        expected = None
+    expected: float | None = config.mask_prob
+    if config.strategy == "lim":
+        expected = _law(config.mask_prob, config.p_nc, p_y1) if p_y1 > 0 else None
     abs_error = abs(p1 - expected) if p1 is not None and expected is not None else None
 
     return MaskProbReport(
@@ -319,6 +314,8 @@ def flagged_sequences(
         raise ValueError(f"p_y1 must be in [0, 1], got {p_y1}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if seed >= 2**64:
+        raise ValueError(f"seed must be < 2**64, got {seed}")
     threshold = round(p_y1 * 2**32)
     if threshold < 2**32:
         below, limit = np.less, np.uint32(threshold)

@@ -89,6 +89,8 @@ class TinyLmParams:
         ``seed``. Biases start at zero."""
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
+        if seed >= 2**64:
+            raise ValueError(f"seed must be < 2**64, got {seed}")
         size = vocab_size * hidden_dim
         words = sequence_rng(seed, INIT_STREAM, np.arange((2 * size + 3) // 4)).T.ravel()
         weights = words[: 2 * size] * (0.1 / 2**32) - 0.05

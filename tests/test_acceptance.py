@@ -35,7 +35,7 @@ def _criterion(name: str, ok: bool, detail: str = "") -> None:
 def _masking_report(strategy, p_nc, n=100_000, seed=7):
     config = MaskingConfig(strategy=strategy, p_nc=p_nc, seed=seed, max_seq_len=128)
     blocks = flagged_sequences(n, seq_len=128, p_y1=0.507, seed=seed)
-    return empirical_mask_report(tally_blocks(blocks, config), 0.15, p_nc if strategy == "lim" else None)
+    return empirical_mask_report(tally_blocks(blocks, config), config)
 
 
 class TestConditionalMaskingLaw:

@@ -64,10 +64,11 @@ class TestExitCodes:
         assert main(argv) == EX_USAGE
         assert capsys.readouterr().err.startswith(f"usage: lingmask {subcommand} [-h]")
 
+    @pytest.mark.parametrize("seed,rule", [(-1, "must be >= 0"), (2**64, "must be < 2**64")])
     @pytest.mark.parametrize(
         "subcommand", ["make-pretraining-data", "verify-masking", "make-pairs", "train-tiny"]
     )
-    def test_negative_seed_names_the_flag(self, tmp_path, annotated_corpus, patents_path, capsys, subcommand):
+    def test_negative_seed_names_the_flag(self, tmp_path, annotated_corpus, patents_path, capsys, subcommand, seed, rule):
         tsv, vocab = annotated_corpus
         inputs = {
             "make-pretraining-data": ["--annotations", tsv, "--vocab", vocab],
@@ -76,8 +77,8 @@ class TestExitCodes:
             "train-tiny": ["--annotations", tsv, "--vocab", vocab, "--steps", "1"],
         }[subcommand]
         out = tmp_path / "out"
-        assert main([subcommand, *inputs, "--seed", "-1", "--output", str(out)]) == EX_FAIL
-        assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+        assert main([subcommand, *inputs, "--seed", str(seed), "--output", str(out)]) == EX_FAIL
+        assert f"error: --seed {rule}, got {seed}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_version(self, capsys):
@@ -673,8 +674,9 @@ class TestVerifyMasking:
         assert report["p_mask_given_y1"] == pytest.approx(0.222, abs=0.02)
 
     def test_peak_memory_flat_in_n(self, tmp_path):
-        # Blocks of synthetic flags are drawn, masked and counted one at a
-        # time, so ten times the sequences need no more memory.
+        # Blocks of synthetic flags are drawn one at a time and counted 16 at
+        # a time (the default --strategy lim), so ten times the sequences need
+        # no more memory.
         def traced_peak(n):
             argv = ["verify-masking", "--n", str(n), "--tolerance", "1", "--output", str(tmp_path / "o.json")]
             tracemalloc.start()

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,16 @@ class TestConfig:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             config(strategy="spans")
+
+    @pytest.mark.parametrize(
+        "seed,message", [(-1, "seed must be >= 0, got -1"), (2**64, f"seed must be < 2**64, got {2**64}")]
+    )
+    def test_seed_outside_64_bits_rejected(self, seed, message):
+        # Masks key on the seed's 64 bits, so -1 and 2**64 would alias
+        # 2**64 - 1 and 0.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config(seed=seed)
+        assert config(seed=2**64 - 1).seed == 2**64 - 1
 
 
 class TestSelectMaskCount:

@@ -60,7 +60,7 @@ class TestExpectedConditional:
 def _report(strategy, p_nc, n, seed=3, seq_len=64, p_y1=0.5):
     cfg = MaskingConfig(strategy=strategy, p_nc=p_nc, seed=seed, max_seq_len=seq_len)
     blocks = flagged_sequences(n, seq_len=seq_len, p_y1=p_y1, seed=seed)
-    return empirical_mask_report(tally_blocks(blocks, cfg), cfg.mask_prob, p_nc if strategy == "lim" else None)
+    return empirical_mask_report(tally_blocks(blocks, cfg), cfg)
 
 
 class TestEmpiricalReport:
@@ -79,26 +79,50 @@ class TestEmpiricalReport:
     def test_undefined_conditional_reported_as_none(self):
         report = _report("mlm", None, 200, p_y1=0.0)
         assert report.p_mask_given_y1 is None
+        assert report.expected_p_mask_given_y1 == 0.15
         assert report.abs_error is None
         assert report.p_mask_given_y0 == pytest.approx(0.15, abs=0.02)
 
+    def test_mlm_expects_mask_prob_whatever_its_p_nc(self):
+        # p_nc is read only under lim: an mlm config that carries one masks
+        # and reports exactly as one that does not.
+        report = _report("mlm", 0.75, 1000)
+        assert report.expected_p_mask_given_y1 == 0.15
+        assert report == _report("mlm", None, 1000)
+
+    @pytest.mark.parametrize("mask_prob,p_nc", [(0.15, 0.75), (0.15, 0.4), (0.3, 0.2)])
+    def test_lim_expects_the_law(self, mask_prob, p_nc):
+        # 40 of 100 tokens flagged, 6 of them masked.
+        tally = MaskTally(*(np.array([v]) for v in (100, 40, 10, 6)))
+        report = empirical_mask_report([tally], MaskingConfig(mask_prob=mask_prob, strategy="lim", p_nc=p_nc))
+        assert report.p_y1 == 0.4
+        assert report.expected_p_mask_given_y1 == expected_conditional_mask_prob(mask_prob, p_nc, 0.4)
+        assert report.abs_error == abs(0.15 - report.expected_p_mask_given_y1)
+
+    def test_lim_without_flagged_tokens_expects_nothing(self):
+        # The law divides by p(y=1).
+        report = _report("lim", 0.75, 200, p_y1=0.0)
+        assert report.p_mask_given_y1 is None
+        assert report.expected_p_mask_given_y1 is None
+        assert report.abs_error is None
+
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
-            empirical_mask_report(iter(()), 0.15, None)
+            empirical_mask_report(iter(()), MaskingConfig())
 
     def test_misaligned_flags_rejected(self):
         cfg = MaskingConfig(seed=0, max_seq_len=8)
         seq = TokenizedSequence([0] * 8, [True] * 8)
         [(_, row)] = mask_sequences([seq], cfg)
         with pytest.raises(ValueError):
-            empirical_mask_report(tally_pairs([(build_example(seq, cfg, row), [True])]), 0.15, None)
+            empirical_mask_report(tally_pairs([(build_example(seq, cfg, row), [True])]), cfg)
 
     @pytest.mark.parametrize("masked,masked_chunk", [(3, 4), (3, -1), (8, 0), (5, 5)])
     def test_inconsistent_tally_rejected(self, masked, masked_chunk):
         # 8 tokens, 4 of them flagged.
         tally = MaskTally(*(np.array([v]) for v in (8, 4, masked, masked_chunk)))
         with pytest.raises(ValueError, match="exceed"):
-            empirical_mask_report([tally], 0.15, None)
+            empirical_mask_report([tally], MaskingConfig())
 
     def test_sums_within_a_tally_are_exact(self):
         # Two sequences of 2**31 unflagged tokens, 2**30 and 2**29 of them
@@ -107,8 +131,8 @@ class TestEmpiricalReport:
         lengths, masked = np.array([2**31, 2**31]), np.array([2**30, 2**29])
         zeros = np.zeros(2, dtype=np.int64)
         split = [MaskTally(lengths[i : i + 1], zeros[:1], masked[i : i + 1], zeros[:1]) for i in range(2)]
-        joint = empirical_mask_report([MaskTally(lengths, zeros, masked, zeros)], 0.15, None)
-        assert joint == empirical_mask_report(split, 0.15, None)
+        joint = empirical_mask_report([MaskTally(lengths, zeros, masked, zeros)], MaskingConfig())
+        assert joint == empirical_mask_report(split, MaskingConfig())
         assert joint.p_mask_given_y0 == 0.375
         assert joint.se_mask_given_y0 == pytest.approx(0.0884, abs=1e-4)
 
@@ -118,7 +142,7 @@ class TestEmpiricalReport:
         # 0. The sums of k0**2 (2**64) and a0 * k0 (2**63) fit no int64; an
         # accumulator that wrapped would give a standard error of about 0.43.
         tally = MaskTally(*(np.array([v]) for v in (2**31, 0, 2**30, 0)))
-        report = empirical_mask_report([tally] * 4, 0.15, None)
+        report = empirical_mask_report([tally] * 4, MaskingConfig())
         assert report.n_tokens == 2**33
         assert report.p_mask_given_y0 == 0.5
         assert report.se_mask_given_y0 == 0.0
@@ -131,7 +155,7 @@ class TestEmpiricalReport:
         seqs = [TokenizedSequence([0] * 32, row) for flags in blocks for row in flags.tolist()]
         pairs = [(build_example(seq, cfg, row), seq.y) for seq, row in mask_sequences(seqs, cfg)]
         tallies = tally_blocks(blocks, cfg)
-        assert empirical_mask_report(tallies, 0.15, p_nc) == empirical_mask_report(tally_pairs(pairs), 0.15, p_nc)
+        assert empirical_mask_report(tallies, cfg) == empirical_mask_report(tally_pairs(pairs), cfg)
 
     @pytest.mark.parametrize("seq_len,max_pred", [(3, 2), (7, 20), (32, 20)])
     @pytest.mark.parametrize("p_y1", [0.0, 0.02, 0.4, 0.97, 1.0])
@@ -245,7 +269,7 @@ class TestEmpiricalReport:
         empty = list(tally_blocks(np.split(flags[:0], [0]), cfg))
         assert [len(tally.masked) for tally in empty] == [0, 0]
         with pytest.raises(ValueError, match="empty example stream"):
-            empirical_mask_report(iter(empty), 0.15, p_nc)
+            empirical_mask_report(iter(empty), cfg)
 
     def test_counts(self):
         report = _report("mlm", None, 100, seq_len=32)
@@ -457,6 +481,7 @@ class TestFlaggedSequences:
             (1, 128, 1.5, 0, "p_y1 must be in [0, 1], got 1.5"),
             (1, 128, -0.1, 0, "p_y1 must be in [0, 1], got -0.1"),
             (1, 128, 0.5, -1, "seed must be >= 0, got -1"),
+            (1, 128, 0.5, 2**64, f"seed must be < 2**64, got {2**64}"),
         ],
     )
     def test_bad_arguments(self, n, seq_len, p_y1, seed, message):

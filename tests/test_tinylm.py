@@ -120,9 +120,13 @@ class TestInit:
         assert weights.min() < -0.045 and weights.max() > 0.045
         assert abs(weights.mean()) < 0.005
 
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed"):
-            TinyLmParams.init(3, 2, seed=-1)
+    @pytest.mark.parametrize(
+        "seed,message", [(-1, "seed must be >= 0, got -1"), (2**64, f"seed must be < 2**64, got {2**64}")]
+    )
+    def test_seed_outside_64_bits_rejected(self, seed, message):
+        # The weights key on the seed's 64 bits, so 2**64 would give seed 0's.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TinyLmParams.init(3, 2, seed=seed)
 
 
 class TestContextEncode:

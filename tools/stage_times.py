@@ -1,5 +1,5 @@
-"""Untraced time of each stage of make-pretraining-data and verify-masking,
-in one process.
+"""Untraced time of each stage of make-pretraining-data, verify-masking and
+train-tiny, in one process.
 
 Usage: python3 tools/stage_times.py [--sentences 20000] [--seed 2]
            [--repeat 5]
@@ -34,15 +34,29 @@ sequences of ``VERIFY_SEQ_LEN`` pieces, ``--strategy lim`` with ``P_NC``,
 * ``cli_run``: the whole command through ``lingmask.cli.run``, whose report
   must equal the stages'.
 
+Then, as the benchmark's ``tiny-lm`` workload runs it (its ``tiny`` corpus,
+``train-tiny --strategy mlm`` with ``TINY_STEPS``, ``TINY_EVAL_EVERY`` and
+``TINY_BATCH``, ``--seed`` as given), each stage of ``train-tiny``:
+
+* ``prepare``: ``parse_annotations`` and ``sequence_from_annotated`` for
+  every sentence, against a vocabulary loaded afresh for each repetition;
+* ``pack_corpus``: the masked, packed table of those sequences;
+* ``train``: ``tinylm.train`` on those sequences, which packs them again;
+* ``write``: ``write_metrics_csv`` to a file;
+* ``cli_run``: the whole command through ``lingmask.cli.run``, whose CSV
+  must equal the one the stages wrote.
+
 Prints one JSON object: the best of ``--repeat`` repetitions of each
 ``make-pretraining-data`` stage in seconds, every repetition's times, the
 input's sentence and piece counts, ``stages_share`` (the stages' best times
 summed, over ``cli_run``'s), the same figures for ``verify-masking`` under
-``verify_law``, and the versions and bytecode state the figures were taken
-with. Without valid cached bytecode every fresh process compiles the
-package from source, which moves start-up and peak memory but none of the
-in-process times here. Exits 1 if a stage's best time is not positive, or
-if the stages wrote other records than the command or reported otherwise.
+``verify_law`` and for ``train-tiny`` under ``tiny_lm`` (whose share leaves
+out ``pack_corpus``, a part of ``train``), and the versions and bytecode
+state the figures were taken with. Without valid cached bytecode every
+fresh process compiles the package from source, which moves start-up and
+peak memory but none of the in-process times here. Exits 1 if a stage's
+best time is not positive, or if the stages wrote other records, reported
+otherwise or wrote another CSV than the command.
 """
 
 from __future__ import annotations
@@ -62,10 +76,20 @@ from collections import Counter
 from pathlib import Path
 
 from rss_by_corpus_size import ROOT, generate  # also puts perfbench/ on the path
-from run import P_NC, VERIFY_N, VERIFY_SEQ_LEN, VERIFY_TOLERANCE  # the benchmark's settings
+from run import (  # the benchmark's settings
+    P_NC,
+    TINY_BATCH,
+    TINY_EVAL_EVERY,
+    TINY_STEPS,
+    VERIFY_N,
+    VERIFY_SEQ_LEN,
+    VERIFY_TOLERANCE,
+)
+import gen  # the benchmark's input generator
 
 STAGES = ("parse", "encode", "mask_batches", "rows_build", "json", "write", "cli_run")
 LAW_STAGES = ("flagged_sequences", "tally_blocks", "empirical_mask_report", "cli_run")
+TINY_STAGES = ("prepare", "pack_corpus", "train", "write", "cli_run")
 
 
 def bytecode_state() -> dict:
@@ -162,7 +186,7 @@ def law_repetition(out_dir: str, seed: int) -> dict:
     config = masking.MaskingConfig(strategy="lim", p_nc=P_NC, seed=seed, max_seq_len=VERIFY_SEQ_LEN)
     blocks = timed("flagged_sequences", lambda: list(stats.flagged_sequences(VERIFY_N, seq_len=VERIFY_SEQ_LEN, seed=seed)))
     tallies = timed("tally_blocks", lambda: list(stats.tally_blocks(blocks, config)))
-    report = timed("empirical_mask_report", lambda: stats.empirical_mask_report(tallies, config.mask_prob, P_NC))
+    report = timed("empirical_mask_report", lambda: stats.empirical_mask_report(tallies, config))
     output = os.path.join(out_dir, "verify.json")
     argv = [
         "verify-masking", "--strategy", "lim", "--p-nc", str(P_NC), "--n", str(VERIFY_N),
@@ -177,14 +201,55 @@ def law_repetition(out_dir: str, seed: int) -> dict:
     return times
 
 
-def stage_figures(best: dict[str, float], runs: dict[str, list[float]]) -> dict:
+def tiny_repetition(tsv: str, vocab_path: str, out_dir: str, seed: int) -> tuple[dict, int]:
+    """One pass over every stage of train-tiny; returns each stage's
+    seconds and the number of sentences."""
+    from lingmask import cli, masking, tinylm
+    from lingmask.chunker import parse_annotations
+    from lingmask.subword import load_vocab
+
+    times: dict[str, float] = {}
+    timed = timer(times)
+    vocab = load_vocab(vocab_path)
+    config = masking.MaskingConfig(seed=seed, mask_piece_id=vocab.id_of("[MASK]"), vocab_size=vocab.size)
+    train_config = tinylm.TrainingConfig(
+        steps=TINY_STEPS, batch_size=TINY_BATCH, eval_every=TINY_EVAL_EVERY, seed=seed
+    )
+    sequences = timed("prepare", lambda: [
+        masking.sequence_from_annotated(sent, vocab, config.max_seq_len, doc_id=f"sent-{i}")
+        for i, sent in enumerate(parse_annotations(tsv, Counter()))
+    ])
+    timed("pack_corpus", lambda: tinylm.pack_corpus(sequences, config))
+    metrics, _ = timed("train", lambda: tinylm.train(sequences, config, train_config))
+
+    def write():
+        with open(os.path.join(out_dir, "stage.csv"), "w", encoding="utf-8", newline="\n") as handle:
+            tinylm.write_metrics_csv(metrics, handle)
+
+    timed("write", write)
+    argv = [
+        "train-tiny", "--annotations", tsv, "--vocab", vocab_path, "--strategy", "mlm",
+        "--steps", str(TINY_STEPS), "--eval-every", str(TINY_EVAL_EVERY),
+        "--batch-size", str(TINY_BATCH), "--seed", str(seed),
+        "--output", os.path.join(out_dir, "run.csv"),
+    ]
+    code = timed("cli_run", lambda: cli.run(argv))
+    if code != 0:
+        raise SystemExit(f"lingmask {' '.join(argv)} exited {code}")
+    if Path(out_dir, "stage.csv").read_bytes() != Path(out_dir, "run.csv").read_bytes():
+        raise SystemExit("the train-tiny stages wrote another CSV than the command")
+    return times, len(sequences)
+
+
+def stage_figures(best: dict[str, float], runs: dict[str, list[float]], within: tuple[str, ...] = ()) -> dict:
     """Each stage's best and every repetition's seconds, and the stages'
-    best times summed over the whole command's (the last stage)."""
+    best times summed over the whole command's (the last stage), leaving
+    out the stages ``within`` another."""
     *stages, command = best
     return {
         "best_s": {stage: round(t, 6) for stage, t in best.items()},
         "runs_s": {stage: [round(t, 6) for t in times] for stage, times in runs.items()},
-        "stages_share": round(sum(best[stage] for stage in stages) / best[command], 3),
+        "stages_share": round(sum(best[stage] for stage in stages if stage not in within) / best[command], 3),
     }
 
 
@@ -205,8 +270,11 @@ def main(argv: list[str]) -> int:
     logging.getLogger("lingmask").setLevel(logging.ERROR)
     runs: dict[str, list[float]] = {stage: [] for stage in STAGES}
     law_runs: dict[str, list[float]] = {stage: [] for stage in LAW_STAGES}
+    tiny_runs: dict[str, list[float]] = {stage: [] for stage in TINY_STAGES}
     with tempfile.TemporaryDirectory() as tmp:
         generate(args.sentences, args.seed, tmp)
+        gen.make_corpus(args.seed, tmp, "tiny")
+        tiny_tsv, tiny_vocab = os.path.join(tmp, "tiny.tsv"), os.path.join(tmp, "tiny.vocab.txt")
         tsv, vocab = os.path.join(tmp, "pretrain.tsv"), os.path.join(tmp, "pretrain.vocab.txt")
         for _ in range(args.repeat):
             times, counts = repetition(tsv, vocab, tmp, args.seed)
@@ -215,8 +283,12 @@ def main(argv: list[str]) -> int:
             times = law_repetition(tmp, args.seed)
             for stage in LAW_STAGES:
                 law_runs[stage].append(times[stage])
+            times, tiny_sentences = tiny_repetition(tiny_tsv, tiny_vocab, tmp, args.seed)
+            for stage in TINY_STAGES:
+                tiny_runs[stage].append(times[stage])
     best = {stage: min(runs[stage]) for stage in STAGES}
     law_best = {stage: min(law_runs[stage]) for stage in LAW_STAGES}
+    tiny_best = {stage: min(tiny_runs[stage]) for stage in TINY_STAGES}
     report = {
         "sentences": counts["sentences"],
         "pieces": counts["pieces"],
@@ -229,6 +301,13 @@ def main(argv: list[str]) -> int:
             "p_nc": P_NC,
             **stage_figures(law_best, law_runs),
         },
+        "tiny_lm": {
+            "sentences": tiny_sentences,
+            "steps": TINY_STEPS,
+            "batch_size": TINY_BATCH,
+            "eval_every": TINY_EVAL_EVERY,
+            **stage_figures(tiny_best, tiny_runs, within=("pack_corpus",)),
+        },
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "machine": platform.machine(),
@@ -237,6 +316,7 @@ def main(argv: list[str]) -> int:
     print(json.dumps(report, indent=2))
     not_positive = [stage for stage in STAGES if not best[stage] > 0]
     not_positive += [f"verify_law.{stage}" for stage in LAW_STAGES if not law_best[stage] > 0]
+    not_positive += [f"tiny_lm.{stage}" for stage in TINY_STAGES if not tiny_best[stage] > 0]
     if not_positive:
         raise SystemExit(f"stages with a best time that is not positive: {not_positive}")
     return 0
